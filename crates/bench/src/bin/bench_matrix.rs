@@ -41,6 +41,7 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use prem_bench::{PROFILE_MEMO_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
 use prem_gpusim::CorunnerProfile;
 use prem_harness::{
     run_cell, write_artifact, ExecFlags, MatrixScenario, MatrixSpec, PlanExecutor, RunSource,
@@ -288,8 +289,8 @@ fn main() -> ExitCode {
     // `plan:replay|warm` re-renders the column from a fresh store-backed
     // executor (pure disk hits, replayed outputs included). The cold
     // live/replay ratio is the acceptance criterion of the derivation
-    // family work and is asserted hard at ≥3×, on top of the baseline
-    // total gating all entries.
+    // family work and is asserted hard at `REPLAY_COLUMN_MIN_SPEEDUP`, on
+    // top of the baseline total gating all entries.
     let column_kernel = Bicg::new(96, 96);
     let column = whatif_requests(&column_kernel);
     // The ratio gate compares min-of-3 cold executions per side: each rep
@@ -368,14 +369,14 @@ fn main() -> ExitCode {
         column.len() / 3,
         3
     );
-    // Fused self-profiling (PR 10) cut the live side's cost roughly in
-    // half — a live cell no longer pays a separate profiling pass — so
-    // the replay elision's margin over live shrank from ~4x to ~1.7x.
-    // The gate guards the ordering (replay must stay cheaper than the
-    // now-compiled live path), not the old margin.
+    // Fused self-profiling cut the live side's cost roughly in half — a
+    // live cell no longer pays a separate profiling pass — so the replay
+    // elision's margin over live shrank from ~4x. The gate guards the
+    // ordering (replay must stay cheaper than the compiled live path),
+    // not the old margin.
     assert!(
-        speedup >= 1.3,
-        "replay-backed column must be ≥1.3x faster than live \
+        speedup >= REPLAY_COLUMN_MIN_SPEEDUP,
+        "replay-backed column must be ≥{REPLAY_COLUMN_MIN_SPEEDUP}x faster than live \
          (got {speedup:.2}x: live {live_ms:.1} ms, replay {replay_ms:.1} ms)"
     );
 
@@ -470,8 +471,8 @@ fn main() -> ExitCode {
         }
     }
     // min-of-5 per side: the ratio gate needs tighter reps than the
-    // 3x column gates because its threshold sits closer to the measured
-    // value.
+    // replay column gate because its threshold sits closer to the
+    // measured value.
     const MEMO_REPS: usize = 5;
     let mut cold_ms = f64::INFINITY;
     for _ in 0..MEMO_REPS {
@@ -506,9 +507,9 @@ fn main() -> ExitCode {
         memo_column.len()
     );
     assert!(
-        memo_speedup >= 1.5,
-        "memoized profiling must be ≥1.5x faster than per-cell profiling \
-         (got {memo_speedup:.2}x: cold {cold_ms:.1} ms, warm {warm_ms:.1} ms)"
+        memo_speedup >= PROFILE_MEMO_MIN_SPEEDUP,
+        "memoized profiling must be ≥{PROFILE_MEMO_MIN_SPEEDUP}x faster than per-cell \
+         profiling (got {memo_speedup:.2}x: cold {cold_ms:.1} ms, warm {warm_ms:.1} ms)"
     );
 
     let mut json = String::new();

@@ -1,6 +1,8 @@
 //! # prem-bench — artifact binaries and criterion benches
 //!
-//! This crate has no library API of its own; it exists to host
+//! Its only library API is the gate constants `bench_matrix` enforces
+//! (kept here so `tests/gate_docs.rs` can hold the docs to them); the
+//! crate exists to host
 //!
 //! * `bin/figures` — regenerates every paper artifact (and the scenario
 //!   matrix) into `results/`, fanning independent artifacts out on the
@@ -12,3 +14,13 @@
 //! See EXPERIMENTS.md at the repository root for the artifact map.
 
 #![deny(missing_docs)]
+
+/// Floor on the cold 7-policy × 3-seed what-if column's speedup from
+/// replay: `plan:column|live` over `plan:replay|cold` wall time
+/// (min-of-3 per side). `bench_matrix` fails below it.
+pub const REPLAY_COLUMN_MIN_SPEEDUP: f64 = 1.3;
+
+/// Floor on the profile-memo column's speedup: `exec:profile-memo|cold`
+/// (per-cell profiling) over `|warm` (one memoized pass) wall time
+/// (min-of-5 per side). `bench_matrix` fails below it.
+pub const PROFILE_MEMO_MIN_SPEEDUP: f64 = 1.5;

@@ -24,7 +24,9 @@
 //!   adds into the interval's M-phase work, fresh accumulators per C-phase,
 //!   intervals folded in order. Per-op costs come from the captured
 //!   [`CostModel`](prem_gpusim::CostModel) under the captured contention,
-//!   i.e. the same pure functions the live executor charges.
+//!   i.e. the same pure functions the live executor charges. Rounds after
+//!   a zero-miss M-round are credited, not walked, by the same repeated
+//!   adds as the live executor's all-hit shortcut.
 //! * **Budgets** — the profiling pass and the timed run reset and reseed
 //!   identically and feed identical op sequences, so their cache
 //!   trajectories coincide; one captured walk therefore yields both the
@@ -103,7 +105,8 @@ enum Entry {
 /// identical pass per round and this sink stores no outcomes, so recording
 /// every round would store the same entries `r` times. The executor
 /// delivers round 1 only; [`RunCapture::replay_for`] walks the recorded
-/// round [`RunCapture::rounds`] times to reproduce the full sequence.
+/// round [`RunCapture::rounds`] times to reproduce the full sequence,
+/// crediting the rounds after a zero-miss one as the live executor does.
 #[derive(Debug, Default)]
 struct WhatIfSink {
     entries: Vec<Entry>,
@@ -422,21 +425,25 @@ impl RunCapture {
                     // The capture stores one M round (the sink deduplicates
                     // the fixed repetition); walking it `rounds` times feeds
                     // the mirror the exact live access sequence — repeats
-                    // hit or miss per the *sibling's* trajectory, so every
-                    // round must still flow through the mirror cache.
+                    // hit or miss per the *sibling's* trajectory, so rounds
+                    // flow through the mirror cache until one misses
+                    // nothing.
                     let m_entries = &self.entries[m_range];
                     let mut m_work = 0.0f64;
-                    for _round in 0..rounds {
+                    let mut round = 0;
+                    while round < rounds {
                         let mut cycles = 0.0f64;
+                        let mut hits = 0u64;
+                        let mut misses = 0u64;
                         for e in m_entries {
                             match *e {
                                 Entry::Access { line, kind, phase } => {
                                     let out = llc.access(line, kind, phase);
                                     if out.hit {
-                                        prefetch_hits += 1;
+                                        hits += 1;
                                         cycles += pf_hit;
                                     } else {
-                                        prefetch_misses += 1;
+                                        misses += 1;
                                         cycles += pf_miss;
                                     }
                                 }
@@ -447,6 +454,24 @@ impl RunCapture {
                             }
                         }
                         m_work += cycles;
+                        prefetch_hits += hits;
+                        prefetch_misses += misses;
+                        round += 1;
+                        // The live executor's all-hit shortcut, applied to
+                        // the sibling's own trajectory: a zero-miss round
+                        // leaves contents, RNG and (up to clock values)
+                        // replacement state unchanged, so every remaining
+                        // round is the same pure hit pass. Credit them with
+                        // the repeated f64 adds the live path uses.
+                        if misses == 0 && round < rounds {
+                            let remaining = rounds - round;
+                            for _ in 0..remaining {
+                                m_work += cycles;
+                                prefetch_hits += hits;
+                            }
+                            llc.credit_repeated_hits(Phase::MPhase, remaining as u64 * hits);
+                            break;
+                        }
                     }
                     let mut c_live = 0.0f64;
                     let mut c_iso = 0.0f64;
@@ -611,9 +636,46 @@ mod tests {
         cfg
     }
 
+    /// A toy kernel whose footprints stay resident: three lines per set of
+    /// the small cache, and every footprint repeated by the next interval,
+    /// so prefetch rounds converge before `R` (the second interval of each
+    /// pair can converge in its first round).
+    fn converging_intervals() -> Vec<IntervalSpec> {
+        toy_footprints(|i| (i / 2) * 192, 192)
+    }
+
+    /// A toy kernel whose footprints overflow the small cache: five lines
+    /// per set of a four-way cache, so every prefetch round misses.
+    fn overflowing_intervals() -> Vec<IntervalSpec> {
+        toy_footprints(|i| i * 320, 320)
+    }
+
+    /// Six intervals; interval `i` stages and reads `len` contiguous lines
+    /// from `start(i)`.
+    fn toy_footprints(start: impl Fn(u64) -> u64, len: u64) -> Vec<IntervalSpec> {
+        (0..6)
+            .map(|i| {
+                let lines: Vec<_> = (0..len).map(|j| LineAddr::new(start(i) + j)).collect();
+                let accesses = lines.iter().map(|&l| CAccess::read(l)).collect();
+                IntervalSpec::new(lines, accesses, 256)
+            })
+            .collect()
+    }
+
+    /// Every policy of the what-if axis (`MatrixPolicy::what_if_axis` in
+    /// `prem-harness`, instantiated at four ways) times three seeds.
     fn sibling_axis() -> Vec<(Policy, u64)> {
+        let policies = [
+            Policy::nvidia_like(4),
+            Policy::Lru,
+            Policy::Fifo,
+            Policy::PseudoLru,
+            Policy::Nmru,
+            Policy::Srrip,
+            Policy::Random,
+        ];
         let mut axis = Vec::new();
-        for policy in [Policy::nvidia_like(4), Policy::Lru, Policy::Random] {
+        for policy in policies {
             for seed in [11u64, 23, 47] {
                 axis.push((policy.clone(), seed));
             }
@@ -637,22 +699,46 @@ mod tests {
 
     #[test]
     fn replay_matches_live_for_every_policy_seed_sibling() {
-        let ivs = toy_intervals();
-        for work in [RunWork::PremLlc { r: 4 }, RunWork::Baseline] {
-            for scenario in [Scenario::Isolation, Scenario::Interference] {
-                let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
-                let (_, capture) =
-                    execute_run_captured(&rep_cfg, &ivs, work, 11, scenario, NoiseModel::tx1())
-                        .unwrap();
-                for (policy, seed) in sibling_axis() {
-                    let sib_cfg = small_platform(policy, seed);
-                    let live = execute_run(&sib_cfg, &ivs, work, seed, scenario, NoiseModel::tx1())
-                        .unwrap();
-                    let replayed = capture.replay_for(&sib_cfg, seed);
-                    assert_eq!(
-                        live, replayed,
-                        "{work:?}/{scenario:?} sibling seed {seed} diverged"
-                    );
+        // Converging footprints take the zero-miss credit path (replay and
+        // live both stop simulating rounds once one misses nothing);
+        // overflowing ones simulate every round on both sides.
+        let toys = [
+            ("converging", converging_intervals()),
+            ("overflowing", overflowing_intervals()),
+        ];
+        let works = [
+            RunWork::PremLlc { r: 1 },
+            RunWork::PremLlc { r: 2 },
+            RunWork::PremLlc { r: 8 },
+            RunWork::Baseline,
+        ];
+        for (toy, ivs) in &toys {
+            let staged: u64 = ivs.iter().map(|iv| iv.footprint.len() as u64).sum();
+            for work in works {
+                for scenario in [Scenario::Isolation, Scenario::Interference] {
+                    let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
+                    let (_, capture) =
+                        execute_run_captured(&rep_cfg, ivs, work, 11, scenario, NoiseModel::tx1())
+                            .unwrap();
+                    for (policy, seed) in sibling_axis() {
+                        let sib_cfg = small_platform(policy.clone(), seed);
+                        let live =
+                            execute_run(&sib_cfg, ivs, work, seed, scenario, NoiseModel::tx1())
+                                .unwrap();
+                        let replayed = capture.replay_for(&sib_cfg, seed);
+                        assert_eq!(
+                            live, replayed,
+                            "{toy} {work:?}/{scenario:?} sibling {policy:?} seed {seed} diverged"
+                        );
+                        // The toys exercise the branches they are named for.
+                        if let (RunOutput::Prem(run), RunWork::PremLlc { r }) = (&replayed, work) {
+                            if *toy == "overflowing" {
+                                assert!(run.prefetch_misses >= ivs.len() as u64 * u64::from(r));
+                            } else if policy == Policy::Lru {
+                                assert!(run.prefetch_misses <= staged, "LRU converges in round 2");
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -56,9 +56,11 @@ use std::time::Instant;
 
 use prem_core::{
     execute_run_captured_profiled, execute_run_captured_reporting_profile, execute_run_profiled,
-    execute_run_reporting_profile, profile_run, NoiseModel, RunCapture, RunOutput, RunWork,
+    execute_run_reporting_profile, profile_run, IntervalSpec, NoiseModel, RunCapture, RunOutput,
+    RunWork,
 };
 use prem_gpusim::{PlatformConfig, Scenario};
+use prem_kernels::arena::{tiling_key, TilingKey};
 use prem_kernels::Kernel;
 use prem_obs::{MetricsSink, NullMetrics, Span};
 
@@ -326,9 +328,10 @@ impl RunRequest<'_> {
     /// interval arena ([`prem_kernels::arena`]): one build per distinct
     /// (kernel identity, dims, T) while any holder keeps the stream alive,
     /// so a request's profiling pass, timed run, scenario siblings and
-    /// pool neighbors all share one allocation. Panics on untileable
+    /// pool neighbors (the executor holds each key for the length of a
+    /// plan call) all share one allocation. Panics on untileable
     /// configurations exactly like [`RunRequest::execute`].
-    pub fn tiled_intervals(&self) -> Arc<[prem_core::IntervalSpec]> {
+    pub fn tiled_intervals(&self) -> Arc<[IntervalSpec]> {
         prem_kernels::arena::shared()
             .get(self.kernel, self.t_bytes)
             .unwrap_or_else(|e| panic!("{}: {e}", self.kernel.name()))
@@ -480,6 +483,41 @@ const SHARDS: usize = 16;
 enum Unit {
     Live(usize),
     Family(usize),
+}
+
+/// The tiled stream of one tiling key ([`prem_kernels::arena::TilingKey`])
+/// for the length of one [`PlanExecutor::execute_metered`] call: the key's
+/// first unit builds it through the shared arena, the units after it find
+/// it there, and the key's last unit to finish drops it.
+struct StreamPin {
+    /// The pinned stream, and how many of the key's units have not yet
+    /// finished.
+    state: Mutex<(Option<Arc<[IntervalSpec]>>, usize)>,
+}
+
+impl StreamPin {
+    fn new(units: usize) -> Self {
+        StreamPin {
+            state: Mutex::new((None, units)),
+        }
+    }
+
+    /// Pins `req`'s stream unless an earlier unit of the key already did.
+    fn hold(&self, req: &RunRequest<'_>) {
+        let mut state = self.state.lock().expect("stream pin poisoned");
+        if state.0.is_none() {
+            state.0 = Some(req.tiled_intervals());
+        }
+    }
+
+    /// Marks one unit of the key finished; the last one unpins the stream.
+    fn release(&self) {
+        let mut state = self.state.lock().expect("stream pin poisoned");
+        state.1 -= 1;
+        if state.1 == 0 {
+            state.0 = None;
+        }
+    }
 }
 
 /// Cumulative counters of one [`PlanExecutor`] (or the delta of a single
@@ -817,14 +855,40 @@ impl PlanExecutor {
         // families; their captures must not be alive simultaneously).
         // Derivation is deterministic in (capture, request), so outputs
         // stay independent of the worker count and of scheduling.
-        let mut units: Vec<Unit> = Vec::new();
+        //
+        // Units run grouped by tiling key, in first-occurrence order of the
+        // keys and in frontier order within a key, and each key's stream is
+        // pinned from its first unit to its last: a key is tiled once per
+        // call, however many units share it, and at one worker exactly one
+        // stream is alive at a time. Profile keys refine tiling keys, so
+        // the grouping keeps each profile key's units in frontier order.
+        let unit_req = |unit: &Unit| match *unit {
+            Unit::Live(i) => frontier[i].1,
+            Unit::Family(f) => frontier[families[f][0]].1,
+        };
+        let mut by_tiling: HashMap<TilingKey, usize> = HashMap::new();
+        let mut groups: Vec<Vec<Unit>> = Vec::new();
         for (i, family) in family_of.iter().enumerate() {
-            match *family {
-                None => units.push(Unit::Live(i)),
-                Some(f) if families[f][0] == i => units.push(Unit::Family(f)),
-                Some(_) => {} // sibling: produced by its family's unit
-            }
+            let unit = match *family {
+                None => Unit::Live(i),
+                Some(f) if families[f][0] == i => Unit::Family(f),
+                Some(_) => continue, // sibling: produced by its family's unit
+            };
+            let req = unit_req(&unit);
+            let g = *by_tiling
+                .entry(tiling_key(req.kernel, req.t_bytes))
+                .or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+            groups[g].push(unit);
         }
+        let pins: Vec<StreamPin> = groups.iter().map(|g| StreamPin::new(g.len())).collect();
+        let (units, unit_pins): (Vec<Unit>, Vec<&StreamPin>) = groups
+            .into_iter()
+            .zip(&pins)
+            .flat_map(|(group, pin)| group.into_iter().map(move |unit| (unit, pin)))
+            .unzip();
         // Hand each executed unit its profile-memo cell *now*, on the
         // expansion thread: hit/miss accounting is decided by the memo's
         // state at expansion (first unit of a new key is the miss, every
@@ -836,11 +900,7 @@ impl PlanExecutor {
             units
                 .iter()
                 .map(|unit| {
-                    let req = match *unit {
-                        Unit::Live(i) => frontier[i].1,
-                        Unit::Family(f) => frontier[families[f][0]].1,
-                    };
-                    let key = req.profile_key()?;
+                    let key = unit_req(unit).profile_key()?;
                     use std::collections::hash_map::Entry;
                     Some(match memo.entry(key) {
                         Entry::Occupied(e) => {
@@ -857,12 +917,19 @@ impl PlanExecutor {
         } else {
             units.iter().map(|_| None).collect()
         };
-        let tasks: Vec<(&Unit, Option<ProfileCell>)> = units.iter().zip(profile_cells).collect();
+        let tasks: Vec<(&Unit, Option<ProfileCell>, &StreamPin)> = units
+            .iter()
+            .zip(profile_cells)
+            .zip(unit_pins)
+            .map(|((unit, cell), pin)| (unit, cell, pin))
+            .collect();
         let busy_ns = AtomicU64::new(0);
         let pool_start = metrics.enabled().then(Instant::now);
-        let unit_outputs = parallel_map(workers, &tasks, |(unit, cell)| {
+        let unit_outputs = parallel_map(workers, &tasks, |(unit, cell, pin)| {
             let unit_start = metrics.enabled().then(Instant::now);
+            pin.hold(unit_req(unit));
             let outs = self.run_unit(unit, cell.as_ref(), &frontier, &families, metrics);
+            pin.release();
             if let Some(start) = unit_start {
                 let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 metrics.observe("plan.unit_ns", ns);
@@ -941,7 +1008,8 @@ impl PlanExecutor {
 
     /// Executes one scheduled unit — a plain live run, or a whole
     /// derivation family (representative live with capture, siblings
-    /// replayed) — returning `(frontier index, output)` pairs.
+    /// replayed) — returning `(frontier index, output)` pairs. The caller
+    /// pins the unit's tiled stream.
     fn run_unit<M: MetricsSink>(
         &self,
         unit: &Unit,
@@ -953,9 +1021,6 @@ impl PlanExecutor {
         match *unit {
             Unit::Live(i) => {
                 let req = frontier[i].1;
-                // Pin the tiled stream for the whole unit so the profile
-                // pass and the timed run share one arena entry.
-                let _stream = req.tiled_intervals();
                 match cell.and_then(|c| c.get().copied()) {
                     // Memo hit: feed the shared WCETs straight in.
                     Some(w) => {
@@ -980,7 +1045,6 @@ impl PlanExecutor {
             Unit::Family(f) => {
                 let members = &families[f];
                 let rep = frontier[members[0]].1;
-                let _stream = rep.tiled_intervals();
                 let (rep_output, capture) = match cell.and_then(|c| c.get().copied()) {
                     Some(w) => {
                         let _live = Span::start(metrics, "plan.live_ns");

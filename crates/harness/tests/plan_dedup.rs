@@ -9,16 +9,32 @@
 //!   direct execution of that exact request;
 //! * **merged-plan elision** — a plan merging two figures executes each
 //!   *shared* request exactly once (asserted with the executor's
-//!   execution-count probe).
+//!   execution-count probe);
+//! * **one tiling per plan key** — a plan tiles each distinct
+//!   (kernel, T) once, whatever the worker count, and pins no stream past
+//!   the call.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
-use prem_core::{NoiseModel, RunWork};
+use prem_core::{IntervalSpec, NoiseModel, RunWork};
 use prem_gpusim::Scenario;
 use prem_harness::seed::fingerprint;
-use prem_harness::{Direct, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource};
-use prem_kernels::{Bicg, Kernel};
+use prem_harness::{
+    Direct, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
+};
+use prem_kernels::{Bicg, Kernel, KernelError, VerifyError};
 use prem_memsim::KIB;
+
+/// Serializes the tests that execute plans: they all tile through the
+/// process-wide interval arena, and the tiling test reads its live-entry
+/// count.
+fn arena_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn request(kernel: &dyn Kernel, work: RunWork, t: usize, seed: u64, iso: bool) -> RunRequest<'_> {
     RunRequest {
@@ -118,6 +134,7 @@ fn no_false_sharing_between_distinct_requests() {
         }
         requests.push(request(&k, RunWork::PremSpm, 32 * KIB, seed, true));
     }
+    let _arena = arena_lock();
     let executor = PlanExecutor::new();
     let summary = executor.execute(&requests, 2);
     // All distinct: every request occupies its own slot, satisfied either
@@ -173,6 +190,7 @@ fn merged_two_figure_plan_executes_each_shared_request_exactly_once() {
     // Merged: the shared requests execute exactly once.
     let mut merged = fig_a.clone();
     merged.append(&mut fig_b);
+    let _arena = arena_lock();
     let executor = PlanExecutor::new();
     let summary = executor.execute(&merged, 2);
     assert_eq!(summary.requested, separate);
@@ -193,4 +211,95 @@ fn merged_two_figure_plan_executes_each_shared_request_exactly_once() {
         separate - 2,
         "post-plan rendering must not execute anything"
     );
+}
+
+/// Bicg under a name no other test uses (so it shares no arena entry),
+/// counting its tilings.
+#[derive(Debug)]
+struct CountedBicg {
+    inner: Bicg,
+    tilings: AtomicUsize,
+}
+
+impl Kernel for CountedBicg {
+    fn name(&self) -> &'static str {
+        "counted-bicg"
+    }
+    fn dims(&self) -> String {
+        self.inner.dims()
+    }
+    fn id_dims(&self) -> Vec<usize> {
+        self.inner.id_dims()
+    }
+    fn dataset_bytes(&self) -> usize {
+        self.inner.dataset_bytes()
+    }
+    fn min_interval_bytes(&self) -> usize {
+        self.inner.min_interval_bytes()
+    }
+    fn intervals(&self, t_bytes: usize) -> Result<Vec<IntervalSpec>, KernelError> {
+        self.tilings.fetch_add(1, Ordering::Relaxed);
+        self.inner.intervals(t_bytes)
+    }
+    fn verify(&self, t_bytes: usize) -> Result<(), VerifyError> {
+        self.inner.verify(t_bytes)
+    }
+}
+
+#[test]
+fn plan_tiles_each_kernel_t_key_once() {
+    let _arena = arena_lock();
+    let kernel = CountedBicg {
+        inner: Bicg::new(96, 96),
+        tilings: AtomicUsize::new(0),
+    };
+    // K = 3 (kernel, T) keys, interleaved in the plan so units of one key
+    // are never adjacent in frontier order: live runs (SPM, baseline,
+    // scenario pairs) and what-if families at every T.
+    let ts = [16 * KIB, 24 * KIB, 32 * KIB];
+    let mut requests = Vec::new();
+    for seed in [11, 23] {
+        for iso in [true, false] {
+            for &t in &ts {
+                requests.push(request(&kernel, RunWork::PremLlc { r: 8 }, t, seed, iso));
+                requests.push(request(&kernel, RunWork::Baseline, t, seed, iso));
+                if iso {
+                    requests.push(request(&kernel, RunWork::PremSpm, t, seed, true));
+                }
+            }
+        }
+    }
+    for &t in &ts {
+        let mut sibling = request(&kernel, RunWork::PremLlc { r: 4 }, t, 11, true);
+        sibling.platform = PlatformSpec::tx1().with_policy(MatrixPolicy::Lru);
+        requests.push(sibling);
+    }
+
+    let mut outputs = Vec::new();
+    for workers in [1, 4] {
+        let live_before = prem_kernels::arena::shared().live_entries();
+        kernel.tilings.store(0, Ordering::Relaxed);
+        let executor = PlanExecutor::new();
+        let summary = executor.execute(&requests, workers);
+        assert!(summary.families > 0 && summary.executed > ts.len());
+        if workers == 1 {
+            assert_eq!(
+                kernel.tilings.load(Ordering::Relaxed),
+                ts.len(),
+                "one tiling per (kernel, T) key"
+            );
+        }
+        assert_eq!(
+            prem_kernels::arena::shared().live_entries(),
+            live_before,
+            "no stream pin outlives the call"
+        );
+        outputs.push(
+            requests
+                .iter()
+                .map(|req| executor.output(req))
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(outputs[0], outputs[1], "4 workers must match 1 worker");
 }

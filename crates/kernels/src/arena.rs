@@ -1,5 +1,5 @@
-//! Shared interval arenas: tile once per (kernel identity, dims, T),
-//! share the stream everywhere.
+//! Shared interval arenas: tile once per (kernel identity, dims, T) while
+//! anyone holds the stream.
 //!
 //! Tiling a kernel ([`Kernel::intervals`]) materializes its full op
 //! stream — for paper-scale problem sizes that is megabytes of
@@ -8,14 +8,18 @@
 //! its policy/seed/scenario axes, fig6 sweeps T over a fixed kernel, and
 //! every run's profiling pass re-tiles what its timed run just tiled. The
 //! arena makes the tiling content-addressed: one build per distinct
-//! `(name, id_dims, t_bytes)` while any consumer still holds the result.
+//! [`TilingKey`] while any consumer still holds the result.
 //!
 //! Entries are held through [`Weak`] references, so an arena never *owns*
 //! a stream: the moment the last consumer drops its [`Arc`], the tiling is
 //! freed and a later request rebuilds it. This bounds arena memory by what
-//! the pool is actively executing (plus whatever callers pin), not by the
-//! number of distinct tilings a long process has ever seen — the same
-//! bounded-capture discipline the plan layer applies to replay families.
+//! callers pin, not by the number of distinct tilings a long process has
+//! ever seen — the same bounded-capture discipline the plan layer applies
+//! to replay families. It also means the arena shares nothing between
+//! consumers that run one after another: sharing is the holders' job.
+//! The plan executor holds each key's stream from the first to the last
+//! pool unit that needs it within one call, so a plan tiles each key once;
+//! nothing stays pinned after the call returns.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -27,7 +31,12 @@ use crate::{Kernel, KernelError};
 /// A tiling's identity: everything [`Kernel::intervals`] depends on.
 /// `id_dims` (the constructor dimensions) rather than the display string
 /// keys the kernel, mirroring the wire registry's identity rule.
-type TilingKey = (&'static str, Vec<usize>, usize);
+pub type TilingKey = (&'static str, Vec<usize>, usize);
+
+/// The [`TilingKey`] of `kernel` tiled at `t_bytes`.
+pub fn tiling_key(kernel: &dyn Kernel, t_bytes: usize) -> TilingKey {
+    (kernel.name(), kernel.id_dims(), t_bytes)
+}
 
 /// A content-addressed, weakly-held cache of tiled interval streams.
 ///
@@ -62,7 +71,7 @@ impl IntervalArena {
         kernel: &dyn Kernel,
         t_bytes: usize,
     ) -> Result<Arc<[IntervalSpec]>, KernelError> {
-        let key: TilingKey = (kernel.name(), kernel.id_dims(), t_bytes);
+        let key = tiling_key(kernel, t_bytes);
         if let Some(live) = self.lock().get(&key).and_then(Weak::upgrade) {
             return Ok(live);
         }

@@ -142,7 +142,9 @@ impl CacheConfig {
     /// Set index of `line` under this geometry (modulo or XOR-hashed,
     /// matching [`Cache::set_of`]). Exposed on the config so trace
     /// analyses can reconstruct set residency from a captured header
-    /// without instantiating a cache.
+    /// without instantiating a cache. Recomputes the set count (an integer
+    /// division) per call; [`Cache::set_of`] uses the mask and shift
+    /// [`Cache::new`] derives once.
     pub fn set_index(&self, line: LineAddr) -> usize {
         let sets = self.sets();
         let raw = line.raw();
@@ -234,6 +236,10 @@ mod meta {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `sets - 1`: the set count is a power of two, so indexing is a mask.
+    set_mask: usize,
+    /// `log2(sets)`: the fold distance of the XOR index hash.
+    hash_shift: u32,
     /// Raw line addresses, [`EMPTY_TAG`] where the slot is empty.
     tags: Vec<u64>,
     /// Packed [`meta`] bits, slot-parallel with `tags`.
@@ -255,11 +261,14 @@ impl Cache {
         if let Err(e) = cfg.validate() {
             panic!("invalid cache config: {e}");
         }
-        let slots = cfg.sets() * cfg.ways;
-        let replacer = Replacer::new(cfg.policy_ref().clone(), cfg.sets(), cfg.ways);
+        let sets = cfg.sets();
+        let slots = sets * cfg.ways;
+        let replacer = Replacer::new(cfg.policy_ref().clone(), sets, cfg.ways);
         let rng = Rng::seed_from_u64(cfg.seed);
         Cache {
             cfg,
+            set_mask: sets - 1,
+            hash_shift: sets.trailing_zeros(),
             tags: vec![EMPTY_TAG; slots],
             meta: vec![0; slots],
             replacer,
@@ -273,9 +282,17 @@ impl Cache {
         &self.cfg
     }
 
-    /// Set index for a line.
+    /// Set index for a line: [`CacheConfig::set_index`] without its
+    /// per-call division, since every access goes through here.
+    #[inline(always)]
     pub fn set_of(&self, line: LineAddr) -> usize {
-        self.cfg.set_index(line)
+        let raw = line.raw();
+        let folded = if self.cfg.index_hash {
+            raw ^ (raw >> self.hash_shift) ^ (raw >> (2 * self.hash_shift))
+        } else {
+            raw
+        };
+        (folded as usize) & self.set_mask
     }
 
     /// The single tag-scan used by every lookup ([`Cache::access`],
@@ -670,6 +687,24 @@ mod tests {
         for i in 0..100u64 {
             c.access(LineAddr::new(i * 7), AccessKind::Read, Phase::Unphased);
             assert!(c.contains(LineAddr::new(i * 7)));
+        }
+    }
+
+    #[test]
+    fn set_of_matches_config_set_index() {
+        for hash in [false, true] {
+            for (size, ways) in [(512, 2), (1024, 2), (256 * crate::addr::KIB, 4), (128, 2)] {
+                let cfg = CacheConfig::new(size, ways, 64).index_hash(hash);
+                let c = Cache::new(cfg.clone());
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                for _ in 0..1000 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let line = LineAddr::new(x >> 8);
+                    assert_eq!(c.set_of(line), cfg.set_index(line), "{cfg:?}");
+                }
+            }
         }
     }
 

@@ -8,13 +8,15 @@
 //! * [`adaptive_ablation`] — fixed `R` repetition versus the adaptive
 //!   `UntilResident` strategy.
 
-use prem_core::{run_prem, sensitivity, LocalStore, PrefetchStrategy, PremConfig, SyncConfig};
+use prem_core::{
+    run_prem, sensitivity, LocalStore, PrefetchStrategy, PremConfig, PremRun, SyncConfig,
+};
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_kernels::Kernel;
 use prem_memsim::Policy;
 
 use crate::common::Harness;
-use crate::stats::over_seeds;
+use crate::stats::{over_seeds, Stats};
 use crate::table::{f3, pct, Table};
 
 /// One policy's behaviour under PREM.
@@ -57,41 +59,31 @@ pub fn policy_ablation(
                 },
                 ..PremConfig::llc_tamed()
             };
-            let cpmr = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1()
-                    .llc_policy(policy.clone())
-                    .llc_seed(seed)
-                    .build();
-                run_prem(
-                    &mut p,
-                    &intervals,
-                    &cfg.clone().with_seed(seed),
-                    Scenario::Isolation,
-                )
-                .expect("llc prem cannot fail")
-                .cpmr
-            })
-            .mean;
-            let sens = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1()
-                    .llc_policy(policy.clone())
-                    .llc_seed(seed)
-                    .build();
-                let cfg = cfg.clone().with_seed(seed);
-                let iso = run_prem(&mut p, &intervals, &cfg, Scenario::Isolation)
-                    .expect("llc prem cannot fail")
-                    .makespan_cycles;
-                let intf = run_prem(&mut p, &intervals, &cfg, Scenario::Interference)
-                    .expect("llc prem cannot fail")
-                    .makespan_cycles;
-                sensitivity(iso, intf)
-            })
-            .mean;
+            // One isolation and one interference run per seed: the
+            // isolation run serves both the CPMR and the sensitivity pair.
+            let runs: Vec<(PremRun, PremRun)> = harness
+                .seeds
+                .iter()
+                .map(|&seed| {
+                    let mut p = PlatformConfig::tx1()
+                        .llc_policy(policy.clone())
+                        .llc_seed(seed)
+                        .build();
+                    let cfg = cfg.clone().with_seed(seed);
+                    let iso = run_prem(&mut p, &intervals, &cfg, Scenario::Isolation)
+                        .expect("llc prem cannot fail");
+                    let intf = run_prem(&mut p, &intervals, &cfg, Scenario::Interference)
+                        .expect("llc prem cannot fail");
+                    (iso, intf)
+                })
+                .collect();
             rows.push(PolicyRow {
                 policy: name.to_string(),
                 r,
-                cpmr,
-                sensitivity: sens,
+                cpmr: mean_over(&runs, |(iso, _)| iso.cpmr),
+                sensitivity: mean_over(&runs, |(iso, intf)| {
+                    sensitivity(iso.makespan_cycles, intf.makespan_cycles)
+                }),
             });
         }
     }
@@ -292,34 +284,48 @@ pub fn adaptive_ablation(
             PrefetchStrategy::UntilResident { max_rounds: 16 },
         ),
     ];
-    let run = |strategy: PrefetchStrategy, seed: u64| {
-        let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-        let cfg = PremConfig {
-            store: LocalStore::Llc { prefetch: strategy },
-            ..PremConfig::llc_tamed()
-        }
-        .with_seed(seed);
-        run_prem(&mut p, &intervals, &cfg, Scenario::Isolation).expect("llc run")
-    };
-    let r8 = over_seeds(&harness.seeds, |s| {
-        run(PrefetchStrategy::Repeated { r: 8 }, s).makespan_cycles
-    })
-    .mean;
+    // One run per (strategy, seed); the fixed R=8 strategy's runs are
+    // also the makespan reference.
+    let runs: Vec<Vec<PremRun>> = strategies
+        .iter()
+        .map(|&(_, strategy)| {
+            harness
+                .seeds
+                .iter()
+                .map(|&seed| {
+                    let mut p = PlatformConfig::tx1().llc_seed(seed).build();
+                    let cfg = PremConfig {
+                        store: LocalStore::Llc { prefetch: strategy },
+                        ..PremConfig::llc_tamed()
+                    }
+                    .with_seed(seed);
+                    run_prem(&mut p, &intervals, &cfg, Scenario::Isolation).expect("llc run")
+                })
+                .collect()
+        })
+        .collect();
+    let r8 = strategies
+        .iter()
+        .position(|&(_, s)| s == PrefetchStrategy::Repeated { r: 8 })
+        .map(|i| mean_over(&runs[i], |run| run.makespan_cycles))
+        .expect("R=8 is a strategy");
     strategies
         .into_iter()
-        .map(|(label, strategy)| {
-            let cpmr = over_seeds(&harness.seeds, |s| run(strategy, s).cpmr).mean;
-            let rounds =
-                over_seeds(&harness.seeds, |s| run(strategy, s).max_rounds_used as f64).mean;
-            let mk = over_seeds(&harness.seeds, |s| run(strategy, s).makespan_cycles).mean;
-            AdaptiveRow {
-                strategy: label,
-                cpmr,
-                rounds,
-                makespan_rel_r8: mk / r8,
-            }
+        .zip(&runs)
+        .map(|((label, _), runs)| AdaptiveRow {
+            strategy: label,
+            cpmr: mean_over(runs, |run| run.cpmr),
+            rounds: mean_over(runs, |run| run.max_rounds_used as f64),
+            makespan_rel_r8: mean_over(runs, |run| run.makespan_cycles) / r8,
         })
         .collect()
+}
+
+/// The mean of `f` over per-seed `runs` (in seed order) — what
+/// [`over_seeds`] computes, from runs simulated once instead of once per
+/// metric.
+fn mean_over<T>(runs: &[T], f: impl Fn(&T) -> f64) -> f64 {
+    Stats::of(&runs.iter().map(f).collect::<Vec<_>>()).mean
 }
 
 /// Renders the adaptive-prefetch ablation.

@@ -94,45 +94,55 @@ pub fn interference_sweep(
         profile_phases(&mut platform, &intervals, &prem_cfg).expect("LLC PREM cannot fail")
     };
 
+    let point = |profile: CorunnerProfile, n: usize| {
+        let mix = vec![profile; n];
+        // fold, not sum: the empty mix must print 0.000, not -0.000.
+        let demand = mix.iter().map(|p| p.mean_demand()).fold(0.0, f64::add);
+        let cfg = PlatformConfig::tx1().llc_seed(seed).with_corunners(mix);
+        let mut platform = cfg.build();
+        let prem = run_prem_with_profile(
+            &mut platform,
+            &intervals,
+            &prem_cfg,
+            Scenario::Corunners,
+            Some(profiled),
+        )
+        .expect("LLC PREM cannot fail");
+        let mut base_platform = cfg.build();
+        let base = run_baseline(
+            &mut base_platform,
+            &intervals,
+            seed,
+            Scenario::Corunners,
+            NoiseModel::tx1(),
+        )
+        .expect("baseline cannot fail");
+        SweepRow {
+            profile: profile.name(),
+            n,
+            demand,
+            prem_us: platform.cycles_to_us(prem.makespan_cycles),
+            cpmr: prem.cpmr,
+            envelope_us: platform.cycles_to_us(prem.budget_envelope_cycles),
+            violation_us: platform.cycles_to_us(prem.budget_violation_cycles),
+            baseline_us: platform.cycles_to_us(base.cycles),
+            corunner_bpc: prem.bus.corunner_bytes_per_cycle(),
+            polluted_lines: prem.polluted_lines,
+        }
+    };
+
+    let profiles = sweep_profiles();
+    // Zero co-runners of any profile is one and the same empty mix:
+    // simulate it once and relabel it per profile.
+    let empty = point(profiles[0], 0);
     let mut rows = Vec::new();
-    for profile in sweep_profiles() {
-        for n in 0..=max_corunners {
-            let mix = vec![profile; n];
-            // fold, not sum: the empty mix must print 0.000, not -0.000.
-            let demand = mix.iter().map(|p| p.mean_demand()).fold(0.0, f64::add);
-            let cfg = PlatformConfig::tx1()
-                .llc_seed(seed)
-                .with_corunners(mix.clone());
-            let mut platform = cfg.build();
-            let prem = run_prem_with_profile(
-                &mut platform,
-                &intervals,
-                &prem_cfg,
-                Scenario::Corunners,
-                Some(profiled),
-            )
-            .expect("LLC PREM cannot fail");
-            let mut base_platform = cfg.build();
-            let base = run_baseline(
-                &mut base_platform,
-                &intervals,
-                seed,
-                Scenario::Corunners,
-                NoiseModel::tx1(),
-            )
-            .expect("baseline cannot fail");
-            rows.push(SweepRow {
-                profile: profile.name(),
-                n,
-                demand,
-                prem_us: platform.cycles_to_us(prem.makespan_cycles),
-                cpmr: prem.cpmr,
-                envelope_us: platform.cycles_to_us(prem.budget_envelope_cycles),
-                violation_us: platform.cycles_to_us(prem.budget_violation_cycles),
-                baseline_us: platform.cycles_to_us(base.cycles),
-                corunner_bpc: prem.bus.corunner_bytes_per_cycle(),
-                polluted_lines: prem.polluted_lines,
-            });
+    for profile in profiles {
+        rows.push(SweepRow {
+            profile: profile.name(),
+            ..empty.clone()
+        });
+        for n in 1..=max_corunners {
+            rows.push(point(profile, n));
         }
     }
     rows
