@@ -57,6 +57,7 @@ fn bench_nullsink_executor(c: &mut Criterion) {
                     &intervals,
                     &cfg,
                     Scenario::Isolation,
+                    None,
                     &mut NullSink,
                 )
                 .expect("prem run"),

@@ -307,7 +307,7 @@ impl RunOutput {
 mod tests {
     use super::*;
     use crate::interval::CAccess;
-    use crate::plan::execute_run;
+    use crate::plan::{execute_run, RunOptions};
     use crate::RunWork;
     use prem_gpusim::{PlatformConfig, Scenario};
     use prem_memsim::LineAddr;
@@ -327,8 +327,10 @@ mod tests {
             7,
             Scenario::Interference,
             crate::NoiseModel::tx1(),
+            RunOptions::default(),
         )
         .expect("sample run")
+        .output
     }
 
     #[test]

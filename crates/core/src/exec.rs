@@ -197,7 +197,8 @@ pub struct BaselineRun {
     pub llc: CacheStats,
 }
 
-/// Executes `intervals` under PREM on `platform`.
+/// Executes `intervals` under PREM on `platform`: [`run_prem_traced`]
+/// without instrumentation, profiling its own phases.
 ///
 /// The platform is cold-reset and reseeded before both the profiling pass
 /// and the timed run, so results are deterministic in `cfg.seed`.
@@ -212,100 +213,54 @@ pub fn run_prem(
     cfg: &PremConfig,
     scenario: Scenario,
 ) -> Result<PremRun, ExecError> {
-    run_prem_traced(platform, intervals, cfg, scenario, &mut NullSink)
+    run_prem_traced(platform, intervals, cfg, scenario, None, &mut NullSink).map(|(run, _)| run)
 }
 
-/// [`run_prem`] with an optional memoized profiling result — see
-/// [`run_prem_traced_with_profile`] for the memoization contract.
+/// The PREM executor: profiles the phases (or takes a memoized profile),
+/// then runs the budgeted schedule under `scenario`, returning the run
+/// and the `(m_wcet, c_wcet)` pair its budgets derive from — exactly what
+/// [`profile_phases`] reports, suitable for the plan layer's profile memo.
 ///
-/// # Errors
+/// **Profile source.** `profiled` carries the `(m_wcet, c_wcet)` a
+/// previous [`profile_phases`] call returned for the *same* platform
+/// config, intervals, store/prefetch mode, seed and noise model.
+/// Profiling is deterministic in exactly those inputs (it resets and
+/// reseeds the platform on entry and runs isolated — no scenario
+/// dependence), so passing the memoized pair skips the pass entirely and
+/// the timed run — which cold-resets again before executing — is
+/// bit-identical to the unmemoized call. Passing stale values from any
+/// other request computes garbage budgets; the plan layer's `ProfileKey`
+/// is the guarded way in.
 ///
-/// [`ExecError::Spm`] exactly as for [`run_prem`].
-pub fn run_prem_with_profile(
-    platform: &mut Platform,
-    intervals: &[IntervalSpec],
-    cfg: &PremConfig,
-    scenario: Scenario,
-    profiled: Option<(f64, f64)>,
-) -> Result<PremRun, ExecError> {
-    run_prem_traced_with_profile(platform, intervals, cfg, scenario, profiled, &mut NullSink)
-}
-
-/// [`run_prem`] with cache-event instrumentation: the **timed run** (not
-/// the profiling pass) reports every LLC access outcome, co-runner
-/// pollution fill, interval boundary, phase transition and direct DRAM
-/// transfer to `sink`, with op-issue timestamps on the global schedule
-/// clock. With [`NullSink`] this monomorphizes to exactly [`run_prem`] —
-/// the contract the golden suite pins.
+/// **Fused profiling.** When `profiled` is `None` and the scenario's
+/// co-runner mix has constant contention and no cache polluters, the
+/// separate profiling pass is fused into the timed run. The profiling
+/// trajectory and the timed trajectory coincide (both start from the same
+/// cold reset and reseed and feed identical op sequences — the invariant
+/// the replay equivalence suite proves), so one walk suffices: the C-phase
+/// accumulates the isolated-contention cycles alongside the live ones
+/// ([`SmExecutor::run_dual_traced`], per-op in issue order, bit-exact),
+/// the M-phase work is its own isolated measurement already (the token is
+/// held), and each phase's per-interval maximum is the WCET. Nothing in an
+/// unpolluted walk consumes budgets until after the fact, so they are
+/// derived post-loop from the observed WCETs. The output is bit-identical
+/// to profiling separately; the walk is simply not paid twice. Other
+/// mixes pay a separate [`profile_phases`] pass first.
 ///
-/// Capture starts after the cold reset that precedes the timed run, so a
-/// recorded trace replayed against an equally cold cache (same geometry,
-/// policy and `cfg.seed`) reproduces the run's [`CacheStats`]
-/// field-for-field — the `prem-trace` replay engine's validation
-/// property.
+/// **Instrumentation.** The timed run (never the profiling pass) reports
+/// every LLC access outcome, co-runner pollution fill, interval boundary,
+/// phase transition and direct DRAM transfer to `sink`, with op-issue
+/// timestamps on the global schedule clock. With [`NullSink`] this
+/// monomorphizes to exactly [`run_prem`] — the contract the golden suite
+/// pins. Capture starts after the cold reset that precedes the timed run,
+/// so a recorded trace replayed against an equally cold cache (same
+/// geometry, policy and `cfg.seed`) reproduces the run's [`CacheStats`]
+/// field-for-field — the `prem-trace` replay engine's validation property.
 ///
 /// # Errors
 ///
 /// [`ExecError::Spm`] exactly as for [`run_prem`].
 pub fn run_prem_traced<S: TraceSink>(
-    platform: &mut Platform,
-    intervals: &[IntervalSpec],
-    cfg: &PremConfig,
-    scenario: Scenario,
-    sink: &mut S,
-) -> Result<PremRun, ExecError> {
-    run_prem_traced_with_profile(platform, intervals, cfg, scenario, None, sink)
-}
-
-/// [`run_prem_traced`] with an optional memoized profiling result.
-///
-/// `profiled` carries the `(m_wcet, c_wcet)` a previous
-/// [`profile_phases`] call returned for the *same* platform config,
-/// intervals, store/prefetch mode, seed and noise model. Profiling is
-/// deterministic in exactly those inputs (it resets and reseeds the
-/// platform on entry and runs isolated — no scenario dependence), so
-/// passing the memoized pair skips the pass entirely and the timed run —
-/// which cold-resets again before executing — is bit-identical to the
-/// unmemoized call. Passing stale values from any other request computes
-/// garbage budgets; the plan layer's `ProfileKey` is the guarded way in.
-///
-/// # Errors
-///
-/// [`ExecError::Spm`] exactly as for [`run_prem`].
-pub fn run_prem_traced_with_profile<S: TraceSink>(
-    platform: &mut Platform,
-    intervals: &[IntervalSpec],
-    cfg: &PremConfig,
-    scenario: Scenario,
-    profiled: Option<(f64, f64)>,
-    sink: &mut S,
-) -> Result<PremRun, ExecError> {
-    run_prem_traced_reporting_profile(platform, intervals, cfg, scenario, profiled, sink)
-        .map(|(run, _)| run)
-}
-
-/// [`run_prem_traced_with_profile`], additionally returning the
-/// `(m_wcet, c_wcet)` pair the run's budgets derive from — exactly what
-/// [`profile_phases`] reports, suitable for the plan layer's profile memo.
-///
-/// When `profiled` is `None` and the scenario's co-runner mix has constant
-/// contention and no cache polluters, the separate profiling pass is
-/// **fused** into the timed run. The profiling trajectory and the timed
-/// trajectory coincide (both start from the same cold reset and reseed
-/// and feed identical op sequences — the invariant the replay equivalence
-/// suite proves), so one walk suffices: the C-phase accumulates the
-/// isolated-contention cycles alongside the live ones
-/// ([`SmExecutor::run_dual_traced`], per-op in issue order, bit-exact),
-/// the M-phase work is its own isolated measurement already (the token is
-/// held), and each phase's per-interval maximum is the WCET. Nothing in
-/// an unpolluted walk consumes budgets until after the fact, so they are
-/// derived post-loop from the observed WCETs. The output is bit-identical
-/// to profiling separately; the walk is simply not paid twice.
-///
-/// # Errors
-///
-/// [`ExecError::Spm`] exactly as for [`run_prem`].
-pub fn run_prem_traced_reporting_profile<S: TraceSink>(
     platform: &mut Platform,
     intervals: &[IntervalSpec],
     cfg: &PremConfig,
@@ -632,9 +587,9 @@ fn baseline_windows(
 /// `cfg.seed`, `cfg.noise`) and independent of the run scenario — it
 /// cold-resets and reseeds the platform on entry and measures in
 /// isolation, the paper's profiling discipline. That determinism is what
-/// makes the result memoizable: feed it back through
-/// [`run_prem_traced_with_profile`] for any scenario sibling of the
-/// profiled request and the output is bit-identical to profiling inline.
+/// makes the result memoizable: feed it back through [`run_prem_traced`]
+/// for any scenario sibling of the profiled request and the output is
+/// bit-identical to profiling inline.
 ///
 /// # Errors
 ///

@@ -18,11 +18,18 @@
 //!   (fair co-scheduling by default, as in the paper's evaluation).
 //! * [`run_prem`] / [`run_baseline`] — the executors producing
 //!   [`Breakdown`]s, makespans and the **CPMR** predictability metric.
+//!   Each has one general form: [`run_prem_traced`] takes a trace sink
+//!   and an optional memoized profile and returns the `(m_wcet, c_wcet)`
+//!   its budgets derive from; [`run_baseline_traced`] takes a sink.
+//!   [`profile_phases`] is the isolated profiling pass on its own.
 //! * [`analytic`] — the paper's coin-toss and good-way-capacity models for
 //!   cross-checking the simulator.
 //! * [`plan`] — the `RunRequest → run_prem / run_baseline` bridge the
 //!   run-plan layer (`prem-harness::plan`) executes canonical requests
-//!   through.
+//!   through: one [`execute_run`], whose [`RunOptions`] pick the profile
+//!   source and what-if capture, plus [`profile_run`].
+//! * [`whatif`] — replay-backed derivation of LLC policy/seed siblings
+//!   from one captured run ([`RunCapture`]).
 //! * [`codec`] — versioned, bit-exact binary serialization of executed
 //!   [`RunOutput`]s, the payload format of the persistent run store
 //!   (`prem-harness::store`).
@@ -62,20 +69,13 @@ pub mod whatif;
 pub use budget::{BudgetPolicy, Budgets};
 pub use codec::CODEC_VERSION;
 pub use exec::{
-    profile_phases, run_baseline, run_baseline_traced, run_prem, run_prem_traced,
-    run_prem_traced_reporting_profile, run_prem_traced_with_profile, run_prem_with_profile,
-    BaselineRun, NoiseModel, PremConfig, PremRun,
+    profile_phases, run_baseline, run_baseline_traced, run_prem, run_prem_traced, BaselineRun,
+    NoiseModel, PremConfig, PremRun,
 };
 pub use interval::{CAccess, IntervalSpec};
 pub use local_store::{LocalStore, PrefetchStrategy};
 pub use metrics::{sensitivity, speedup, Breakdown};
-pub use plan::{
-    execute_run, execute_run_profiled, execute_run_reporting_profile, profile_run, RunOutput,
-    RunWork,
-};
+pub use plan::{execute_run, profile_run, Executed, RunOptions, RunOutput, RunWork};
 pub use sync::{PhaseTiming, SyncConfig};
 pub use tiling::{check_tiling, rows_per_interval, TilingError};
-pub use whatif::{
-    execute_run_captured, execute_run_captured_profiled, execute_run_captured_reporting_profile,
-    replay_eligible, RunCapture,
-};
+pub use whatif::{replay_eligible, RunCapture};

@@ -14,10 +14,12 @@
 //! `PremConfig`s for it.
 
 use prem_gpusim::{ExecError, PlatformConfig, Scenario};
+use prem_memsim::NullSink;
 
-use crate::exec::{run_baseline, NoiseModel, PremConfig};
+use crate::exec::{profile_phases, run_baseline, run_prem_traced, NoiseModel, PremConfig};
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
+use crate::whatif::RunCapture;
 use crate::{BaselineRun, PremRun};
 
 /// What a run request executes once its platform is resolved.
@@ -104,17 +106,54 @@ impl RunOutput {
     }
 }
 
+/// How [`execute_run`] executes a request. The default is a plain live
+/// run that profiles its own phases.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct RunOptions {
+    /// A memoized `(m_wcet, c_wcet)` from [`profile_run`] (for this request
+    /// or any scenario sibling): `Some` skips the profiling pass, `None`
+    /// profiles inline or fused into the timed run. The output is
+    /// bit-identical either way. Baseline work ignores it.
+    pub profiled: Option<(f64, f64)>,
+    /// Record a [`RunCapture`] of the timed run, from which every LLC
+    /// policy/seed sibling's output can be derived by replay. The output
+    /// is bit-identical either way — capture is an observer.
+    pub capture: bool,
+}
+
+/// What [`execute_run`] returns.
+#[derive(Debug)]
+pub struct Executed {
+    /// The run's output.
+    pub output: RunOutput,
+    /// The `(m_wcet, c_wcet)` the run's budgets derive from — the memoized
+    /// pair when one was passed in, otherwise what [`profile_run`] would
+    /// report — and `None` for baseline work, which never profiles.
+    pub wcets: Option<(f64, f64)>,
+    /// The what-if capture, present exactly when [`RunOptions::capture`]
+    /// was set.
+    pub capture: Option<RunCapture>,
+}
+
 /// Executes one fully-resolved run request: builds `platform_cfg`, derives
-/// the mode's canonical [`PremConfig`] and dispatches to [`run_prem`] or
-/// [`run_baseline`].
+/// the mode's canonical [`PremConfig`] and dispatches to
+/// [`run_prem_traced`] or [`run_baseline`] — the one bridge every plan
+/// layer execution goes through.
 ///
 /// `platform_cfg` must already carry every per-request override (LLC
 /// policy, LLC seed, co-runner mix) — resolution is the plan layer's job;
-/// this bridge only executes.
+/// this bridge only executes. `opts` picks the profile source and whether
+/// to capture; the uncaptured path runs with the no-op sink.
+///
+/// # Panics
+///
+/// Panics when `opts.capture` is set and the request is not
+/// [`replay_eligible`](crate::replay_eligible) — a capture of an
+/// ineligible run would replay wrongly, so callers gate on eligibility.
 ///
 /// # Errors
 ///
-/// Exactly the [`run_prem`] / [`run_baseline`] error conditions
+/// Exactly the [`run_prem_traced`] / [`run_baseline`] error conditions
 /// ([`ExecError::Spm`] for over-capacity SPM footprints).
 pub fn execute_run(
     platform_cfg: &PlatformConfig,
@@ -123,8 +162,42 @@ pub fn execute_run(
     seed: u64,
     scenario: Scenario,
     noise: NoiseModel,
-) -> Result<RunOutput, ExecError> {
-    execute_run_profiled(platform_cfg, intervals, work, seed, scenario, noise, None)
+    opts: RunOptions,
+) -> Result<Executed, ExecError> {
+    if opts.capture {
+        return crate::whatif::execute_captured(
+            platform_cfg,
+            intervals,
+            work,
+            seed,
+            scenario,
+            noise,
+            opts.profiled,
+        );
+    }
+    let mut platform = platform_cfg.build();
+    let (output, wcets) = match work.prem_config(seed, noise) {
+        Some(cfg) => {
+            let (run, wcets) = run_prem_traced(
+                &mut platform,
+                intervals,
+                &cfg,
+                scenario,
+                opts.profiled,
+                &mut NullSink,
+            )?;
+            (RunOutput::Prem(run), Some(wcets))
+        }
+        None => {
+            let run = run_baseline(&mut platform, intervals, seed, scenario, noise)?;
+            (RunOutput::Baseline(run), None)
+        }
+    };
+    Ok(Executed {
+        output,
+        wcets,
+        capture: None,
+    })
 }
 
 /// Runs only the isolated profiling pass of a request, returning its
@@ -132,14 +205,13 @@ pub fn execute_run(
 ///
 /// Returns `Ok(None)` for [`RunWork::Baseline`] (the baseline never
 /// profiles). The result is valid for *every* scenario sibling of the
-/// request (profiling is scenario-independent — see
-/// [`crate::exec::profile_phases`]); feed it back through
-/// [`execute_run_profiled`] under any scenario and the output is
-/// bit-identical to [`execute_run`].
+/// request (profiling is scenario-independent — see [`profile_phases`]);
+/// feed it back as [`RunOptions::profiled`] under any scenario and the
+/// output is bit-identical to a self-profiling [`execute_run`].
 ///
 /// # Errors
 ///
-/// Exactly the [`run_prem`] error conditions.
+/// Exactly the [`profile_phases`] error conditions.
 pub fn profile_run(
     platform_cfg: &PlatformConfig,
     intervals: &[IntervalSpec],
@@ -150,71 +222,9 @@ pub fn profile_run(
     match work.prem_config(seed, noise) {
         Some(cfg) => {
             let mut platform = platform_cfg.build();
-            crate::exec::profile_phases(&mut platform, intervals, &cfg).map(Some)
+            profile_phases(&mut platform, intervals, &cfg).map(Some)
         }
         None => Ok(None),
-    }
-}
-
-/// [`execute_run`] with an optional memoized profiling result from
-/// [`profile_run`] — `Some` skips the profiling pass, `None` profiles
-/// inline. Baseline work ignores the hint.
-///
-/// # Errors
-///
-/// Exactly the [`execute_run`] error conditions.
-pub fn execute_run_profiled(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    profiled: Option<(f64, f64)>,
-) -> Result<RunOutput, ExecError> {
-    execute_run_reporting_profile(
-        platform_cfg,
-        intervals,
-        work,
-        seed,
-        scenario,
-        noise,
-        profiled,
-    )
-    .map(|(out, _)| out)
-}
-
-/// [`execute_run_profiled`], additionally returning the `(m_wcet, c_wcet)`
-/// the run's budgets derive from (`None` for baseline work) — what the
-/// plan layer backfills its profile memo with when the profiling pass was
-/// fused into the timed run instead of paid separately (see
-/// [`crate::exec::run_prem_traced_reporting_profile`]).
-///
-/// # Errors
-///
-/// Exactly the [`execute_run`] error conditions.
-pub fn execute_run_reporting_profile(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    profiled: Option<(f64, f64)>,
-) -> Result<(RunOutput, Option<(f64, f64)>), ExecError> {
-    let mut platform = platform_cfg.build();
-    match work.prem_config(seed, noise) {
-        Some(cfg) => crate::exec::run_prem_traced_reporting_profile(
-            &mut platform,
-            intervals,
-            &cfg,
-            scenario,
-            profiled,
-            &mut prem_memsim::NullSink,
-        )
-        .map(|(run, wcets)| (RunOutput::Prem(run), Some(wcets))),
-        None => run_baseline(&mut platform, intervals, seed, scenario, noise)
-            .map(|run| (RunOutput::Baseline(run), None)),
     }
 }
 
@@ -272,8 +282,10 @@ mod tests {
             7,
             Scenario::Isolation,
             NoiseModel::tx1(),
+            RunOptions::default(),
         )
         .unwrap()
+        .output
         .prem();
         let mut platform = cfg.build();
         let direct = run_prem(
@@ -294,8 +306,10 @@ mod tests {
             7,
             Scenario::Isolation,
             NoiseModel::off(),
+            RunOptions::default(),
         )
         .unwrap()
+        .output
         .baseline();
         let mut platform = cfg.build();
         let direct = run_baseline(
@@ -320,8 +334,80 @@ mod tests {
             1,
             Scenario::Isolation,
             NoiseModel::off(),
+            RunOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .output;
         let _ = out.baseline();
+    }
+
+    /// Bit patterns of a WCET pair, so equality is exact.
+    fn bits(wcets: Option<(f64, f64)>) -> Option<(u64, u64)> {
+        wcets.map(|(m, c)| (m.to_bits(), c.to_bits()))
+    }
+
+    #[test]
+    fn every_run_options_combination_is_the_same_run() {
+        use prem_gpusim::CorunnerProfile;
+        let ivs = toy_intervals();
+        let noise = NoiseModel::tx1();
+        let tx1 = PlatformConfig::tx1().llc_seed(7);
+        let thrash = tx1
+            .clone()
+            .with_corunners(vec![CorunnerProfile::CacheThrash]);
+        let bursty = tx1.clone().with_corunners(vec![CorunnerProfile::Bursty {
+            duty: 0.5,
+            period_cycles: 10_000.0,
+        }]);
+        // The two presets self-profile fused into the timed walk; the
+        // polluting and the time-varying mix pay a separate pass.
+        let scenarios = [
+            (&tx1, Scenario::Isolation, true),
+            (&tx1, Scenario::Interference, true),
+            (&thrash, Scenario::Corunners, false),
+            (&bursty, Scenario::Corunners, false),
+        ];
+        let works = [
+            RunWork::PremLlc { r: 1 },
+            RunWork::PremLlc { r: 8 },
+            RunWork::PremSpm,
+            RunWork::Baseline,
+        ];
+        for (cfg, scenario, fusable) in scenarios {
+            for work in works {
+                let ctx = format!("{work:?}/{scenario:?}/{:?}", cfg.cpu);
+                let run = |opts| execute_run(cfg, &ivs, work, 7, scenario, noise, opts).unwrap();
+                let plain = run(RunOptions::default());
+                let profiled = profile_run(cfg, &ivs, work, 7, noise).unwrap();
+                assert_eq!(bits(plain.wcets), bits(profiled), "{ctx}: wcets");
+                assert_eq!(profiled.is_none(), work == RunWork::Baseline, "{ctx}");
+                assert!(plain.capture.is_none(), "{ctx}");
+
+                let eligible = crate::replay_eligible(cfg, work, scenario);
+                assert_eq!(eligible, fusable && work != RunWork::PremSpm, "{ctx}");
+                let mut variants = vec![RunOptions {
+                    profiled,
+                    capture: false,
+                }];
+                if eligible {
+                    for profiled in [None, profiled] {
+                        variants.push(RunOptions {
+                            profiled,
+                            capture: true,
+                        });
+                    }
+                }
+                for opts in variants {
+                    let other = run(opts);
+                    assert_eq!(
+                        other.output.encode(),
+                        plain.output.encode(),
+                        "{ctx}: {opts:?} changed the output"
+                    );
+                    assert_eq!(bits(other.wcets), bits(plain.wcets), "{ctx}: {opts:?}");
+                    assert_eq!(other.capture.is_some(), opts.capture, "{ctx}: {opts:?}");
+                }
+            }
+        }
     }
 }

@@ -49,13 +49,11 @@ use prem_memsim::{
 };
 
 use crate::budget::BudgetPolicy;
-use crate::exec::{
-    run_baseline_traced, run_prem_traced_reporting_profile, BaselineRun, NoiseModel, PremRun,
-};
+use crate::exec::{run_baseline_traced, run_prem_traced, BaselineRun, NoiseModel, PremRun};
 use crate::interval::IntervalSpec;
 use crate::local_store::LocalStore;
 use crate::metrics::Breakdown;
-use crate::plan::{RunOutput, RunWork};
+use crate::plan::{Executed, RunOutput, RunWork};
 use crate::sync::PhaseTiming;
 
 /// Whether a run is replay-derivable across the LLC policy/seed axes.
@@ -146,7 +144,8 @@ enum CaptureMode {
 /// A captured live run: everything needed to rebuild the [`RunOutput`] of
 /// any policy/seed sibling without re-executing the simulator.
 ///
-/// Produced by [`execute_run_captured`], consumed by
+/// Produced by [`execute_run`](crate::execute_run) with
+/// [`RunOptions::capture`](crate::RunOptions::capture) set, consumed by
 /// [`RunCapture::replay_for`].
 #[derive(Clone, Debug)]
 pub struct RunCapture {
@@ -170,48 +169,19 @@ pub struct RunCapture {
     ledger_cont: Contention,
 }
 
-/// [`crate::execute_run`] with what-if capture: executes the run live and
-/// additionally returns a [`RunCapture`] from which every LLC policy/seed
-/// sibling's output can be derived by replay.
-///
-/// The returned output is bit-identical to what [`crate::execute_run`]
-/// returns for the same request — capture is an observer.
+/// [`execute_run`](crate::execute_run) with capture on: executes the run
+/// live through the capturing sink and packages the recorded sequence as
+/// a [`RunCapture`]. The output and WCETs are bit-identical to an
+/// uncaptured run with the same profile source; replay-eligible mixes are
+/// always fusion-eligible (both require constant contention and no
+/// polluters), so a self-profiling representative pays one walk.
 ///
 /// # Panics
 ///
 /// Panics when the request is not [`replay_eligible`] — capturing an
 /// ineligible run would hand out a capture whose replays are wrong, so the
 /// caller must gate on eligibility first.
-///
-/// # Errors
-///
-/// Exactly the [`crate::execute_run`] error conditions.
-pub fn execute_run_captured(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-) -> Result<(RunOutput, RunCapture), ExecError> {
-    execute_run_captured_profiled(platform_cfg, intervals, work, seed, scenario, noise, None)
-}
-
-/// [`execute_run_captured`] with an optional memoized profiling result
-/// from [`crate::profile_run`] — `Some` skips the representative's
-/// profiling pass exactly as [`crate::execute_run_profiled`] does.
-/// Capture and replay are unaffected: the capture records the timed run,
-/// which is bit-identical either way.
-///
-/// # Panics
-///
-/// Panics when the request is not [`replay_eligible`], as for
-/// [`execute_run_captured`].
-///
-/// # Errors
-///
-/// Exactly the [`crate::execute_run`] error conditions.
-pub fn execute_run_captured_profiled(
+pub(crate) fn execute_captured(
     platform_cfg: &PlatformConfig,
     intervals: &[IntervalSpec],
     work: RunWork,
@@ -219,53 +189,10 @@ pub fn execute_run_captured_profiled(
     scenario: Scenario,
     noise: NoiseModel,
     profiled: Option<(f64, f64)>,
-) -> Result<(RunOutput, RunCapture), ExecError> {
-    execute_run_captured_reporting_profile(
-        platform_cfg,
-        intervals,
-        work,
-        seed,
-        scenario,
-        noise,
-        profiled,
-    )
-    .map(|(out, _, capture)| (out, capture))
-}
-
-/// Output of [`execute_run_captured_reporting_profile`]: the
-/// representative's output, the `(m_wcet, c_wcet)` its budgets derive
-/// from (`None` for baseline work), and the capture its siblings replay
-/// from.
-pub type CapturedReportedRun = (RunOutput, Option<(f64, f64)>, RunCapture);
-
-/// [`execute_run_captured_profiled`], additionally returning the
-/// `(m_wcet, c_wcet)` the representative's budgets derive from (`None`
-/// for baseline work, which never profiles) — what the
-/// plan layer backfills its profile memo with when the profiling pass is
-/// fused into the representative's timed run (replay-eligible mixes are
-/// always fusion-eligible: both require constant contention and no
-/// polluters).
-///
-/// # Panics
-///
-/// Panics when the request is not [`replay_eligible`], as for
-/// [`execute_run_captured`].
-///
-/// # Errors
-///
-/// Exactly the [`crate::execute_run`] error conditions.
-pub fn execute_run_captured_reporting_profile(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    profiled: Option<(f64, f64)>,
-) -> Result<CapturedReportedRun, ExecError> {
+) -> Result<Executed, ExecError> {
     assert!(
         replay_eligible(platform_cfg, work, scenario),
-        "execute_run_captured: request is not replay-eligible"
+        "execute_run: capture requested for a run that is not replay-eligible"
     );
     let mut platform = platform_cfg.build();
     let mut sink = WhatIfSink::default();
@@ -290,7 +217,7 @@ pub fn execute_run_captured_reporting_profile(
                 }
                 LocalStore::Spm { .. } => unreachable!("SPM work is not replay-eligible"),
             };
-            let (run, wcets) = run_prem_traced_reporting_profile(
+            let (run, wcets) = run_prem_traced(
                 &mut platform,
                 intervals,
                 &cfg,
@@ -336,7 +263,11 @@ pub fn execute_run_captured_reporting_profile(
         m_cont: platform_cfg.cpu.m_phase_contention(),
         ledger_cont: engine.mean_contention(),
     };
-    Ok((output, wcets, capture))
+    Ok(Executed {
+        output,
+        wcets,
+        capture: Some(capture),
+    })
 }
 
 /// Strips the replay-variant axes off a platform config: LLC policy and
@@ -614,9 +545,40 @@ impl RunCapture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute_run;
     use crate::interval::CAccess;
+    use crate::{execute_run, RunOptions};
     use prem_gpusim::CorunnerProfile;
+
+    /// A plain live run's output.
+    fn run_live(
+        cfg: &PlatformConfig,
+        ivs: &[IntervalSpec],
+        work: RunWork,
+        seed: u64,
+        scenario: Scenario,
+        noise: NoiseModel,
+    ) -> RunOutput {
+        execute_run(cfg, ivs, work, seed, scenario, noise, RunOptions::default())
+            .unwrap()
+            .output
+    }
+
+    /// A live run with capture on: its output and its capture.
+    fn run_captured(
+        cfg: &PlatformConfig,
+        ivs: &[IntervalSpec],
+        work: RunWork,
+        seed: u64,
+        scenario: Scenario,
+        noise: NoiseModel,
+    ) -> (RunOutput, RunCapture) {
+        let opts = RunOptions {
+            capture: true,
+            ..RunOptions::default()
+        };
+        let run = execute_run(cfg, ivs, work, seed, scenario, noise, opts).unwrap();
+        (run.output, run.capture.expect("capture requested"))
+    }
 
     /// A toy kernel whose footprint overflows a small biased cache, so
     /// policy and seed actually change the trajectory.
@@ -688,11 +650,9 @@ mod tests {
         let cfg = small_platform(Policy::nvidia_like(4), 11);
         let ivs = toy_intervals();
         for work in [RunWork::PremLlc { r: 4 }, RunWork::Baseline] {
-            let live =
-                execute_run(&cfg, &ivs, work, 11, Scenario::Isolation, NoiseModel::tx1()).unwrap();
+            let live = run_live(&cfg, &ivs, work, 11, Scenario::Isolation, NoiseModel::tx1());
             let (captured, _) =
-                execute_run_captured(&cfg, &ivs, work, 11, Scenario::Isolation, NoiseModel::tx1())
-                    .unwrap();
+                run_captured(&cfg, &ivs, work, 11, Scenario::Isolation, NoiseModel::tx1());
             assert_eq!(live, captured, "{work:?}: capture perturbed the run");
         }
     }
@@ -718,13 +678,10 @@ mod tests {
                 for scenario in [Scenario::Isolation, Scenario::Interference] {
                     let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
                     let (_, capture) =
-                        execute_run_captured(&rep_cfg, ivs, work, 11, scenario, NoiseModel::tx1())
-                            .unwrap();
+                        run_captured(&rep_cfg, ivs, work, 11, scenario, NoiseModel::tx1());
                     for (policy, seed) in sibling_axis() {
                         let sib_cfg = small_platform(policy.clone(), seed);
-                        let live =
-                            execute_run(&sib_cfg, ivs, work, seed, scenario, NoiseModel::tx1())
-                                .unwrap();
+                        let live = run_live(&sib_cfg, ivs, work, seed, scenario, NoiseModel::tx1());
                         let replayed = capture.replay_for(&sib_cfg, seed);
                         assert_eq!(
                             live, replayed,
@@ -781,15 +738,14 @@ mod tests {
     fn replay_for_rejects_foreign_configs() {
         let ivs = toy_intervals();
         let cfg = small_platform(Policy::Lru, 11);
-        let (_, capture) = execute_run_captured(
+        let (_, capture) = run_captured(
             &cfg,
             &ivs,
             RunWork::PremLlc { r: 2 },
             11,
             Scenario::Isolation,
             NoiseModel::off(),
-        )
-        .unwrap();
+        );
         // Same family axes, different geometry: must be refused.
         let foreign = PlatformConfig::generic(64, 4, 64);
         capture.replay_for(&foreign, 11);
@@ -800,7 +756,7 @@ mod tests {
     fn capture_rejects_ineligible_work() {
         let ivs = toy_intervals();
         let cfg = PlatformConfig::tx1();
-        let _ = execute_run_captured(
+        let _ = run_captured(
             &cfg,
             &ivs,
             RunWork::PremSpm,

@@ -33,6 +33,15 @@
 //!   canonical key (the fingerprint selects the shard; the key string
 //!   guarantees distinct requests can never alias a cache slot).
 //!
+//! Every simulator execution in this module — a pool unit, a lazy
+//! [`RunSource::output`] miss, a [`Direct`] call — takes one path. The
+//! request's profile-memo cell (one per [`RunRequest::profile_key`])
+//! either supplies a memoized `(m_wcet, c_wcet)` or is backfilled with the
+//! pair the run reports, and the request tiles, resolves and runs through
+//! the core bridge [`prem_core::execute_run`]. The public
+//! `RunRequest::execute*` methods are one-line forms of that path with a
+//! fixed [`RunOptions`].
+//!
 //! Dedup is sound because execution is deterministic in the request: a
 //! [`RunRequest`] resolves to a freshly built platform seeded from its own
 //! coordinates, so the first execution of a key is byte-identical to any
@@ -55,9 +64,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use prem_core::{
-    execute_run_captured_profiled, execute_run_captured_reporting_profile, execute_run_profiled,
-    execute_run_reporting_profile, profile_run, IntervalSpec, NoiseModel, RunCapture, RunOutput,
-    RunWork,
+    execute_run, profile_run, Executed, IntervalSpec, NoiseModel, RunCapture, RunOptions,
+    RunOutput, RunWork,
 };
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_kernels::arena::{tiling_key, TilingKey};
@@ -240,7 +248,7 @@ impl RunRequest<'_> {
     }
 
     /// Tiles the kernel, resolves the platform and executes the request
-    /// through the core bridge ([`execute_run`]).
+    /// through the core bridge ([`prem_core::execute_run`]).
     ///
     /// # Panics
     ///
@@ -249,7 +257,7 @@ impl RunRequest<'_> {
     /// configurations are expected to respect kernel and platform limits,
     /// exactly as the pre-plan runners did.
     pub fn execute(&self) -> RunOutput {
-        self.execute_profiled(None)
+        self.run(RunOptions::default()).output
     }
 
     /// [`RunRequest::execute`] with an optional memoized profiling result
@@ -261,16 +269,11 @@ impl RunRequest<'_> {
     ///
     /// Exactly as [`RunRequest::execute`].
     pub fn execute_profiled(&self, profiled: Option<(f64, f64)>) -> RunOutput {
-        execute_run_profiled(
-            &self.resolved_platform(),
-            &self.tiled_intervals(),
-            self.work,
-            self.seed,
-            self.resolved_scenario(),
-            self.noise,
+        self.run(RunOptions {
             profiled,
-        )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
+            capture: false,
+        })
+        .output
     }
 
     /// Runs only the isolated profiling pass, returning its
@@ -303,14 +306,23 @@ impl RunRequest<'_> {
     ///
     /// Exactly as [`RunRequest::execute`].
     pub fn execute_reporting_profile(&self) -> (RunOutput, Option<(f64, f64)>) {
-        execute_run_reporting_profile(
+        let run = self.run(RunOptions::default());
+        (run.output, run.wcets)
+    }
+
+    /// The one execution path behind every `execute*` form: tiles, resolves
+    /// and runs the request through [`prem_core::execute_run`] under
+    /// `opts`, panicking on execution errors as documented on
+    /// [`RunRequest::execute`].
+    fn run(&self, opts: RunOptions) -> Executed {
+        execute_run(
             &self.resolved_platform(),
             &self.tiled_intervals(),
             self.work,
             self.seed,
             self.resolved_scenario(),
             self.noise,
-            None,
+            opts,
         )
         .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
     }
@@ -358,50 +370,11 @@ impl RunRequest<'_> {
     /// As [`RunRequest::execute`], plus when the request is not
     /// [`RunRequest::replay_eligible`].
     pub fn execute_captured(&self) -> (RunOutput, RunCapture) {
-        self.execute_captured_profiled(None)
-    }
-
-    /// [`RunRequest::execute_captured`] with an optional memoized
-    /// profiling result, as [`RunRequest::execute_profiled`].
-    ///
-    /// # Panics
-    ///
-    /// Exactly as [`RunRequest::execute_captured`].
-    pub fn execute_captured_profiled(
-        &self,
-        profiled: Option<(f64, f64)>,
-    ) -> (RunOutput, RunCapture) {
-        execute_run_captured_profiled(
-            &self.resolved_platform(),
-            &self.tiled_intervals(),
-            self.work,
-            self.seed,
-            self.resolved_scenario(),
-            self.noise,
-            profiled,
-        )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
-    }
-
-    /// [`RunRequest::execute_captured`] additionally reporting the
-    /// `(m_wcet, c_wcet)` pair, as [`RunRequest::execute_reporting_profile`].
-    ///
-    /// # Panics
-    ///
-    /// Exactly as [`RunRequest::execute_captured`].
-    pub fn execute_captured_reporting_profile(
-        &self,
-    ) -> (RunOutput, Option<(f64, f64)>, RunCapture) {
-        execute_run_captured_reporting_profile(
-            &self.resolved_platform(),
-            &self.tiled_intervals(),
-            self.work,
-            self.seed,
-            self.resolved_scenario(),
-            self.noise,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
+        let run = self.run(RunOptions {
+            profiled: None,
+            capture: true,
+        });
+        (run.output, run.capture.expect("capture was requested"))
     }
 
     /// Derives this request's output from a family representative's
@@ -431,44 +404,55 @@ pub trait RunSource: Sync {
 /// The trivial source: executes every request directly, no dedup, no
 /// result cache. `fig3(kernel, harness)` & friends run through this,
 /// which makes them byte-identical to the pre-plan implementations.
-/// Profiling passes do share the process-local profile memo — the
-/// memoized `(m_wcet, c_wcet)` is bit-identical to profiling inline, so
-/// outputs are unchanged while scenario-paired direct runs stop paying
-/// the pass twice.
+/// Profiling passes do share a process-wide profile memo, one cell per
+/// [`RunRequest::profile_key`] — the memoized `(m_wcet, c_wcet)` is
+/// bit-identical to profiling inline, so outputs are unchanged while
+/// scenario-paired direct runs stop paying the pass twice.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Direct;
 
-/// The process-local profile memo [`Direct`] front ends share: one
-/// `(m_wcet, c_wcet)` pair per distinct [`RunRequest::profile_key`] per
-/// process, filled from whichever request computes it first.
-fn direct_memo() -> &'static Mutex<HashMap<String, (f64, f64)>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, (f64, f64)>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 impl RunSource for Direct {
     fn output(&self, req: &RunRequest<'_>) -> RunOutput {
-        let key = req.profile_key();
-        if let Some(key) = &key {
-            if let Some(&w) = direct_memo()
+        static PROFILES: OnceLock<Mutex<HashMap<String, ProfileCell>>> = OnceLock::new();
+        let cell = req.profile_key().map(|key| {
+            let mut memo = PROFILES
+                .get_or_init(Mutex::default)
                 .lock()
-                .expect("direct profile memo poisoned")
-                .get(key)
-            {
-                return req.execute_profiled(Some(w));
-            }
-        }
-        // Memo miss: the executor self-profiles (fused into the timed
-        // walk whenever the mix allows) and reports the pair it used.
-        let (out, wcets) = req.execute_reporting_profile();
-        if let (Some(key), Some(w)) = (key, wcets) {
-            direct_memo()
-                .lock()
-                .expect("direct profile memo poisoned")
-                .insert(key, w);
-        }
-        out
+                .expect("direct profile memo poisoned");
+            memo_cell(&mut memo, key).0
+        });
+        run_through(req, cell.as_ref(), false).output
     }
+}
+
+/// One exactly-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
+/// execution whose request has the same [`RunRequest::profile_key`].
+type ProfileCell = Arc<OnceLock<(f64, f64)>>;
+
+/// The memo cell for `key`, created empty on first sight, and whether it
+/// already existed (a profile hit) — the one lookup behind the plan
+/// expansion, the lazy [`RunSource::output`] path and [`Direct`].
+fn memo_cell(memo: &mut HashMap<String, ProfileCell>, key: String) -> (ProfileCell, bool) {
+    use std::collections::hash_map::Entry;
+    match memo.entry(key) {
+        Entry::Occupied(e) => (e.get().clone(), true),
+        Entry::Vacant(v) => (v.insert(ProfileCell::default()).clone(), false),
+    }
+}
+
+/// Executes `req` through its profile-memo cell: a filled cell feeds the
+/// memoized pair in, and an empty one (or none, with memoization off) lets
+/// the executor self-profile — fused into the timed walk for
+/// constant-contention unpolluted mixes, a separate inline pass otherwise —
+/// and is backfilled with the pair the run reports, so every sharer still
+/// gets the memoized pair.
+fn run_through(req: &RunRequest<'_>, cell: Option<&ProfileCell>, capture: bool) -> Executed {
+    let profiled = cell.and_then(|c| c.get().copied());
+    let run = req.run(RunOptions { profiled, capture });
+    if let (Some(cell), Some(w)) = (cell, run.wcets) {
+        let _ = cell.set(w);
+    }
+    run
 }
 
 /// Shard count of the result cache. A power of two so the fingerprint can
@@ -588,10 +572,6 @@ impl fmt::Display for PlanSummary {
     }
 }
 
-/// One exactly-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
-/// unit whose request has the same [`RunRequest::profile_key`].
-type ProfileCell = Arc<OnceLock<(f64, f64)>>;
-
 /// The content-addressed execution pipeline: expands submitted plans,
 /// dedupes by canonical key, executes the unique frontier on the
 /// work-claiming pool and memoizes every output in a sharded in-memory
@@ -604,9 +584,9 @@ pub struct PlanExecutor {
     profile_memo: bool,
     /// The profile memo: one exactly-once `(m_wcet, c_wcet)` cell per
     /// distinct [`RunRequest::profile_key`]. Cells are handed to pool
-    /// units at expansion time; the first unit to need one computes the
-    /// pass, concurrent sharers block on the `OnceLock` instead of
-    /// re-profiling, and filled cells persist for every later plan.
+    /// units at expansion time; the first unit to run fills its cell from
+    /// the pair its run reports, later sharers feed that pair in instead
+    /// of profiling, and filled cells persist for every later plan.
     profiles: Mutex<HashMap<String, ProfileCell>>,
     requested: AtomicUsize,
     executed: AtomicUsize,
@@ -894,24 +874,19 @@ impl PlanExecutor {
         // state at expansion (first unit of a new key is the miss, every
         // sharer is a hit), so the summary is deterministic at any worker
         // count even though the passes themselves race in the pool — the
-        // `OnceLock` cell guarantees exactly one computation per key.
+        // `OnceLock` cell keeps the first pair stored per key.
         let profile_cells: Vec<Option<ProfileCell>> = if self.profile_memo {
             let mut memo = self.profiles.lock().expect("profile memo poisoned");
             units
                 .iter()
                 .map(|unit| {
-                    let key = unit_req(unit).profile_key()?;
-                    use std::collections::hash_map::Entry;
-                    Some(match memo.entry(key) {
-                        Entry::Occupied(e) => {
-                            summary.profile_hits += 1;
-                            e.get().clone()
-                        }
-                        Entry::Vacant(v) => {
-                            summary.profile_misses += 1;
-                            v.insert(Arc::new(OnceLock::new())).clone()
-                        }
-                    })
+                    let (cell, hit) = memo_cell(&mut memo, unit_req(unit).profile_key()?);
+                    if hit {
+                        summary.profile_hits += 1;
+                    } else {
+                        summary.profile_misses += 1;
+                    }
+                    Some(cell)
                 })
                 .collect()
         } else {
@@ -1020,47 +995,18 @@ impl PlanExecutor {
     ) -> Vec<(usize, RunOutput)> {
         match *unit {
             Unit::Live(i) => {
-                let req = frontier[i].1;
-                match cell.and_then(|c| c.get().copied()) {
-                    // Memo hit: feed the shared WCETs straight in.
-                    Some(w) => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        vec![(i, req.execute_profiled(Some(w)))]
-                    }
-                    // Memo miss (or memoization off): let the executor
-                    // self-profile — fused into the timed walk for
-                    // constant-contention unpolluted mixes, a separate
-                    // inline pass otherwise — and backfill the cell so
-                    // every sharer still gets the memoized pair.
-                    None => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        let (out, wcets) = req.execute_reporting_profile();
-                        if let (Some(cell), Some(w)) = (cell, wcets) {
-                            let _ = cell.set(w);
-                        }
-                        vec![(i, out)]
-                    }
-                }
+                let _live = Span::start(metrics, "plan.live_ns");
+                vec![(i, run_through(frontier[i].1, cell, false).output)]
             }
             Unit::Family(f) => {
                 let members = &families[f];
-                let rep = frontier[members[0]].1;
-                let (rep_output, capture) = match cell.and_then(|c| c.get().copied()) {
-                    Some(w) => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        rep.execute_captured_profiled(Some(w))
-                    }
-                    None => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        let (out, wcets, capture) = rep.execute_captured_reporting_profile();
-                        if let (Some(cell), Some(w)) = (cell, wcets) {
-                            let _ = cell.set(w);
-                        }
-                        (out, capture)
-                    }
+                let rep = {
+                    let _live = Span::start(metrics, "plan.live_ns");
+                    run_through(frontier[members[0]].1, cell, true)
                 };
+                let capture = rep.capture.expect("capture was requested");
                 let mut outs = Vec::with_capacity(members.len());
-                outs.push((members[0], rep_output));
+                outs.push((members[0], rep.output));
                 // Siblings resolving to an RNG-free LLC policy coalesce: a
                 // deterministic policy's victim choices cannot depend on
                 // the cache seed ([`prem_memsim::Policy::seed_sensitive`]),
@@ -1148,51 +1094,25 @@ impl RunSource for PlanExecutor {
         }
         // A lazy miss profiles through the same memo the pool uses, so a
         // data-dependent tail (e.g. a best-T follow-up re-running a
-        // scenario sibling) still skips the pass; a cold cell is filled
-        // from the executor's self-reported WCETs (fused into the timed
-        // run whenever the mix allows).
-        let cell = self.lazy_cell(req);
-        let out = match cell.as_ref().and_then(|c| c.get().copied()) {
-            Some(w) => req.execute_profiled(Some(w)),
-            None => {
-                let (out, wcets) = req.execute_reporting_profile();
-                if let (Some(cell), Some(w)) = (cell.as_ref(), wcets) {
-                    let _ = cell.set(w);
-                }
-                out
-            }
-        };
+        // scenario sibling) still skips the pass, with the hit or miss
+        // charged on this executor's counters.
+        let cell = req.profile_key().filter(|_| self.profile_memo).map(|key| {
+            let mut memo = self.profiles.lock().expect("profile memo poisoned");
+            let (cell, hit) = memo_cell(&mut memo, key);
+            let counter = if hit {
+                &self.profile_hits
+            } else {
+                &self.profile_misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            cell
+        });
+        let out = run_through(req, cell.as_ref(), false).output;
         self.requested.fetch_add(1, Ordering::Relaxed);
         self.executed.fetch_add(1, Ordering::Relaxed);
         self.persist([(key.as_str(), &out)], &NullMetrics);
         self.insert(key, out.clone());
         out
-    }
-}
-
-impl PlanExecutor {
-    /// Memo-cell resolution for the lazy [`RunSource::output`] path:
-    /// resolves (or creates) the request's profile memo cell and charges
-    /// the hit/miss on this executor's counters. The caller reads a
-    /// filled cell as a memoized `(m_wcet, c_wcet)` and backfills an
-    /// empty one from the executor's self-reported pair.
-    fn lazy_cell(&self, req: &RunRequest<'_>) -> Option<ProfileCell> {
-        if !self.profile_memo {
-            return None;
-        }
-        let key = req.profile_key()?;
-        use std::collections::hash_map::Entry;
-        let mut memo = self.profiles.lock().expect("profile memo poisoned");
-        Some(match memo.entry(key) {
-            Entry::Occupied(e) => {
-                self.profile_hits.fetch_add(1, Ordering::Relaxed);
-                e.get().clone()
-            }
-            Entry::Vacant(v) => {
-                self.profile_misses.fetch_add(1, Ordering::Relaxed);
-                v.insert(Arc::new(OnceLock::new())).clone()
-            }
-        })
     }
 }
 

@@ -712,7 +712,7 @@ impl RunStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prem_core::{execute_run, NoiseModel, RunWork};
+    use prem_core::{execute_run, NoiseModel, RunOptions, RunWork};
     use prem_gpusim::{PlatformConfig, Scenario};
     use prem_kernels::{Bicg, Kernel};
     use prem_memsim::KIB;
@@ -740,8 +740,10 @@ mod tests {
             seed,
             Scenario::Isolation,
             NoiseModel::off(),
+            RunOptions::default(),
         )
         .expect("sample run")
+        .output
     }
 
     fn sample_output(seed: u64) -> RunOutput {

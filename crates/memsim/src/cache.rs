@@ -218,11 +218,11 @@ mod meta {
 /// A set-associative cache.
 ///
 /// Storage is the packed hot-path layout: a sentinel-tagged flat `u64` tag
-/// array (validity folded into the tag, see [`EMPTY_TAG`]) plus one
-/// metadata byte per slot carrying the dirty/foreign/alive bits. The hit
-/// path touches only the tag lane and returns before any miss bookkeeping;
-/// [`Replacer`]/[`Rng`] interaction is identical to the unpacked layout,
-/// so replay equivalence holds by construction.
+/// array (validity folded into the tag: `u64::MAX` marks an empty slot)
+/// plus one metadata byte per slot carrying the dirty/foreign/alive bits.
+/// The hit path touches only the tag lane and returns before any miss
+/// bookkeeping; [`Replacer`]/[`Rng`] interaction is identical to the
+/// unpacked layout, so replay equivalence holds by construction.
 ///
 /// ```
 /// use prem_memsim::{Cache, CacheConfig, AccessKind, Phase, Policy, LineAddr};
@@ -345,8 +345,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics on the reserved sentinel address `u64::MAX` (see
-    /// [`EMPTY_TAG`]); no modeled address space reaches it.
+    /// Panics on the reserved sentinel address `u64::MAX`, the tag that
+    /// marks an empty slot; no modeled address space reaches it.
     pub fn access(&mut self, line: LineAddr, kind: AccessKind, phase: Phase) -> AccessOutcome {
         let raw = line.raw();
         assert_ne!(

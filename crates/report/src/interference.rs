@@ -15,11 +15,11 @@
 use std::ops::Add;
 
 use prem_core::{
-    profile_phases, run_baseline, run_prem_with_profile, LocalStore, NoiseModel, PrefetchStrategy,
-    PremConfig,
+    run_baseline, run_prem_traced, LocalStore, NoiseModel, PrefetchStrategy, PremConfig,
 };
 use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
 use prem_kernels::Kernel;
+use prem_memsim::NullSink;
 
 use crate::table::{f3, pct};
 use crate::Table;
@@ -84,28 +84,24 @@ pub fn interference_sweep(
     .with_seed(seed)
     .with_noise(NoiseModel::tx1());
 
-    // One hoisted profiling pass for the whole sweep: profiling is
-    // isolated and therefore independent of the co-runner mix, so every
-    // (profile, count) point shares the same (m_wcet, c_wcet) — the sweep
-    // used to pay the pass 4 × (max_corunners + 1) times for identical
-    // results.
-    let profiled = {
-        let mut platform = PlatformConfig::tx1().llc_seed(seed).build();
-        profile_phases(&mut platform, &intervals, &prem_cfg).expect("LLC PREM cannot fail")
-    };
-
-    let point = |profile: CorunnerProfile, n: usize| {
+    // One profile for the whole sweep: profiling is isolated and therefore
+    // independent of the co-runner mix, so every (profile, count) point
+    // shares the same (m_wcet, c_wcet). The empty mix runs first; it has
+    // constant contention and no polluters, so its timed walk self-profiles
+    // (fused) and reports the pair every other point is fed.
+    let point = |profile: CorunnerProfile, n: usize, profiled: Option<(f64, f64)>| {
         let mix = vec![profile; n];
         // fold, not sum: the empty mix must print 0.000, not -0.000.
         let demand = mix.iter().map(|p| p.mean_demand()).fold(0.0, f64::add);
         let cfg = PlatformConfig::tx1().llc_seed(seed).with_corunners(mix);
         let mut platform = cfg.build();
-        let prem = run_prem_with_profile(
+        let (prem, wcets) = run_prem_traced(
             &mut platform,
             &intervals,
             &prem_cfg,
             Scenario::Corunners,
-            Some(profiled),
+            profiled,
+            &mut NullSink,
         )
         .expect("LLC PREM cannot fail");
         let mut base_platform = cfg.build();
@@ -117,7 +113,7 @@ pub fn interference_sweep(
             NoiseModel::tx1(),
         )
         .expect("baseline cannot fail");
-        SweepRow {
+        let row = SweepRow {
             profile: profile.name(),
             n,
             demand,
@@ -128,13 +124,14 @@ pub fn interference_sweep(
             baseline_us: platform.cycles_to_us(base.cycles),
             corunner_bpc: prem.bus.corunner_bytes_per_cycle(),
             polluted_lines: prem.polluted_lines,
-        }
+        };
+        (row, wcets)
     };
 
     let profiles = sweep_profiles();
     // Zero co-runners of any profile is one and the same empty mix:
     // simulate it once and relabel it per profile.
-    let empty = point(profiles[0], 0);
+    let (empty, profiled) = point(profiles[0], 0, None);
     let mut rows = Vec::new();
     for profile in profiles {
         rows.push(SweepRow {
@@ -142,7 +139,7 @@ pub fn interference_sweep(
             ..empty.clone()
         });
         for n in 1..=max_corunners {
-            rows.push(point(profile, n));
+            rows.push(point(profile, n, Some(profiled)).0);
         }
     }
     rows

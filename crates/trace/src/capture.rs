@@ -117,7 +117,7 @@ pub fn capture_prem(
     label: impl Into<String>,
 ) -> Result<(PremRun, Trace), ExecError> {
     let mut sink = CaptureSink::new();
-    let run = run_prem_traced(platform, intervals, cfg, scenario, &mut sink)?;
+    let (run, _) = run_prem_traced(platform, intervals, cfg, scenario, None, &mut sink)?;
     let cache = platform.mem.llc().config().clone().seed(cfg.seed);
     Ok((
         run,

@@ -37,11 +37,12 @@ fn nullsink_path_is_not_slower_than_untraced_path() {
         plain = plain.min(t0.elapsed().as_secs_f64());
 
         let t0 = Instant::now();
-        let b = run_prem_traced(
+        let (b, _) = run_prem_traced(
             &mut platform,
             &intervals,
             &cfg,
             Scenario::Isolation,
+            None,
             &mut NullSink,
         )
         .unwrap();
