@@ -12,14 +12,11 @@ use prem_core::{run_prem_traced, PremConfig};
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::{NullSink, KIB};
-use prem_trace::{capture_llc, replay_captured, CompiledStream, Trace};
+use prem_trace::{capture_llc, replay_captured, Trace};
 
 fn bench_trace_roundtrip(c: &mut Criterion) {
     let (_, trace) = capture_llc(&Bicg::new(256, 256), 96 * KIB, 8, 11, Scenario::Isolation);
     let bytes = trace.encode();
-    let compiled = CompiledStream::compile(&trace);
-    let policy = trace.header.cache.policy_ref().clone();
-    let seed = trace.header.cache.seed_value();
 
     let mut g = c.benchmark_group("trace");
     g.sample_size(20);
@@ -30,12 +27,6 @@ fn bench_trace_roundtrip(c: &mut Criterion) {
     });
     g.bench_function("trace_replay", |b| {
         b.iter(|| black_box(replay_captured(&trace)))
-    });
-    g.bench_function("trace_replay_compiled", |b| {
-        b.iter(|| black_box(compiled.replay(policy.clone(), seed)))
-    });
-    g.bench_function("trace_compile", |b| {
-        b.iter(|| black_box(CompiledStream::compile(&trace)))
     });
     g.finish();
 }

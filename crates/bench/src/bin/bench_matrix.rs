@@ -14,8 +14,8 @@
 //! `results/BENCH_matrix.json` (wall-time per entry + total). The total
 //! is compared against a committed baseline (`ci/bench_baseline.json` by
 //! default): a regression beyond the tolerance fails the process, which
-//! is what gates the CI `bench` job — covering the replay fast path and
-//! the plan cache the same way it covers the simulator.
+//! is what gates the CI `bench` job — covering trace replay and the plan
+//! cache the same way it covers the simulator.
 //!
 //! Sequential timing is deliberate: the sum of per-cell times is stable
 //! across host core counts, while a parallel wall-time would make the
@@ -44,8 +44,8 @@ use std::time::Instant;
 use prem_bench::{PROFILE_MEMO_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
 use prem_gpusim::CorunnerProfile;
 use prem_harness::{
-    run_cell, write_artifact, ExecFlags, MatrixScenario, MatrixSpec, PlanExecutor, RunSource,
-    RunStore, EXEC_FLAGS_HELP,
+    run_cell, write_artifact, ExecFlags, MatrixPolicy, MatrixScenario, MatrixSpec, PlanExecutor,
+    RunSource, RunStore, EXEC_FLAGS_HELP,
 };
 use prem_kernels::{suite_small, Bicg};
 use prem_report::common::Harness;
@@ -148,18 +148,12 @@ fn main() -> ExitCode {
         t0.elapsed().as_secs_f64() * 1000.0,
     );
     drop(decoded);
-    let t0 = Instant::now();
-    let compiled = prem_trace::CompiledStream::compile(&trace);
-    timed(
-        "trace:compile|bicg(512x512)",
-        t0.elapsed().as_secs_f64() * 1000.0,
-    );
-    let seed = trace.header.cache.seed_value();
-    for (name, policy) in prem_trace::default_policy_axis(trace.header.cache.ways()) {
+    let ways = trace.header.cache.ways();
+    for policy in MatrixPolicy::what_if_axis() {
         let t0 = Instant::now();
-        let _ = compiled.replay(policy, seed);
+        let _ = prem_trace::replay_with_policy(&trace, policy.instantiate(ways));
         timed(
-            &format!("trace:replay|{name}"),
+            &format!("trace:replay|{}", policy.name()),
             t0.elapsed().as_secs_f64() * 1000.0,
         );
     }

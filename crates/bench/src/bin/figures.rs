@@ -114,9 +114,9 @@ type Job = (&'static str, &'static str, fn(&Ctx) -> Vec<Artifact>);
 
 /// The paper-figure jobs, in output order, each with the artifact line
 /// shown by `--list` — one table drives both dispatch and listing, so
-/// the two cannot drift. `matrix` and `trace` are handled separately
-/// (see [`EXPLICIT_JOBS`]): they parallelize internally and run only
-/// when named.
+/// the two cannot drift. `matrix` (parallel internally) and `trace`
+/// (which times its what-if grid on one worker) are handled separately
+/// (see [`EXPLICIT_JOBS`]) and run only when named.
 const JOBS: &[Job] = &[
     (
         "fig1",
@@ -622,7 +622,7 @@ fn main() {
 
     if run("trace") {
         let tt = Instant::now();
-        let art = prem_trace::trace_artifacts(&ctx.bicg, 160 * KIB, 8, 11, workers);
+        let art = prem_trace::trace_artifacts(&ctx.bicg, 160 * KIB, 8, 11);
         write_artifact(outdir.join("trace_capture.bin"), &art.encoded);
         // One capture+sweep produces all three tables, so there is no
         // meaningful per-artifact cost to report — the log lines say so

@@ -35,6 +35,11 @@ use crate::{BaselineRun, PremRun};
 /// a whole (hard error) rather than decoded into garbage.
 pub const CODEC_VERSION: u8 = 1;
 
+/// The most interval-timing pairs a decode reserves before reading them:
+/// real runs have at most a few thousand intervals, and a declared count
+/// the input does not back must fail on its reads, not on the allocation.
+const MAX_TIMING_RESERVE: u64 = 4096;
+
 /// Variant tags (first byte of an encoded [`RunOutput`]).
 const TAG_PREM: u8 = 0;
 const TAG_BASELINE: u8 = 1;
@@ -208,7 +213,7 @@ fn read_prem<R: Read>(r: &mut R) -> io::Result<PremRun> {
     if timings > (1 << 32) {
         return Err(bad_data("unreasonable interval-timing count"));
     }
-    let mut interval_timings = Vec::with_capacity(timings as usize);
+    let mut interval_timings = Vec::with_capacity(timings.min(MAX_TIMING_RESERVE) as usize);
     for _ in 0..timings {
         interval_timings.push((read_timing(r)?, read_timing(r)?));
     }
@@ -368,6 +373,46 @@ mod tests {
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             let err = RunOutput::decode(&bytes[..cut]).expect_err("truncated");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn huge_declared_timing_count_is_truncation_not_an_allocation() {
+        let out = sample(RunWork::PremLlc { r: 8 });
+        let bytes = out.encode();
+        let run = out.prem();
+        let varint_len = |v: u64| {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v).expect("vec write");
+            buf.len()
+        };
+        // After the timing count come 48 bytes per pair, the 24-byte bus
+        // window and the polluted-line varint.
+        let pairs = run.interval_timings.len();
+        let tail = varint_len(pairs as u64) + 48 * pairs + 24 + varint_len(run.polluted_lines);
+        let mut cut = bytes[..bytes.len() - tail].to_vec();
+        write_varint(&mut cut, 1 << 32).expect("vec write");
+        assert_eq!(
+            RunOutput::decode(&cut).expect_err("no pairs follow").kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn varint_overflow_is_invalid_data() {
+        let max: Vec<u8> = [0xff; 9].into_iter().chain([0x01]).collect();
+        assert_eq!(
+            read_varint(&mut max.as_slice()).expect("u64::MAX"),
+            u64::MAX
+        );
+        let over: Vec<u8> = [0xff; 9].into_iter().chain([0x02]).collect();
+        for bytes in [over, vec![0xff; 11]] {
+            assert_eq!(
+                read_varint(&mut bytes.as_slice())
+                    .expect_err("overflow")
+                    .kind(),
+                io::ErrorKind::InvalidData
+            );
         }
     }
 

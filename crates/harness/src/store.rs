@@ -64,6 +64,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use prem_core::codec::{read_varint, write_varint};
 use prem_core::{RunOutput, CODEC_VERSION};
 use prem_obs::{MetricsSink, NullMetrics, Span};
 
@@ -91,32 +92,12 @@ fn bad_data(path: &Path, msg: impl fmt::Display) -> io::Error {
     )
 }
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-fn read_varint(r: &mut &[u8], path: &Path) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut buf = [0u8; 1];
-        r.read_exact(&mut buf)?;
-        let byte = buf[0];
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(bad_data(path, "varint overflows u64"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
+/// Reads one length varint ([`read_varint`]), naming the segment in an
+/// overflow error; truncation stays [`io::ErrorKind::UnexpectedEof`].
+fn read_len(r: &mut &[u8], path: &Path) -> io::Result<usize> {
+    match read_varint(r) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(bad_data(path, e)),
+        len => len.map(|v| v as usize),
     }
 }
 
@@ -327,7 +308,7 @@ impl RunStore {
             let mut fp_bytes = [0u8; 8];
             r.read_exact(&mut fp_bytes)?;
             let fp = u64::from_le_bytes(fp_bytes);
-            let key_len = read_varint(&mut r, path)? as usize;
+            let key_len = read_len(&mut r, path)?;
             if key_len > r.len() {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -350,7 +331,7 @@ impl RunStore {
                     format!("record for key {key:?} belongs to another shard"),
                 ));
             }
-            let payload_len = read_varint(&mut r, path)? as usize;
+            let payload_len = read_len(&mut r, path)?;
             if payload_len > r.len() {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,

@@ -1,21 +1,22 @@
 //! The `figures -- trace` artifact generators: tables and reports built
-//! from one captured run (reuse histogram, per-set heatmap, policy-replay
-//! sweep with live-vs-replay validation and speedup measurement).
+//! from one captured run (reuse histogram, per-set heatmap), plus the
+//! policy × seed what-if grid, which runs through the plan layer as one
+//! derivation family and is validated against live re-execution.
 
 use std::time::Instant;
 
 use prem_gpusim::Scenario;
-use prem_harness::parallel_map;
+use prem_harness::{MatrixPolicy, PlanExecutor, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
-use prem_memsim::{CacheStats, KIB};
-use prem_report::Table;
+use prem_memsim::KIB;
+use prem_report::{llc_request, Table, DEFAULT_SEEDS};
 
 use crate::analysis::{
     occupancy_timeline, per_set_stats, reuse_histogram, self_eviction_timeline, ReuseHistogram,
 };
 use crate::capture::capture_llc;
 use crate::format::Trace;
-use crate::replay::default_policy_axis;
+use crate::replay::replay_captured;
 
 /// Everything the `figures -- trace` artifact emits for one captured run.
 #[derive(Debug)]
@@ -31,9 +32,9 @@ pub struct TraceArtifacts {
     pub heatmap: Table,
     /// Occupancy / self-eviction timelines appended to the heatmap text.
     pub heatmap_extra: String,
-    /// Policy-replay sweep table (`trace_policy_replay.{csv,txt}`).
+    /// Policy × seed what-if grid table (`trace_policy_replay.{csv,txt}`).
     pub policy_replay: Table,
-    /// Validation + speedup summary appended to the policy-replay text.
+    /// Validation and live-vs-derived timing appended to the grid text.
     pub policy_extra: String,
 }
 
@@ -133,73 +134,69 @@ pub fn timelines_text(trace: &Trace) -> String {
     out
 }
 
-/// The seed axis of the replay sweep — the experiment harness's standard
-/// three seeds.
-const SWEEP_SEEDS: [u64; 3] = [11, 23, 47];
-
 /// Builds the full `figures -- trace` artifact set for one kernel: capture
-/// once, analyze, then run the policy × seed what-if grid **twice** — once
-/// by live re-execution, once by replaying the compiled captured stream —
-/// validating that every what-if's replayed [`CacheStats`] equals the live
-/// rerun field-for-field, and measuring the speedup replay buys.
+/// once and analyze, then run the policy × seed what-if grid through the
+/// plan layer **twice** — once on a replay-disabled executor (every
+/// what-if a live run), once on a replay-enabled one (the grid is one
+/// derivation family: one representative live with capture, every
+/// sibling derived from it) — validating that every derived
+/// [`RunOutput`](prem_core::RunOutput) equals its live run and measuring
+/// what derivation saves.
 ///
-/// One capture amortizes over the whole grid because the issued access
-/// stream is policy- and seed-independent (fixed prefetch repetition):
-/// only victim selection varies, and that is exactly what replay
-/// re-derives.
+/// The representative's capture serves the whole grid because the LLC
+/// access stream is policy- and seed-independent (fixed prefetch
+/// repetition): only victim selection varies, and that is exactly what
+/// replay re-derives.
+///
+/// Both sides run on one worker: a derivation family is one pool unit,
+/// so more workers would speed up the live side only.
 ///
 /// # Panics
 ///
-/// Panics if replay fails to reproduce a live run's statistics — that is
-/// a broken replay-equivalence contract, not a recoverable condition.
-pub fn trace_artifacts(
-    kernel: &dyn Kernel,
-    t: usize,
-    r: u32,
-    seed: u64,
-    workers: usize,
-) -> TraceArtifacts {
+/// Panics if the grid does not form one derivation family, or if a
+/// derived output differs from its live run — a broken
+/// replay-equivalence contract, not a recoverable condition.
+pub fn trace_artifacts(kernel: &dyn Kernel, t: usize, r: u32, seed: u64) -> TraceArtifacts {
     let scenario = Scenario::Isolation;
     let (live, trace) = capture_llc(kernel, t, r, seed, scenario);
     assert_eq!(
-        crate::replay::replay_captured(&trace),
+        replay_captured(&trace),
         live.llc,
         "replay-equivalence violated for the captured configuration"
     );
 
-    let axis = default_policy_axis(trace.header.cache.ways());
-    let grid: Vec<(String, prem_memsim::Policy, u64)> = axis
+    let axis = MatrixPolicy::what_if_axis();
+    let grid: Vec<RunRequest<'_>> = axis
         .iter()
-        .flat_map(|(name, policy)| {
-            SWEEP_SEEDS
-                .iter()
-                .map(|&s| (name.clone(), policy.clone(), s))
+        .flat_map(|&policy| {
+            DEFAULT_SEEDS.iter().map(move |&s| RunRequest {
+                platform: PlatformSpec::tx1().with_policy(policy),
+                ..llc_request(kernel, t, r, s, scenario)
+            })
         })
         .collect();
 
-    // Live grid: what the what-ifs cost without traces — re-tile,
-    // re-profile and re-execute the kernel per (policy, seed).
+    let live_exec = PlanExecutor::new().without_replay();
     let t0 = Instant::now();
-    let live_grid = parallel_map(workers, &grid, |(_, policy, s)| {
-        live_llc_with_policy(kernel, t, r, *s, scenario, policy.clone())
-    });
+    live_exec.execute(&grid, 1);
     let live_ms = t0.elapsed().as_secs_f64() * 1000.0;
 
-    // Replay grid: compile the captured stream once, then replay it per
-    // (policy, seed) on the fast path. Compilation is part of the cost.
+    let replay_exec = PlanExecutor::new();
     let t0 = Instant::now();
-    let compiled = crate::replay::CompiledStream::compile(&trace);
-    let replay_grid = parallel_map(workers, &grid, |(_, policy, s)| {
-        compiled.replay(policy.clone(), *s)
-    });
+    let derived = replay_exec.execute(&grid, 1);
     let replay_ms = t0.elapsed().as_secs_f64() * 1000.0;
+    assert_eq!(
+        (derived.executed, derived.replayed),
+        (1, grid.len() - 1),
+        "the what-if grid must form one derivation family"
+    );
 
     let mut table = Table::new(
         format!(
             "trace_policy_replay — {} replayed over {} policies x {} seeds",
             trace.header.label,
             axis.len(),
-            SWEEP_SEEDS.len()
+            DEFAULT_SEEDS.len()
         ),
         &[
             "policy",
@@ -212,13 +209,18 @@ pub fn trace_artifacts(
         ],
     );
     let mut all_match = true;
-    for (i, (name, _, s)) in grid.iter().enumerate() {
-        let matched = live_grid[i] == replay_grid[i];
+    for req in &grid {
+        let replayed = replay_exec.output(req);
+        let matched = live_exec.output(req) == replayed;
         all_match &= matched;
-        let stats: &CacheStats = &replay_grid[i];
+        let stats = replayed.prem().llc;
         table.push_row(vec![
-            name.clone(),
-            s.to_string(),
+            req.platform
+                .policy
+                .expect("grid requests override the policy")
+                .name()
+                .to_string(),
+            req.seed.to_string(),
             stats.total_misses().to_string(),
             format!("{:.4}", stats.cpmr()),
             stats.self_evictions.to_string(),
@@ -229,12 +231,13 @@ pub fn trace_artifacts(
     let speedup = live_ms / replay_ms.max(1e-9);
     let encoded = trace.encode();
     let policy_extra = format!(
-        "{} what-ifs on {} workers: live re-execution {live_ms:.1} ms, \
-         compile+replay {replay_ms:.1} ms -> {speedup:.1}x faster\n\
+        "{} what-ifs on 1 worker: live re-execution {live_ms:.1} ms, \
+         plan replay ({} live + {} derived) {replay_ms:.1} ms -> {speedup:.1}x faster\n\
          replay==live for all {} what-ifs: {}\n\
          trace: {} events, {} bytes encoded\n",
         grid.len(),
-        workers,
+        derived.executed,
+        derived.replayed,
         grid.len(),
         if all_match { "yes" } else { "NO (regression!)" },
         trace.events.len(),
@@ -254,29 +257,6 @@ pub fn trace_artifacts(
         encoded,
         trace,
     }
-}
-
-/// Live re-execution of the standard LLC experiment under a policy
-/// override — the cost baseline replay is compared against. Built from
-/// the same shared config/platform builders as `run_llc`/`capture_llc`.
-fn live_llc_with_policy(
-    kernel: &dyn Kernel,
-    t: usize,
-    r: u32,
-    seed: u64,
-    scenario: Scenario,
-    policy: prem_memsim::Policy,
-) -> CacheStats {
-    let intervals = kernel
-        .intervals(t)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-    let cfg = prem_report::llc_prem_config(r, seed);
-    let mut platform = prem_report::llc_platform_config(seed)
-        .llc_policy(policy)
-        .build();
-    prem_core::run_prem(&mut platform, &intervals, &cfg, scenario)
-        .expect("llc prem cannot fail")
-        .llc
 }
 
 /// The quick-suite capture configuration used by goldens, CI smoke runs
@@ -315,7 +295,7 @@ mod tests {
 
     #[test]
     fn artifacts_validate_replay_against_live_execution() {
-        let art = trace_artifacts(&Bicg::new(128, 128), 32 * KIB, 4, 11, 2);
+        let art = trace_artifacts(&Bicg::new(128, 128), 32 * KIB, 4, 11);
         assert!(art.policy_extra.contains("replay==live for all"));
         assert!(!art.policy_replay.is_empty());
         assert!(art.policy_replay.rows().iter().all(|r| r[6] == "yes"));

@@ -24,6 +24,7 @@
 
 use std::io::{self, Read, Write};
 
+use prem_core::codec::{bad_data, read_u8, read_varint, write_varint};
 use prem_memsim::{CacheConfig, LineAddr, Policy};
 
 use crate::event::{kind_code, kind_from_code, phase_code, phase_from_code, TraceEvent};
@@ -61,49 +62,12 @@ pub struct TraceHeader {
     pub cache: CacheConfig,
 }
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
-fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = read_u8(r)?;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(bad_data("varint overflows u64"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 fn policy_tag(policy: &Policy) -> u8 {

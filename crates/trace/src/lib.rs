@@ -18,12 +18,16 @@
 //!   ([`reuse_histogram`]), per-set heatmaps ([`per_set_stats`]),
 //!   occupancy/working-set timelines ([`occupancy_timeline`]) and
 //!   per-interval self-eviction attribution ([`self_eviction_timeline`]).
-//! * **A trace-driven replay engine** — [`replay_captured`] reproduces the
-//!   live run's [`prem_memsim::CacheStats`] **field-for-field** from the
-//!   captured stream, and [`policy_sweep`] fans any
-//!   `CacheConfig` × `Policy` what-if across the scenario-matrix thread
-//!   pool at a fraction of a re-execution's cost (demonstrated by the
-//!   `figures -- trace` artifact).
+//! * **Trace-driven replay** — [`replay_captured`] reproduces the live
+//!   run's [`prem_memsim::CacheStats`] **field-for-field** from the
+//!   captured stream through the real `prem_memsim::Cache`, which is the
+//!   check that a capture is complete; [`replay_with_policy`] replays it
+//!   under another replacement policy.
+//! * **The `figures -- trace` artifacts** — [`trace_artifacts`] renders the
+//!   analyses of one capture and runs the policy × seed what-if grid
+//!   through the plan layer (`prem_harness::PlanExecutor`), which derives
+//!   20 of the 21 runs from one captured representative and is checked
+//!   against live re-execution.
 //!
 //! ```
 //! use prem_gpusim::Scenario;
@@ -58,7 +62,4 @@ pub use artifacts::{heatmap_table, quick_capture, reuse_table, trace_artifacts, 
 pub use capture::{capture_llc, capture_prem, CaptureSink};
 pub use event::TraceEvent;
 pub use format::{Trace, TraceHeader, TraceReader, TraceWriter, MAGIC, MAX_LABEL_BYTES, VERSION};
-pub use replay::{
-    default_policy_axis, policy_sweep, replay_captured, replay_events, replay_with_policy,
-    CompiledStream, PolicyReplay,
-};
+pub use replay::{replay_captured, replay_events, replay_with_policy};

@@ -5,22 +5,22 @@
 //! pollution) in issue order plus the interval boundaries that drive
 //! self-eviction epochs. Replaying that stream against a cold cache built
 //! from the captured header reproduces the live run's [`CacheStats`]
-//! **field-for-field** — asserted by the property suite and the
-//! `trace_policy_replay` artifact — because victim selection depends only
-//! on replacement state reconstructed by the stream itself and on the RNG
-//! stream, which the header's seed pins.
+//! **field-for-field** — asserted by the property suite and the golden
+//! suite — because victim selection depends only on replacement state
+//! reconstructed by the stream itself and on the RNG stream, which the
+//! header's seed pins.
 //!
-//! The payoff is the fan-out: any [`CacheConfig`] × [`Policy`] what-if
-//! over the same access stream is a replay instead of a re-execution —
-//! no profiling pass, no cost model, no budget machinery — which is what
-//! makes wide policy sweeps cheap ([`policy_sweep`] runs them on the
-//! scenario-matrix thread pool).
+//! That makes replay the check that a `PRTC` capture is complete: a trace
+//! that dropped or reordered an input event would replay to different
+//! statistics. Replay drives the real [`Cache`], so any [`CacheConfig`] ×
+//! [`Policy`] over the same stream can be replayed too
+//! ([`replay_with_policy`]). Policy × seed what-if grids over whole runs
+//! are the plan layer's job: `prem_harness::PlanExecutor` derives them
+//! from one captured representative (see [`crate::trace_artifacts`]).
 
-use prem_harness::parallel_map;
-use prem_memsim::rng::Rng;
-use prem_memsim::{AccessCounts, Cache, CacheConfig, CacheStats, Policy, Replacer};
+use prem_memsim::{Cache, CacheConfig, CacheStats, Policy};
 
-use crate::event::{kind_code, phase_code, TraceEvent};
+use crate::event::TraceEvent;
 use crate::format::Trace;
 
 /// Replays `events` against a cold cache built from `cfg`, returning the
@@ -64,235 +64,6 @@ pub fn replay_with_policy(trace: &Trace, policy: Policy) -> CacheStats {
     replay_events(&trace.events, trace.header.cache.clone().policy(policy))
 }
 
-/// A trace pre-compiled for the replay fast path: the input events
-/// reduced to flat `(line, metadata)` pairs with the set index — the only
-/// per-access address computation — resolved once and amortized across
-/// every replay of the stream.
-///
-/// Compilation fixes the geometry (sets/ways/line size/index hashing);
-/// [`CompiledStream::replay`] then varies policy and seed freely. The
-/// replacement state machine and RNG are the very same `prem-memsim`
-/// types the live [`Cache`] runs on, so replayed statistics are
-/// bit-exact by construction, not by reimplementation — asserted against
-/// both the event-level replay and live re-execution by the test suite.
-#[derive(Clone, Debug)]
-pub struct CompiledStream {
-    geometry: CacheConfig,
-    /// Dense line IDs of access ops (see [`CompiledStream::compile`];
-    /// meaningless for interval markers).
-    lines: Vec<u32>,
-    /// `set << 5 | kind << 3 | phase << 1 | interval_marker`.
-    meta: Vec<u32>,
-}
-
-impl CompiledStream {
-    /// Compiles the input events of `trace` under its captured geometry.
-    ///
-    /// Besides resolving set indices, compilation renames every distinct
-    /// line to a dense ID ≥ 1 — tag arrays in the replay loop become
-    /// `u32` with 0 as the invalid sentinel, so a whole 4-way set's tags
-    /// fit in one 16-byte probe and no separate valid bitmap is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace touches ≥ `u32::MAX` distinct lines (a
-    /// physically impossible capture).
-    pub fn compile(trace: &Trace) -> CompiledStream {
-        let cfg = &trace.header.cache;
-        let mut lines = Vec::with_capacity(trace.events.len());
-        let mut meta = Vec::with_capacity(trace.events.len());
-        // Compilation runs once per sweep but still walks every event;
-        // a multiply-xor hasher (FxHash-style) keeps the line-renaming
-        // map off the SipHash slow path.
-        let mut ids: std::collections::HashMap<u64, u32, BuildLineHasher> =
-            std::collections::HashMap::default();
-        for event in &trace.events {
-            match *event {
-                TraceEvent::Access {
-                    line, kind, phase, ..
-                } => {
-                    let next = ids.len() as u32 + 1;
-                    assert!(next != u32::MAX, "trace touches too many distinct lines");
-                    let id = *ids.entry(line.raw()).or_insert(next);
-                    lines.push(id);
-                    meta.push(
-                        (cfg.set_index(line) as u32) << 5
-                            | u32::from(kind_code(kind)) << 3
-                            | u32::from(phase_code(phase)) << 1,
-                    );
-                }
-                TraceEvent::IntervalBegin => {
-                    lines.push(0);
-                    meta.push(1);
-                }
-                _ => {}
-            }
-        }
-        CompiledStream {
-            geometry: cfg.clone(),
-            lines,
-            meta,
-        }
-    }
-
-    /// The captured geometry the stream was compiled against.
-    pub fn geometry(&self) -> &CacheConfig {
-        &self.geometry
-    }
-
-    /// Replays the compiled stream under `policy` and `seed`, returning
-    /// the statistics a live run with that policy/seed would produce.
-    ///
-    /// This is the hot path of policy sweeps: a flat-array mirror of
-    /// [`Cache::access`] (same probe order, same invalid-way preference,
-    /// same [`Replacer`]/[`Rng`] state machines) without outcome
-    /// construction, per-access set hashing or cost-model work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` cannot drive the captured way count.
-    pub fn replay(&self, policy: Policy, seed: u64) -> CacheStats {
-        let sets = self.geometry.sets();
-        let ways = self.geometry.ways();
-        let slots = sets * ways;
-        let mut replacer = Replacer::new(policy, sets, ways);
-        let mut rng = Rng::seed_from_u64(seed);
-        // Tag = dense line ID; 0 is the invalid sentinel (IDs start at 1).
-        let mut tags = vec![0u32; slots];
-        // Bit 0: dirty, bit 1: foreign (co-runner-owned).
-        let mut flags = vec![0u8; slots];
-        let mut fill_epoch = vec![0u32; slots];
-        let mut epoch = 1u32;
-        // Hit/miss counters indexed by phase code, folded into CacheStats
-        // at the end.
-        let mut hits = [0u64; 4];
-        let mut misses = [0u64; 4];
-        let mut stats = CacheStats::default();
-
-        for (&line, &m) in self.lines.iter().zip(&self.meta) {
-            if m & 1 != 0 {
-                epoch += 1;
-                continue;
-            }
-            let set = (m >> 5) as usize;
-            let kind = (m >> 3) & 3;
-            let phase = ((m >> 1) & 3) as usize;
-            let base = set * ways;
-            let set_tags = &mut tags[base..base + ways];
-
-            if let Some(way) = set_tags.iter().position(|&t| t == line) {
-                hits[phase] += 1;
-                if kind == 1 {
-                    flags[base + way] |= 1;
-                }
-                replacer.on_access(set, way);
-                continue;
-            }
-
-            misses[phase] += 1;
-            let fill = match set_tags.iter().position(|&t| t == 0) {
-                Some(w) => w,
-                None => {
-                    let w = replacer.victim(set, &mut rng);
-                    let alive = fill_epoch[base + w] == epoch;
-                    stats.evictions += 1;
-                    if alive && flags[base + w] & 2 == 0 {
-                        if phase == 3 {
-                            stats.corunner_evictions += 1;
-                        } else {
-                            stats.self_evictions += 1;
-                        }
-                    }
-                    if flags[base + w] & 1 != 0 {
-                        stats.writebacks += 1;
-                    }
-                    w
-                }
-            };
-            tags[base + fill] = line;
-            flags[base + fill] = u8::from(kind == 1) | (u8::from(phase == 3) << 1);
-            fill_epoch[base + fill] = epoch;
-            replacer.on_fill(set, fill);
-        }
-
-        stats.m_phase = counts(hits[0], misses[0]);
-        stats.c_phase = counts(hits[1], misses[1]);
-        stats.unphased = counts(hits[2], misses[2]);
-        stats.corunner = counts(hits[3], misses[3]);
-        stats
-    }
-}
-
-fn counts(hits: u64, misses: u64) -> AccessCounts {
-    AccessCounts { hits, misses }
-}
-
-/// Multiply-xor hasher for the compile-time line-renaming map: line
-/// numbers are already well-distributed, so one multiplication beats the
-/// default DoS-resistant hasher by a wide margin.
-#[derive(Default)]
-struct LineHasher(u64);
-
-type BuildLineHasher = std::hash::BuildHasherDefault<LineHasher>;
-
-impl std::hash::Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-/// One result of a policy fan-out.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PolicyReplay {
-    /// Short policy name (as in reports).
-    pub name: String,
-    /// Replayed statistics.
-    pub stats: CacheStats,
-}
-
-/// Fans one captured stream out across `policies` on the scenario-matrix
-/// thread pool, returning results in input order (deterministic at any
-/// worker count, like every pool user). Compiles the stream once and
-/// replays it through the [`CompiledStream`] fast path under the captured
-/// seed.
-pub fn policy_sweep(
-    trace: &Trace,
-    policies: &[(String, Policy)],
-    workers: usize,
-) -> Vec<PolicyReplay> {
-    let compiled = CompiledStream::compile(trace);
-    let seed = trace.header.cache.seed_value();
-    parallel_map(workers, policies, |(name, policy)| PolicyReplay {
-        name: name.clone(),
-        stats: compiled.replay(policy.clone(), seed),
-    })
-}
-
-/// The default policy axis for replay sweeps on a `ways`-way cache: the
-/// vendor biased-random policy plus every deterministic and randomized
-/// alternative the simulator models.
-pub fn default_policy_axis(ways: usize) -> Vec<(String, Policy)> {
-    vec![
-        ("biased".into(), Policy::nvidia_like(ways)),
-        ("lru".into(), Policy::Lru),
-        ("fifo".into(), Policy::Fifo),
-        ("plru".into(), Policy::PseudoLru),
-        ("nmru".into(), Policy::Nmru),
-        ("srrip".into(), Policy::Srrip),
-        ("random".into(), Policy::Random),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,38 +79,9 @@ mod tests {
     }
 
     #[test]
-    fn compiled_fast_path_equals_event_replay_for_every_policy_and_seed() {
-        let (run, trace) = capture_llc(&Bicg::new(320, 320), 32 * KIB, 4, 11, Scenario::Isolation);
-        let compiled = CompiledStream::compile(&trace);
-        // Captured config through the fast path reproduces the live run.
-        assert_eq!(
-            compiled.replay(
-                trace.header.cache.policy_ref().clone(),
-                trace.header.cache.seed_value()
-            ),
-            run.llc
-        );
-        // Any policy/seed: fast path ≡ event-level replay through Cache.
-        for (_, policy) in default_policy_axis(trace.header.cache.ways()) {
-            for seed in [11u64, 23, 47] {
-                let via_cache = replay_events(
-                    &trace.events,
-                    trace.header.cache.clone().policy(policy.clone()).seed(seed),
-                );
-                assert_eq!(
-                    compiled.replay(policy.clone(), seed),
-                    via_cache,
-                    "fast path diverged for {} / seed {seed}",
-                    policy.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_fast_path_handles_corunner_pollution() {
+    fn replay_reproduces_live_stats_under_corunner_pollution() {
         // The interference *preset* is bus-only (membombs); foreign-line
-        // bookkeeping in the fast path only runs under cache-thrashing
+        // bookkeeping in replay only runs under cache-thrashing
         // co-runners, so capture one of those mixes explicitly.
         use crate::capture::capture_prem;
         use prem_gpusim::{CorunnerProfile, PlatformConfig};
@@ -363,23 +105,7 @@ mod tests {
             run.llc.corunner.total() > 0,
             "thrashers injected no traffic — the test is vacuous"
         );
-        let compiled = CompiledStream::compile(&trace);
-        assert_eq!(
-            compiled.replay(trace.header.cache.policy_ref().clone(), 11),
-            run.llc
-        );
-        for (_, policy) in default_policy_axis(trace.header.cache.ways()) {
-            let via_cache = replay_events(
-                &trace.events,
-                trace.header.cache.clone().policy(policy.clone()),
-            );
-            assert_eq!(
-                compiled.replay(policy.clone(), 11),
-                via_cache,
-                "fast path diverged under pollution for {}",
-                policy.name()
-            );
-        }
+        assert_eq!(replay_captured(&trace), run.llc);
     }
 
     #[test]
@@ -399,28 +125,5 @@ mod tests {
         let (run, trace) = capture_llc(&Bicg::new(128, 128), 32 * KIB, 4, 47, Scenario::Isolation);
         let decoded = Trace::decode(&trace.encode()).expect("decode");
         assert_eq!(replay_captured(&decoded), run.llc);
-    }
-
-    #[test]
-    fn policy_sweep_is_deterministic_and_ordered() {
-        // Large enough that the footprint overflows the 256 KiB TX1 LLC,
-        // so eviction behavior — where policies differ — is exercised.
-        let (_, trace) = capture_llc(&Bicg::new(320, 320), 32 * KIB, 2, 11, Scenario::Isolation);
-        let axis = default_policy_axis(trace.header.cache.ways());
-        let one = policy_sweep(&trace, &axis, 1);
-        let many = policy_sweep(&trace, &axis, 4);
-        assert_eq!(one, many);
-        assert_eq!(
-            one.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
-            axis.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
-        );
-        // LRU never self-evicts more than the biased policy on a stream
-        // the paper's prefetch discipline already tamed; at minimum the
-        // sweep must produce differing stats for differing policies
-        // somewhere, proving the axis is actually exercised.
-        assert!(
-            one.iter().any(|r| r.stats != one[0].stats),
-            "all policies produced identical stats — sweep is vacuous"
-        );
     }
 }
