@@ -44,8 +44,8 @@ use std::time::Instant;
 use prem_bench::{PROFILE_MEMO_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
 use prem_gpusim::CorunnerProfile;
 use prem_harness::{
-    run_cell, write_artifact, ExecFlags, MatrixPolicy, MatrixScenario, MatrixSpec, PlanExecutor,
-    RunSource, RunStore, EXEC_FLAGS_HELP,
+    run_cell_with, write_artifact, ExecFlags, MatrixPolicy, MatrixScenario, MatrixSpec,
+    PlanExecutor, RunSource, RunStore, EXEC_FLAGS_HELP,
 };
 use prem_kernels::{suite_small, Bicg};
 use prem_report::common::Harness;
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
             cell.seed_index,
         );
         let t0 = Instant::now();
-        let _ = run_cell(&spec, cell);
+        let _ = run_cell_with(&spec, cell, &PlanExecutor::new());
         let ms = t0.elapsed().as_secs_f64() * 1000.0;
         total_ms += ms;
         cell_lines.push(cell_json(&key, ms));

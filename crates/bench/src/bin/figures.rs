@@ -18,23 +18,24 @@
 //!
 //! Unknown subcommands exit nonzero with the artifact listing.
 //!
-//! The simulator-heavy figures (3/4/5/6/7) are executed as **one merged,
-//! deduplicated run plan**: their `*_requests` builders are concatenated,
-//! the [`prem_harness::PlanExecutor`] elides every request two figures
-//! share (fig3/fig5/fig6/fig7 overlap heavily on baselines and LLC grid
-//! points) and executes the unique frontier on the work-claiming pool at
-//! *run* granularity — so a parallel run is no longer bounded by the
-//! largest single figure. The unique frontier is further partitioned into
-//! **derivation families** (requests differing only in LLC policy/seed):
-//! one representative per family executes live with what-if capture on
-//! and every sibling's output is derived by replay, bit-identical by the
-//! plan-replay equivalence suite (`--no-replay` opts out). A
-//! per-invocation plan summary (unique runs, duplicates elided, cache
-//! hits, replays, families) is printed to stderr; CI asserts the elision
-//! count is nonzero and, on the quick merged plan, `replayed > 0`. The remaining artifacts run as
-//! job-granular pool tasks exactly as before (`PREM_WORKERS` overrides
-//! the worker count); outputs are collected and written in a fixed order,
-//! so the artifacts are byte-identical to a sequential run.
+//! Every artifact job declares the requests it renders from, and the
+//! requested jobs' requests execute as **one merged, deduplicated run
+//! plan**: the [`prem_harness::PlanExecutor`] elides every request two
+//! artifacts share (fig3/fig5/fig6/fig7 overlap heavily on baselines and
+//! LLC grid points) and executes the unique frontier on the work-claiming
+//! pool at *run* granularity — so a parallel run is no longer bounded by
+//! the largest single artifact. The unique frontier is further partitioned
+//! into **derivation families** (requests differing only in LLC
+//! policy/seed): one representative per family executes live with what-if
+//! capture on and every sibling's output is derived by replay,
+//! bit-identical by the plan-replay equivalence suite (`--no-replay` opts
+//! out). A per-invocation plan summary (unique runs, duplicates elided,
+//! cache hits, replays, families) is printed to stderr; CI asserts the
+//! elision count is nonzero and, on the quick merged plan,
+//! `replayed > 0`. The renders then run as job-granular pool tasks
+//! (`PREM_WORKERS` overrides the worker count); outputs are collected and
+//! written in a fixed order, so the artifacts are byte-identical to a
+//! sequential run.
 //!
 //! The plan executor is backed by the **persistent run cache**
 //! (`results/.runcache/` by default — see `CACHING.md`): every live
@@ -57,16 +58,18 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::time::Instant;
 
+use prem_core::SyncConfig;
+use prem_gpusim::{PlatformConfig, Scenario};
 use prem_harness::{
     cell_requests, default_workers, parallel_map, run_matrix_metered, write_artifact, ExecFlags,
-    MatrixSpec, PlanExecutor, RunRequest, RunStore, EXEC_FLAGS_HELP,
+    MatrixSpec, PlanExecutor, RunRequest, RunSource, RunStore, EXEC_FLAGS_HELP,
 };
-use prem_kernels::{case_study_bicg, standard_suite, suite_small, Bicg};
+use prem_kernels::{case_study_bicg, standard_suite, suite_small, Bicg, Kernel};
 use prem_memsim::KIB;
 use prem_obs::{NullMetrics, Registry, Span};
 use prem_report::{
     ablation,
-    common::Harness,
+    common::{llc_request, Harness},
     fig2::fig2,
     fig3::{fig3_requests, fig3_with, fig5_requests, fig5_with},
     fig4::{fig4_requests, fig4_with},
@@ -100,39 +103,72 @@ impl Artifact {
 }
 
 /// Inputs shared by every figure job, plus the process-wide run-plan
-/// executor: the plan-based figures render from its cache after the merged
-/// plan has executed, and the matrix shares the same cache when requested.
+/// executor: the plan-based artifacts render from its cache after the
+/// merged plan has executed, and the matrix shares the same cache when
+/// requested.
 struct Ctx {
     quick: bool,
     harness: Harness,
     bicg: Bicg,
-    suite: Vec<Box<dyn prem_kernels::Kernel>>,
+    suite: Vec<Box<dyn Kernel>>,
     executor: PlanExecutor,
 }
 
-type Job = (&'static str, &'static str, fn(&Ctx) -> Vec<Artifact>);
+impl Ctx {
+    /// The full-scale or `quick` (reduced sizes, one seed) inputs around
+    /// `executor`.
+    fn new(quick: bool, executor: PlanExecutor) -> Ctx {
+        let (harness, bicg, suite) = if quick {
+            (Harness::quick(), Bicg::new(512, 512), suite_small())
+        } else {
+            (Harness::default(), case_study_bicg(), standard_suite())
+        };
+        Ctx {
+            quick,
+            harness,
+            bicg,
+            suite,
+            executor,
+        }
+    }
+}
 
-/// The paper-figure jobs, in output order, each with the artifact line
-/// shown by `--list` — one table drives both dispatch and listing, so
-/// the two cannot drift. `matrix` (parallel internally) and `trace`
-/// (which times its what-if grid on one worker) are handled separately
-/// (see [`EXPLICIT_JOBS`]) and run only when named.
+/// One artifact job: its subcommand, the artifact line `--list` shows, the
+/// requests it renders from (merged into the one plan, and the live set
+/// `cache gc` keeps) and the render itself.
+struct Job {
+    name: &'static str,
+    what: &'static str,
+    requests: fn(&Ctx) -> Vec<RunRequest<'_>>,
+    render: fn(&Ctx) -> Vec<Artifact>,
+}
+
+/// The one run fig1's timeline draws: tamed LLC-PREM on the case-study
+/// kernel at 160 KiB, seed 1, in isolation.
+fn fig1_request(ctx: &Ctx) -> RunRequest<'_> {
+    llc_request(&ctx.bicg, 160 * KIB, 8, 1, Scenario::Isolation)
+}
+
+/// The policy ablation's R values and the bias ablation's bad-way
+/// weights, shared by the ablation job's requests and render.
+const POLICY_RS: &[u32] = &[1, 8];
+const BIAS_WEIGHTS: &[u32] = &[1, 2, 3, 5, 9];
+
+/// The paper-figure jobs, in output order — one table drives dispatch,
+/// listing, the merged plan and `cache gc`'s live set, so they cannot
+/// drift. `matrix` (parallel internally) and `trace` (which times its
+/// what-if grid on one worker) are handled separately (see
+/// [`EXPLICIT_JOBS`]) and run only when named.
 const JOBS: &[Job] = &[
-    (
-        "fig1",
-        "fig1.txt — PREM interval timeline (M/C phases, token exchange)",
-        |ctx| {
-            use prem_core::{run_prem, NoiseModel, PremConfig, SyncConfig};
-            use prem_gpusim::{PlatformConfig, Scenario};
-            use prem_kernels::Kernel;
+    Job {
+        name: "fig1",
+        what: "fig1.txt — PREM interval timeline (M/C phases, token exchange)",
+        requests: |ctx| vec![fig1_request(ctx)],
+        render: |ctx| {
             let t0 = Instant::now();
-            let intervals = ctx.bicg.intervals(160 * KIB).expect("tiling");
-            let mut platform = PlatformConfig::tx1().build();
-            let cfg = PremConfig::llc_tamed().with_noise(NoiseModel::tx1());
-            let run =
-                run_prem(&mut platform, &intervals, &cfg, Scenario::Isolation).expect("prem run");
-            let text =
-                prem_report::fig1::timeline(&run, &SyncConfig::tx1(), platform.clock_ghz, 4, 0.4);
+            let run = ctx.executor.output(&fig1_request(ctx)).prem();
+            let clock_ghz = PlatformConfig::tx1().clock_ghz;
+            let text = prem_report::fig1::timeline(&run, &SyncConfig::tx1(), clock_ghz, 4, 0.4);
             vec![Artifact {
                 name: "fig1".into(),
                 text,
@@ -140,76 +176,85 @@ const JOBS: &[Job] = &[
                 log: format!("[fig1 done in {:?}]", t0.elapsed()),
             }]
         },
-    ),
-    (
-        "fig2",
-        "fig2.{txt,csv} — SPM vs cache data-movement instruction counts",
-        |ctx| {
+    },
+    Job {
+        name: "fig2",
+        what: "fig2.{txt,csv} — SPM vs cache data-movement instruction counts",
+        requests: |_| Vec::new(),
+        render: |ctx| {
             let t0 = Instant::now();
             let f = fig2(&ctx.bicg, 160 * KIB);
             vec![Artifact::from_table("fig2", &f.table(), "", t0)]
         },
-    ),
-    (
-        "fig3",
-        "fig3.{txt,csv} — bicg breakdown, naive prefetch (R=1)",
-        |ctx| {
+    },
+    Job {
+        name: "fig3",
+        what: "fig3.{txt,csv} — bicg breakdown, naive prefetch (R=1)",
+        requests: |ctx| fig3_requests(&ctx.bicg, &ctx.harness),
+        render: |ctx| {
             let t0 = Instant::now();
             let f = fig3_with(&ctx.bicg, &ctx.harness, &ctx.executor);
             vec![Artifact::from_table("fig3", &f.table(), &f.chart(), t0)]
         },
-    ),
-    (
-        "fig4",
-        "fig4.{txt,csv} — CPMR over the (R, T) grid",
-        |ctx| {
+    },
+    Job {
+        name: "fig4",
+        what: "fig4.{txt,csv} — CPMR over the (R, T) grid",
+        requests: |ctx| fig4_requests(&ctx.bicg, &ctx.harness),
+        render: |ctx| {
             let t0 = Instant::now();
             let f = fig4_with(&ctx.bicg, &ctx.harness, &ctx.executor);
             vec![Artifact::from_table("fig4", &f.table(), "", t0)]
         },
-    ),
-    (
-        "fig5",
-        "fig5.{txt,csv} — bicg breakdown, tamed prefetch (R=8)",
-        |ctx| {
+    },
+    Job {
+        name: "fig5",
+        what: "fig5.{txt,csv} — bicg breakdown, tamed prefetch (R=8)",
+        requests: |ctx| fig5_requests(&ctx.bicg, &ctx.harness),
+        render: |ctx| {
             let t0 = Instant::now();
             let f = fig5_with(&ctx.bicg, &ctx.harness, &ctx.executor);
             vec![Artifact::from_table("fig5", &f.table(), &f.chart(), t0)]
         },
-    ),
-    (
-        "fig6",
-        "fig6.{txt,csv} — per-kernel fair co-scheduling comparison",
-        |ctx| {
+    },
+    Job {
+        name: "fig6",
+        what: "fig6.{txt,csv} — per-kernel fair co-scheduling comparison",
+        requests: |ctx| fig6_requests(&ctx.suite, &ctx.harness, 160, 8),
+        render: |ctx| {
             let t0 = Instant::now();
             let f = fig6_with(&ctx.suite, &ctx.harness, 160, 8, &ctx.executor);
             vec![Artifact::from_table("fig6", &f.table(), "", t0)]
         },
-    ),
-    (
-        "fig7",
-        "fig7.{txt,csv} — interference sensitivity vs T",
-        |ctx| {
+    },
+    Job {
+        name: "fig7",
+        what: "fig7.{txt,csv} — interference sensitivity vs T",
+        requests: |ctx| fig7_requests(&ctx.suite, &ctx.harness, 8),
+        render: |ctx| {
             let t0 = Instant::now();
             let f = fig7_with(&ctx.suite, &ctx.harness, 8, &ctx.executor);
             vec![Artifact::from_table("fig7", &f.table(), "", t0)]
         },
-    ),
-    (
-        "whatif",
-        "whatif.{txt,csv} — LLC policy what-if sweep (replay-derived)",
-        |ctx| {
+    },
+    Job {
+        name: "whatif",
+        what: "whatif.{txt,csv} — LLC policy what-if sweep (replay-derived)",
+        requests: |ctx| whatif_requests(&ctx.bicg),
+        render: |ctx| {
             let t0 = Instant::now();
             let w = whatif_with(&ctx.bicg, &ctx.executor);
             vec![Artifact::from_table("whatif", &w.table(), "", t0)]
         },
-    ),
-    (
-        "interference",
-        "interference_sweep.{txt,csv} — co-runner count sweep",
-        |ctx| {
+    },
+    Job {
+        name: "interference",
+        what: "interference_sweep.{txt,csv} — co-runner count sweep",
+        requests: |ctx| interference::interference_requests(&ctx.bicg, 160 * KIB, 8, 11, 6),
+        render: |ctx| {
             let t0 = Instant::now();
-            let rows = interference_sweep_rows(ctx);
+            let ex = &ctx.executor;
+            let rows = interference::interference_sweep_with(&ctx.bicg, 160 * KIB, 8, 11, 6, ex);
             vec![Artifact::from_table(
                 "interference_sweep",
                 &interference::sweep_table(&rows, "bicg", 160, 8),
@@ -217,25 +262,33 @@ const JOBS: &[Job] = &[
                 t0,
             )]
         },
-    ),
-    (
-        "mei",
-        "mei.{txt,csv} — biased-random replacement validation",
-        |ctx| {
+    },
+    Job {
+        name: "mei",
+        what: "mei.{txt,csv} — biased-random replacement validation",
+        requests: |_| Vec::new(),
+        render: |ctx| {
             let t0 = Instant::now();
             let (_, table) = mei(if ctx.quick { 5_000 } else { 50_000 }, 7);
             vec![Artifact::from_table("mei", &table, "", t0)]
         },
-    ),
-    (
-        "ablation",
-        "ablation_{policy,msg,adaptive,bias}.{txt,csv} — beyond-paper ablations",
-        |ctx| {
+    },
+    Job {
+        name: "ablation",
+        what: "ablation_{policy,msg,adaptive,bias}.{txt,csv} — beyond-paper ablations",
+        // The MSG and prefetch-strategy ablations execute directly.
+        requests: |ctx| {
+            let policy = ablation::policy_requests(&ctx.bicg, &ctx.harness, 160 * KIB, POLICY_RS);
+            let bias = ablation::bias_requests(&ctx.bicg, &ctx.harness, 160 * KIB, BIAS_WEIGHTS);
+            [policy, bias].concat()
+        },
+        render: |ctx| {
             // Each ablation gets its own t0 so the log lines report per-artifact
             // cost, not cumulative elapsed time.
             let t0 = Instant::now();
+            let (bicg, harness, ex) = (&ctx.bicg, &ctx.harness, &ctx.executor);
             let mut out = Vec::new();
-            let rows = ablation::policy_ablation(&ctx.bicg, &ctx.harness, 160 * KIB, &[1, 8]);
+            let rows = ablation::policy_ablation_with(bicg, harness, 160 * KIB, POLICY_RS, ex);
             out.push(Artifact::from_table(
                 "ablation_policy",
                 &ablation::policy_table(&rows, 160),
@@ -265,8 +318,7 @@ const JOBS: &[Job] = &[
                 t0,
             ));
             let t0 = Instant::now();
-            let rows =
-                ablation::bias_ablation(&ctx.bicg, &ctx.harness, 160 * KIB, &[1, 2, 3, 5, 9]);
+            let rows = ablation::bias_ablation_with(bicg, harness, 160 * KIB, BIAS_WEIGHTS, ex);
             out.push(Artifact::from_table(
                 "ablation_bias",
                 &ablation::bias_table(&rows, 160),
@@ -275,14 +327,8 @@ const JOBS: &[Job] = &[
             ));
             out
         },
-    ),
+    },
 ];
-
-/// The co-runner sweep over 0–6 co-runners per profile on the context's
-/// bicg instance (reduced problem size under `quick`).
-fn interference_sweep_rows(ctx: &Ctx) -> Vec<interference::SweepRow> {
-    interference::interference_sweep(&ctx.bicg, 160 * KIB, 8, 11, 6)
-}
 
 /// Subcommands dispatched outside [`JOBS`] (explicit-only; they never
 /// run as part of the default full set).
@@ -319,8 +365,8 @@ fn listing() -> String {
     out.push('\n');
     for (name, what) in JOBS
         .iter()
-        .map(|(name, what, _)| (name, what))
-        .chain(EXPLICIT_JOBS.iter().map(|(name, what)| (name, what)))
+        .map(|job| (job.name, job.what))
+        .chain(EXPLICIT_JOBS.iter().copied())
     {
         out.push_str(&format!("  {name:<13} {what}\n"));
     }
@@ -328,52 +374,26 @@ fn listing() -> String {
 }
 
 /// Every canonical key the current artifact set can request — the live
-/// set `cache gc` keeps: both full and quick variants of the plan-based
-/// figures (3/4/5/6/7) and the scenario matrix, plus fig6's
-/// data-dependent best-T follow-up whenever the store already holds the
-/// complete first wave it derives from (computed through a store-backed
-/// executor, i.e. from cache, never by executing anything).
+/// set `cache gc` keeps: every [`JOBS`] entry's requests and the scenario
+/// matrix, both full and quick, plus fig6's data-dependent best-T
+/// follow-up whenever the store already holds the complete first wave it
+/// derives from (computed through a store-backed executor, i.e. from
+/// cache, never by executing anything).
 fn live_keys(cache_dir: &Path) -> std::io::Result<HashSet<String>> {
     let mut keys = HashSet::new();
     for quick in [false, true] {
-        let harness = if quick {
-            Harness::quick()
-        } else {
-            Harness::default()
-        };
-        let bicg = if quick {
-            Bicg::new(512, 512)
-        } else {
-            case_study_bicg()
-        };
-        let suite = if quick {
-            suite_small()
-        } else {
-            standard_suite()
-        };
-        let mut reqs: Vec<RunRequest<'_>> = Vec::new();
-        reqs.extend(fig3_requests(&bicg, &harness));
-        reqs.extend(fig4_requests(&bicg, &harness));
-        reqs.extend(fig5_requests(&bicg, &harness));
-        reqs.extend(fig6_requests(&suite, &harness, 160, 8));
-        reqs.extend(fig7_requests(&suite, &harness, 8));
-        reqs.extend(whatif_requests(&bicg));
-        let fig6_first: Vec<String> = fig6_requests(&suite, &harness, 160, 8)
-            .iter()
-            .map(RunRequest::key)
-            .collect();
-        keys.extend(reqs.iter().map(RunRequest::key));
         let store = RunStore::open(cache_dir)?;
-        let mut first_wave_cached = true;
-        for key in &fig6_first {
-            if !store.contains(key)? {
-                first_wave_cached = false;
-                break;
-            }
+        let ctx = Ctx::new(quick, PlanExecutor::new().with_store(store));
+        for job in JOBS {
+            keys.extend((job.requests)(&ctx).iter().map(RunRequest::key));
         }
-        if first_wave_cached && !fig6_first.is_empty() {
-            let executor = PlanExecutor::new().with_store(store);
-            let tail = fig6_followup_requests(&suite, &harness, &executor);
+        let store = ctx.executor.store().expect("store-backed executor");
+        let mut first_wave_cached = true;
+        for req in fig6_requests(&ctx.suite, &ctx.harness, 160, 8) {
+            first_wave_cached &= store.contains(&req.key())?;
+        }
+        if first_wave_cached {
+            let tail = fig6_followup_requests(&ctx.suite, &ctx.harness, &ctx.executor);
             keys.extend(tail.iter().map(RunRequest::key));
         }
         let spec = if quick {
@@ -465,8 +485,7 @@ fn main() {
         .filter(|a| *a != "quick" && *a != "all")
         .collect();
     let known = |a: &str| {
-        JOBS.iter().any(|(name, _, _)| *name == a)
-            || EXPLICIT_JOBS.iter().any(|(name, _)| *name == a)
+        JOBS.iter().any(|job| job.name == a) || EXPLICIT_JOBS.iter().any(|(name, _)| *name == a)
     };
     if let Some(bad) = which.iter().find(|a| !known(a)) {
         eprintln!("figures: unknown subcommand '{bad}'\n\n{}", listing());
@@ -500,25 +519,7 @@ fn main() {
         std::process::exit(1);
     });
 
-    let ctx = Ctx {
-        quick,
-        harness: if quick {
-            Harness::quick()
-        } else {
-            Harness::default()
-        },
-        bicg: if quick {
-            Bicg::new(512, 512)
-        } else {
-            case_study_bicg()
-        },
-        suite: if quick {
-            suite_small()
-        } else {
-            standard_suite()
-        },
-        executor,
-    };
+    let ctx = Ctx::new(quick, executor);
 
     let emit = |artifact: &Artifact| {
         println!("{}", artifact.text);
@@ -537,28 +538,15 @@ fn main() {
 
     let t0 = Instant::now();
 
-    // Phase 1 — the merged figure plan: every requested plan-based figure
-    // contributes its canonical requests, the executor elides duplicates
-    // (both within and across figures) and executes the unique frontier at
-    // run granularity. fig6's best-T interference tail is data-dependent,
-    // so it is planned as a second wave once the first is cached.
-    let mut merged: Vec<RunRequest<'_>> = Vec::new();
-    if run("fig3") {
-        merged.extend(fig3_requests(&ctx.bicg, &ctx.harness));
-    }
-    if run("fig4") {
-        merged.extend(fig4_requests(&ctx.bicg, &ctx.harness));
-    }
-    if run("fig5") {
-        merged.extend(fig5_requests(&ctx.bicg, &ctx.harness));
-    }
-    if run("fig6") {
-        merged.extend(fig6_requests(&ctx.suite, &ctx.harness, 160, 8));
-    }
-    if run("fig7") {
-        merged.extend(fig7_requests(&ctx.suite, &ctx.harness, 8));
-    }
-    if run("whatif") || run("obs") {
+    // Phase 1 — the merged plan: every requested job contributes its
+    // canonical requests, the executor elides duplicates (both within and
+    // across artifacts) and executes the unique frontier at run
+    // granularity. fig6's best-T interference tail is data-dependent, so it
+    // is planned as a second wave once the first is cached.
+    let jobs: Vec<&Job> = JOBS.iter().filter(|job| run(job.name)).collect();
+    let mut merged: Vec<RunRequest<'_>> =
+        jobs.iter().flat_map(|job| (job.requests)(&ctx)).collect();
+    if run("obs") && !run("whatif") {
         // `obs` rides the what-if plan: small, yet it exercises the live,
         // replay, family, and (when cached) disk-hit paths the breakdown
         // reports.
@@ -583,14 +571,13 @@ fn main() {
         }
     }
 
-    // Phase 2 — job-granular artifacts: plan-based figures render from the
-    // warm cache; the remaining generators compute as before.
-    let jobs: Vec<&Job> = JOBS.iter().filter(|(name, _, _)| run(name)).collect();
-    for artifacts in parallel_map(workers, &jobs, |(_, _, job)| {
+    // Phase 2 — job-granular artifacts: plan-based artifacts render from
+    // the warm cache; the remaining generators compute as before.
+    for artifacts in parallel_map(workers, &jobs, |job| {
         let _render = registry
             .as_ref()
             .map(|r| Span::start(r, "figures.render_ns"));
-        job(&ctx)
+        (job.render)(&ctx)
     }) {
         for artifact in &artifacts {
             emit(artifact);

@@ -59,11 +59,10 @@ pub mod wire;
 pub use agg::MatrixResult;
 pub use artifact::write_artifact;
 pub use flags::{ExecFlags, EXEC_FLAGS_HELP};
-pub use plan::{Direct, PlanExecutor, PlanSummary, PlatformSpec, RunRequest, RunSource};
+pub use plan::{PlanExecutor, PlanSummary, PlatformSpec, RunRequest, RunSource};
 pub use pool::{default_workers, parallel_map};
 pub use run::{
-    cell_requests, run_cell, run_cell_with, run_matrix, run_matrix_metered, run_matrix_with,
-    CellResult,
+    cell_requests, run_cell_with, run_matrix, run_matrix_metered, run_matrix_with, CellResult,
 };
 pub use spec::{
     scenario_name, CellSpec, CorunnerMix, MatrixPlatform, MatrixPolicy, MatrixScenario, MatrixSpec,

@@ -33,14 +33,14 @@
 //!   canonical key (the fingerprint selects the shard; the key string
 //!   guarantees distinct requests can never alias a cache slot).
 //!
-//! Every simulator execution in this module — a pool unit, a lazy
-//! [`RunSource::output`] miss, a [`Direct`] call — takes one path. The
-//! request's profile-memo cell (one per [`RunRequest::profile_key`])
-//! either supplies a memoized `(m_wcet, c_wcet)` or is backfilled with the
-//! pair the run reports, and the request tiles, resolves and runs through
-//! the core bridge [`prem_core::execute_run`]. The public
-//! `RunRequest::execute*` methods are one-line forms of that path with a
-//! fixed [`RunOptions`].
+//! Every simulator execution in this module — a pool unit or a lazy
+//! [`RunSource::output`] miss — takes one path. The request's
+//! profile-memo cell (one per [`RunRequest::profile_key`]) either supplies
+//! a memoized `(m_wcet, c_wcet)` or is backfilled with the pair the run
+//! reports, and the request tiles, resolves and runs through the core
+//! bridge [`prem_core::execute_run`]. The public `RunRequest::execute*`
+//! methods are one-line forms of that path with a fixed [`RunOptions`]
+//! and no memo.
 //!
 //! Dedup is sound because execution is deterministic in the request: a
 //! [`RunRequest`] resolves to a freshly built platform seeded from its own
@@ -392,37 +392,12 @@ impl RunRequest<'_> {
     }
 }
 
-/// Where renderers obtain run outputs: either a caching executor or the
-/// direct bridge. Figure modules are written against this, so the same
-/// rendering code serves a standalone figure call and a merged
-/// cross-figure plan.
+/// Where renderers obtain run outputs. Figure modules are written against
+/// this, so the same rendering code serves a standalone one-plan call and a
+/// merged cross-figure plan; [`PlanExecutor`] is the one implementation.
 pub trait RunSource: Sync {
     /// The output for `req`, executing it if it is not already available.
     fn output(&self, req: &RunRequest<'_>) -> RunOutput;
-}
-
-/// The trivial source: executes every request directly, no dedup, no
-/// result cache. `fig3(kernel, harness)` & friends run through this,
-/// which makes them byte-identical to the pre-plan implementations.
-/// Profiling passes do share a process-wide profile memo, one cell per
-/// [`RunRequest::profile_key`] — the memoized `(m_wcet, c_wcet)` is
-/// bit-identical to profiling inline, so outputs are unchanged while
-/// scenario-paired direct runs stop paying the pass twice.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct Direct;
-
-impl RunSource for Direct {
-    fn output(&self, req: &RunRequest<'_>) -> RunOutput {
-        static PROFILES: OnceLock<Mutex<HashMap<String, ProfileCell>>> = OnceLock::new();
-        let cell = req.profile_key().map(|key| {
-            let mut memo = PROFILES
-                .get_or_init(Mutex::default)
-                .lock()
-                .expect("direct profile memo poisoned");
-            memo_cell(&mut memo, key).0
-        });
-        run_through(req, cell.as_ref(), false).output
-    }
 }
 
 /// One exactly-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
@@ -431,7 +406,7 @@ type ProfileCell = Arc<OnceLock<(f64, f64)>>;
 
 /// The memo cell for `key`, created empty on first sight, and whether it
 /// already existed (a profile hit) — the one lookup behind the plan
-/// expansion, the lazy [`RunSource::output`] path and [`Direct`].
+/// expansion and the lazy [`RunSource::output`] path.
 fn memo_cell(memo: &mut HashMap<String, ProfileCell>, key: String) -> (ProfileCell, bool) {
     use std::collections::hash_map::Entry;
     match memo.entry(key) {
@@ -642,11 +617,6 @@ impl PlanExecutor {
     pub fn without_profile_memo(mut self) -> Self {
         self.profile_memo = false;
         self
-    }
-
-    /// Whether replay-backed derivation is enabled (default: yes).
-    pub fn replay_enabled(&self) -> bool {
-        self.replay
     }
 
     /// Attaches the persistent store `store` as this executor's durable
@@ -1195,8 +1165,8 @@ mod tests {
         let s = exec.execute(&[a.clone(), b.clone()], 1);
         assert_eq!((s.executed, s.hits), (0, 2));
         assert_eq!(exec.executed_runs(), 2);
-        // Cached output equals a direct execution.
-        assert_eq!(exec.output(&a), Direct.output(&a));
+        // Cached output equals a memo-free execution.
+        assert_eq!(exec.output(&a), a.execute());
         assert_eq!(exec.executed_runs(), 2, "output() after execute() is a hit");
     }
 
@@ -1240,7 +1210,7 @@ mod tests {
         assert_eq!(warm.output(&lazy), lazy_out);
         assert_eq!(warm.executed_runs(), 0);
         assert_eq!(warm.summary().disk_hits, 3);
-        assert_eq!(warm.output(&a), Direct.output(&a));
+        assert_eq!(warm.output(&a), a.execute());
 
         // An invalidating platform tweak changes the key, so only the
         // tweaked request re-executes.
@@ -1298,7 +1268,7 @@ mod tests {
         let exec = PlanExecutor::new();
         exec.execute(&reqs, 4);
         for r in &reqs {
-            assert_eq!(exec.output(r), Direct.output(r));
+            assert_eq!(exec.output(r), r.execute());
         }
     }
 }

@@ -91,12 +91,6 @@ pub fn run_cell_with(spec: &MatrixSpec, cell: &CellSpec, source: &impl RunSource
     )
 }
 
-/// Runs a single cell directly (no cache) — the sequential timing path
-/// `bench_matrix` gates CI with.
-pub fn run_cell(spec: &MatrixSpec, cell: &CellSpec) -> CellResult {
-    run_cell_with(spec, cell, &crate::plan::Direct)
-}
-
 /// Expands `spec` and executes every cell's runs as **one deduplicated
 /// plan** on `workers` threads (run granularity: 2 × cells tasks).
 ///
@@ -156,7 +150,7 @@ mod tests {
             .iter()
             .find(|c| c.scenario == MatrixScenario::Preset(Scenario::Isolation))
             .unwrap();
-        let r = run_cell(&spec, iso);
+        let r = run_cell_with(&spec, iso, &PlanExecutor::new());
         assert!(r.makespan_us > 0.0);
         assert!(r.baseline_us > 0.0);
         assert!(
@@ -171,7 +165,10 @@ mod tests {
     fn rerunning_a_cell_is_deterministic() {
         let spec = tiny_spec();
         let cell = &spec.expand()[0];
-        assert_eq!(run_cell(&spec, cell), run_cell(&spec, cell));
+        assert_eq!(
+            run_cell_with(&spec, cell, &PlanExecutor::new()),
+            run_cell_with(&spec, cell, &PlanExecutor::new())
+        );
     }
 
     #[test]
@@ -187,7 +184,7 @@ mod tests {
             cells
                 .iter()
                 .find(|c| c.scenario.name() == n)
-                .map(|c| run_cell(&spec, c))
+                .map(|c| run_cell_with(&spec, c, &PlanExecutor::new()))
                 .unwrap()
         };
         let iso = by_name("isolation");

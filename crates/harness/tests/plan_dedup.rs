@@ -23,7 +23,7 @@ use prem_core::{IntervalSpec, NoiseModel, RunWork};
 use prem_gpusim::Scenario;
 use prem_harness::seed::fingerprint;
 use prem_harness::{
-    Direct, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
+    MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
 };
 use prem_kernels::{Bicg, Kernel, KernelError, VerifyError};
 use prem_memsim::KIB;
@@ -153,7 +153,7 @@ fn no_false_sharing_between_distinct_requests() {
     for req in &requests {
         assert_eq!(
             executor.output(req),
-            Direct.output(req),
+            req.execute(),
             "cached output diverged from direct execution for {}",
             req.key()
         );

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::Scenario;
 use prem_harness::{
-    Direct, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
+    MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
 };
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::KIB;
@@ -193,7 +193,7 @@ fn one_family_column_is_replay_satisfied_and_matches_direct() {
     for req in &column {
         assert_eq!(
             executor.output(req),
-            Direct.output(req),
+            req.execute(),
             "derived output diverged from direct execution for {}",
             req.key()
         );

@@ -16,8 +16,7 @@ use proptest::prelude::*;
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_harness::{
-    CorunnerMix, Direct, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest,
-    RunSource,
+    CorunnerMix, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
 };
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::KIB;
@@ -275,7 +274,7 @@ fn replay_with_memo_matches_direct_field_for_field() {
 
     for req in &column {
         let replayed = executor.output(req).prem();
-        let direct = Direct.output(req).prem();
+        let direct = req.execute().prem();
         assert_eq!(replayed.intervals, direct.intervals, "{}", req.key());
         assert_eq!(replayed.breakdown, direct.breakdown, "{}", req.key());
         assert_eq!(

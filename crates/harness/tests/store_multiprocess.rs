@@ -21,8 +21,7 @@ use std::process::Command;
 use prem_core::{NoiseModel, RunOutput, RunWork};
 use prem_gpusim::Scenario;
 use prem_harness::{
-    Direct, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
-    RunStore,
+    MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource, RunStore,
 };
 use prem_kernels::Bicg;
 use prem_memsim::KIB;
@@ -145,7 +144,7 @@ fn replay_derived_outputs_cross_the_process_boundary() {
     for req in &column {
         assert_eq!(
             reader.output(req),
-            Direct.output(req),
+            req.execute(),
             "derived record from the writer process diverged from direct \
              execution for {}",
             req.key()

@@ -2,20 +2,24 @@
 //!
 //! * [`policy_ablation`] — how much of the taming benefit is specific to the
 //!   biased-random policy: CPMR and interference sensitivity for LRU, FIFO,
-//!   PLRU, uniform-random and biased-random LLCs at the same `T`.
+//!   PLRU, SRRIP, uniform-random and biased-random LLCs at the same `T`.
+//! * [`bias_ablation`] — how the CPMR depends on the bad way's victim
+//!   weight.
 //! * [`msg_ablation`] — how the SPM/LLC gap scales with the minimum
 //!   synchronization granularity (the sync fabric's quality).
 //! * [`adaptive_ablation`] — fixed `R` repetition versus the adaptive
 //!   `UntilResident` strategy.
 
 use prem_core::{
-    run_prem, sensitivity, LocalStore, PrefetchStrategy, PremConfig, PremRun, SyncConfig,
+    run_prem, sensitivity, LocalStore, NoiseModel, PrefetchStrategy, PremConfig, PremRun, RunWork,
+    SyncConfig,
 };
 use prem_gpusim::{PlatformConfig, Scenario};
+use prem_harness::{MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::Policy;
 
-use crate::common::Harness;
+use crate::common::{planned, Harness};
 use crate::stats::{over_seeds, Stats};
 use crate::table::{f3, pct, Table};
 
@@ -32,51 +36,96 @@ pub struct PolicyRow {
     pub sensitivity: f64,
 }
 
-/// Runs the replacement-policy ablation at interval size `t_bytes`.
+/// The policy ablation's rows: label and LLC policy override (the vendor
+/// policy is [`Policy::nvidia_tegra`] on the TX1's four ways).
+const POLICIES: [(&str, MatrixPolicy); 6] = [
+    ("biased-random", MatrixPolicy::VendorBiased),
+    ("random", MatrixPolicy::Random),
+    ("lru", MatrixPolicy::Lru),
+    ("fifo", MatrixPolicy::Fifo),
+    ("plru", MatrixPolicy::Plru),
+    ("srrip", MatrixPolicy::Srrip),
+];
+
+/// One ablation point's runs on `platform`, one per harness seed:
+/// noise-free LLC-PREM, as [`PremConfig::llc_tamed`] defaults.
+fn seed_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    platform: PlatformSpec,
+    t_bytes: usize,
+    r: u32,
+    scenario: Scenario,
+) -> Vec<RunRequest<'k>> {
+    harness.requests(|seed| RunRequest {
+        kernel,
+        platform: platform.clone(),
+        work: RunWork::PremLlc { r },
+        t_bytes,
+        seed,
+        scenario: MatrixScenario::Preset(scenario),
+        noise: NoiseModel::off(),
+    })
+}
+
+/// One policy-ablation row's runs: the TX1 under `policy`, in isolation
+/// and under interference.
+fn policy_point<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    policy: MatrixPolicy,
+    r: u32,
+) -> [Vec<RunRequest<'k>>; 2] {
+    let platform = PlatformSpec::tx1().with_policy(policy);
+    [Scenario::Isolation, Scenario::Interference]
+        .map(|s| seed_requests(kernel, harness, platform.clone(), t_bytes, r, s))
+}
+
+/// The runs the policy ablation consumes, as a plan. Per (R, scenario) the
+/// requests differ only in LLC policy and seed: one derivation family.
+pub fn policy_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    rs: &[u32],
+) -> Vec<RunRequest<'k>> {
+    let mut reqs = Vec::new();
+    for (_, policy) in POLICIES {
+        for &r in rs {
+            reqs.extend(policy_point(kernel, harness, t_bytes, policy, r).concat());
+        }
+    }
+    reqs
+}
+
+/// Runs the replacement-policy ablation at interval size `t_bytes` from a
+/// one-shot plan of [`policy_requests`].
 pub fn policy_ablation(
     kernel: &dyn Kernel,
     harness: &Harness,
     t_bytes: usize,
     rs: &[u32],
 ) -> Vec<PolicyRow> {
-    let policies: Vec<(&str, Policy)> = vec![
-        ("biased-random", Policy::nvidia_tegra()),
-        ("random", Policy::Random),
-        ("lru", Policy::Lru),
-        ("fifo", Policy::Fifo),
-        ("plru", Policy::PseudoLru),
-        ("srrip", Policy::Srrip),
-    ];
-    let intervals = kernel
-        .intervals(t_bytes)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
+    let source = planned(&policy_requests(kernel, harness, t_bytes, rs));
+    policy_ablation_with(kernel, harness, t_bytes, rs, &source)
+}
+
+/// [`policy_ablation`] rendered from `source`: consumes exactly the runs
+/// [`policy_requests`] enumerates.
+pub fn policy_ablation_with(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    rs: &[u32],
+    source: &impl RunSource,
+) -> Vec<PolicyRow> {
     let mut rows = Vec::new();
-    for (name, policy) in policies {
+    for (name, policy) in POLICIES {
         for &r in rs {
-            let cfg = PremConfig {
-                store: LocalStore::Llc {
-                    prefetch: PrefetchStrategy::Repeated { r },
-                },
-                ..PremConfig::llc_tamed()
-            };
-            // One isolation and one interference run per seed: the
-            // isolation run serves both the CPMR and the sensitivity pair.
-            let runs: Vec<(PremRun, PremRun)> = harness
-                .seeds
-                .iter()
-                .map(|&seed| {
-                    let mut p = PlatformConfig::tx1()
-                        .llc_policy(policy.clone())
-                        .llc_seed(seed)
-                        .build();
-                    let cfg = cfg.clone().with_seed(seed);
-                    let iso = run_prem(&mut p, &intervals, &cfg, Scenario::Isolation)
-                        .expect("llc prem cannot fail");
-                    let intf = run_prem(&mut p, &intervals, &cfg, Scenario::Interference)
-                        .expect("llc prem cannot fail");
-                    (iso, intf)
-                })
-                .collect();
+            let [iso, intf]: [Vec<PremRun>; 2] = policy_point(kernel, harness, t_bytes, policy, r)
+                .map(|reqs| reqs.iter().map(|req| source.output(req).prem()).collect());
+            let runs: Vec<(PremRun, PremRun)> = iso.into_iter().zip(intf).collect();
             rows.push(PolicyRow {
                 policy: name.to_string(),
                 r,
@@ -191,42 +240,70 @@ pub struct BiasRow {
     pub cpmr_r8: f64,
 }
 
+/// One bias-ablation point's runs: the TX1 with the bad way (index 2) at
+/// victim weight `w` and the other ways at 1, in isolation. The config
+/// digest in the request key separates the weights.
+fn bias_point<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    w: u32,
+    r: u32,
+) -> Vec<RunRequest<'k>> {
+    let policy = Policy::BiasedRandom {
+        weights: vec![1, 1, w, 1],
+    };
+    let platform = PlatformSpec::new("tx1", PlatformConfig::tx1().llc_policy(policy));
+    seed_requests(kernel, harness, platform, t_bytes, r, Scenario::Isolation)
+}
+
+/// The runs the bias ablation consumes, as a plan: every weight at R = 1
+/// and R = 8.
+pub fn bias_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    weights: &[u32],
+) -> Vec<RunRequest<'k>> {
+    weights
+        .iter()
+        .flat_map(|&w| {
+            [1, 8]
+                .map(|r| bias_point(kernel, harness, t_bytes, w, r))
+                .concat()
+        })
+        .collect()
+}
+
 /// Sweeps the bad way's victim weight: from uniform (weight 1 ⇒ p = 1/4) to
 /// far worse than the TX1's measured 3 (p = 1/2). Shows that the taming
-/// recipe is robust to how biased the policy actually is.
+/// recipe is robust to how biased the policy actually is. Renders from a
+/// one-shot plan of [`bias_requests`].
 pub fn bias_ablation(
     kernel: &dyn Kernel,
     harness: &Harness,
     t_bytes: usize,
     weights: &[u32],
 ) -> Vec<BiasRow> {
-    let intervals = kernel
-        .intervals(t_bytes)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
+    let source = planned(&bias_requests(kernel, harness, t_bytes, weights));
+    bias_ablation_with(kernel, harness, t_bytes, weights, &source)
+}
+
+/// [`bias_ablation`] rendered from `source`: consumes exactly the runs
+/// [`bias_requests`] enumerates.
+pub fn bias_ablation_with(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    weights: &[u32],
+    source: &impl RunSource,
+) -> Vec<BiasRow> {
     weights
         .iter()
         .map(|&w| {
-            let policy = Policy::BiasedRandom {
-                weights: vec![1, 1, w, 1],
-            };
-            let cpmr_at = |r: u32| {
-                over_seeds(&harness.seeds, |seed| {
-                    let mut p = PlatformConfig::tx1()
-                        .llc_policy(policy.clone())
-                        .llc_seed(seed)
-                        .build();
-                    let cfg = PremConfig {
-                        store: LocalStore::Llc {
-                            prefetch: PrefetchStrategy::Repeated { r },
-                        },
-                        ..PremConfig::llc_tamed()
-                    }
-                    .with_seed(seed);
-                    run_prem(&mut p, &intervals, &cfg, Scenario::Isolation)
-                        .expect("llc prem cannot fail")
-                        .cpmr
-                })
-                .mean
+            let cpmr_at = |r| {
+                let reqs = bias_point(kernel, harness, t_bytes, w, r);
+                mean_over(&reqs, |req| source.output(req).prem().cpmr)
             };
             BiasRow {
                 bad_weight: w,

@@ -1,18 +1,19 @@
 //! Shared experiment runners: one canonical request builder per
-//! (configuration, scenario), with thin direct-execution wrappers.
+//! (configuration, scenario), plus the one-shot plan standalone entry
+//! points render from.
 //!
 //! Since the run-plan refactor the three execution modes every figure
 //! builds on — tamed/naive LLC-PREM, SPM-PREM and the unprotected
 //! baseline — are *request builders* ([`llc_request`], [`spm_request`],
 //! [`base_request`]) producing canonical [`RunRequest`]s on the TX1
-//! platform with TX1-calibrated noise. The classic runners ([`run_llc`], [`run_spm`],
-//! [`run_base`]) are one-request plans executed through the direct source,
-//! so a standalone call is byte-identical to the same request served from
-//! a merged figure plan's cache.
+//! platform with TX1-calibrated noise. The classic runners ([`run_llc`],
+//! [`run_spm`], [`run_base`]) execute one such request, so a standalone
+//! call is byte-identical to the same request served from a merged figure
+//! plan's cache. Standalone figure entry points render from [`planned`].
 
-use prem_core::{BaselineRun, NoiseModel, PremConfig, PremRun, RunWork};
+use prem_core::{BaselineRun, NoiseModel, PremRun, RunWork};
 use prem_gpusim::{PlatformConfig, Scenario};
-use prem_harness::{Direct, MatrixScenario, PlatformSpec, RunRequest, RunSource};
+use prem_harness::{MatrixScenario, PlanExecutor, PlatformSpec, RunRequest};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -60,26 +61,6 @@ impl Harness {
     }
 }
 
-/// The canonical LLC experiment configuration every runner shares:
-/// `Repeated { r }` prefetching on top of [`PremConfig::llc_tamed`], the
-/// given seed, TX1-calibrated unmanaged noise. Delegates to the run-plan
-/// bridge's [`RunWork::prem_config`], which is the single source of the
-/// mode → configuration mapping; the traced twin in `prem-trace` builds on
-/// this too.
-pub fn llc_prem_config(r: u32, seed: u64) -> PremConfig {
-    RunWork::PremLlc { r }
-        .prem_config(seed, NoiseModel::tx1())
-        .expect("LLC-PREM is a PREM mode")
-}
-
-/// The canonical platform of the LLC experiments: the TX1 preset with
-/// the LLC seeded per run. Callers layer policy overrides on top before
-/// building. The plan layer applies the same construction when resolving
-/// the requests the builders below produce.
-pub fn llc_platform_config(seed: u64) -> PlatformConfig {
-    PlatformConfig::tx1().llc_seed(seed)
-}
-
 /// A request on the canonical figure platform (TX1 preset, per-request
 /// LLC seed, TX1 noise) — the shared shape of all three builders.
 fn tx1_request(
@@ -125,17 +106,25 @@ pub fn base_request(kernel: &dyn Kernel, seed: u64, scenario: Scenario) -> RunRe
     tx1_request(kernel, RunWork::Baseline, t, seed, scenario)
 }
 
-/// Runs PREM on the LLC with `r` prefetch repetitions at interval size `t`
-/// — a one-request plan through the direct source.
+/// A fresh executor that has run `requests` as one plan on one worker —
+/// what every standalone figure entry point renders from. The plan pins
+/// each (kernel, T) tiling for its length, dedups shared requests and
+/// derives policy/seed siblings by replay; a lazy executor would re-tile
+/// for every request.
+pub fn planned(requests: &[RunRequest<'_>]) -> PlanExecutor {
+    let executor = PlanExecutor::new();
+    executor.execute(requests, 1);
+    executor
+}
+
+/// Runs PREM on the LLC with `r` prefetch repetitions at interval size `t`.
 ///
 /// # Panics
 ///
 /// Panics if the kernel cannot be tiled at `t` — experiment configurations
 /// are expected to respect `kernel.min_interval_bytes()`.
 pub fn run_llc(kernel: &dyn Kernel, t: usize, r: u32, seed: u64, scenario: Scenario) -> PremRun {
-    Direct
-        .output(&llc_request(kernel, t, r, seed, scenario))
-        .prem()
+    llc_request(kernel, t, r, seed, scenario).execute().prem()
 }
 
 /// Runs PREM on the scratchpad at interval size `t` (`t` must fit the SPM).
@@ -145,16 +134,12 @@ pub fn run_llc(kernel: &dyn Kernel, t: usize, r: u32, seed: u64, scenario: Scena
 /// Panics if the kernel cannot be tiled at `t` or the tiling exceeds the
 /// scratchpad.
 pub fn run_spm(kernel: &dyn Kernel, t: usize, seed: u64, scenario: Scenario) -> PremRun {
-    Direct
-        .output(&spm_request(kernel, t, seed, scenario))
-        .prem()
+    spm_request(kernel, t, seed, scenario).execute().prem()
 }
 
 /// Runs the unprotected baseline (cache-tiled at [`T_BASE`], no PREM).
 pub fn run_base(kernel: &dyn Kernel, seed: u64, scenario: Scenario) -> BaselineRun {
-    Direct
-        .output(&base_request(kernel, seed, scenario))
-        .baseline()
+    base_request(kernel, seed, scenario).execute().baseline()
 }
 
 /// The interval sizes (KiB) evaluated on the LLC (paper Figs 3–5).
@@ -232,14 +217,17 @@ mod tests {
     fn wrapper_equals_resolved_request_configuration() {
         // The wrapper path and the hand-built pre-refactor path must agree
         // on the canonical configurations.
-        let cfg = llc_prem_config(8, 11);
-        assert_eq!(cfg.seed, 11);
         let k = Bicg::new(128, 128);
+        let llc = llc_request(&k, 32 * KIB, 8, 11, Scenario::Isolation);
+        assert_eq!(
+            llc.work.prem_config(llc.seed, llc.noise).map(|c| c.seed),
+            Some(11)
+        );
         let req = base_request(&k, 11, Scenario::Isolation);
         assert_eq!(req.t_bytes, T_BASE.max(k.min_interval_bytes()));
         assert_eq!(
             req.resolved_platform(),
-            llc_platform_config(11),
+            PlatformConfig::tx1().llc_seed(11),
             "plan resolution must reproduce the canonical TX1 platform"
         );
     }

@@ -7,15 +7,16 @@
 //! normalized to the baseline's isolated execution time.
 
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
 use crate::chart::{stacked_bars, Bar};
 use crate::common::{
-    base_request, feasible_spm_kib, llc_request, spm_request, t_sweep_llc, t_sweep_spm, Harness,
+    base_request, feasible_spm_kib, llc_request, planned, spm_request, t_sweep_llc, t_sweep_spm,
+    Harness,
 };
-use crate::stats::Stats;
+use crate::stats::{over_seeds, Stats};
 use crate::table::{f3, pct, Table};
 
 /// One configuration's breakdown, normalized to the baseline in isolation.
@@ -136,32 +137,24 @@ fn feasible_llc(kernel: &dyn Kernel, t_llc_kib: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Produces Fig 3 (naive single prefetch pass).
-pub fn fig3(kernel: &dyn Kernel, harness: &Harness) -> Fig35 {
-    fig3_with(kernel, harness, &Direct)
-}
-
-/// [`fig3`] rendered from `source` (plan builder: [`fig3_requests`]).
+/// Fig 3 (naive single prefetch pass) rendered from `source` (plan
+/// builder: [`fig3_requests`]).
 pub fn fig3_with(kernel: &dyn Kernel, harness: &Harness, source: &impl RunSource) -> Fig35 {
     fig35_with(kernel, harness, 1, &t_sweep_spm(), &t_sweep_llc(), source)
 }
 
-/// The runs [`fig3`] consumes, as a plan.
+/// The runs Fig 3 consumes, as a plan.
 pub fn fig3_requests<'k>(kernel: &'k dyn Kernel, harness: &Harness) -> Vec<RunRequest<'k>> {
     fig35_requests(kernel, harness, 1, &t_sweep_spm(), &t_sweep_llc())
 }
 
-/// Produces Fig 5 (tamed: R = 8).
-pub fn fig5(kernel: &dyn Kernel, harness: &Harness) -> Fig35 {
-    fig5_with(kernel, harness, &Direct)
-}
-
-/// [`fig5`] rendered from `source` (plan builder: [`fig5_requests`]).
+/// Fig 5 (tamed: R = 8) rendered from `source` (plan builder:
+/// [`fig5_requests`]).
 pub fn fig5_with(kernel: &dyn Kernel, harness: &Harness, source: &impl RunSource) -> Fig35 {
     fig35_with(kernel, harness, 8, &t_sweep_spm(), &t_sweep_llc(), source)
 }
 
-/// The runs [`fig5`] consumes, as a plan.
+/// The runs Fig 5 consumes, as a plan.
 pub fn fig5_requests<'k>(kernel: &'k dyn Kernel, harness: &Harness) -> Vec<RunRequest<'k>> {
     fig35_requests(kernel, harness, 8, &t_sweep_spm(), &t_sweep_llc())
 }
@@ -189,7 +182,8 @@ pub fn fig35_requests<'k>(
     reqs
 }
 
-/// Produces the breakdown figure with explicit sweeps.
+/// Produces the breakdown figure with explicit sweeps from a one-shot
+/// plan of [`fig35_requests`].
 pub fn fig35(
     kernel: &dyn Kernel,
     harness: &Harness,
@@ -197,7 +191,8 @@ pub fn fig35(
     t_spm_kib: &[usize],
     t_llc_kib: &[usize],
 ) -> Fig35 {
-    fig35_with(kernel, harness, r, t_spm_kib, t_llc_kib, &Direct)
+    let source = planned(&fig35_requests(kernel, harness, r, t_spm_kib, t_llc_kib));
+    fig35_with(kernel, harness, r, t_spm_kib, t_llc_kib, &source)
 }
 
 /// [`fig35`] rendered from `source`: consumes exactly the runs
@@ -210,32 +205,16 @@ pub fn fig35_with(
     t_llc_kib: &[usize],
     source: &impl RunSource,
 ) -> Fig35 {
-    let base_iso = Stats::of(
-        &harness
-            .seeds
-            .iter()
-            .map(|&s| {
-                source
-                    .output(&base_request(kernel, s, Scenario::Isolation))
-                    .baseline()
-                    .cycles
-            })
-            .collect::<Vec<_>>(),
-    )
-    .mean;
-    let base_intf = Stats::of(
-        &harness
-            .seeds
-            .iter()
-            .map(|&s| {
-                source
-                    .output(&base_request(kernel, s, Scenario::Interference))
-                    .baseline()
-                    .cycles
-            })
-            .collect::<Vec<_>>(),
-    )
-    .mean;
+    let base = |scenario| {
+        over_seeds(&harness.seeds, |s| {
+            source
+                .output(&base_request(kernel, s, scenario))
+                .baseline()
+                .cycles
+        })
+        .mean
+    };
+    let (base_iso, base_intf) = (base(Scenario::Isolation), base(Scenario::Interference));
 
     let mut rows = Vec::new();
     for t in feasible_spm_kib(kernel, t_spm_kib) {

@@ -6,11 +6,11 @@
 //! TX1), and rises rapidly beyond it.
 
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
-use crate::common::{llc_request, r_sweep, t_sweep_llc, Harness};
+use crate::common::{llc_request, planned, r_sweep, t_sweep_llc, Harness};
 use crate::stats::over_seeds;
 use crate::table::{pct, Table};
 
@@ -51,17 +51,13 @@ impl Fig4 {
     }
 }
 
-/// Measures the CPMR grid on `kernel`.
-pub fn fig4(kernel: &dyn Kernel, harness: &Harness) -> Fig4 {
-    fig4_with_sweeps(kernel, harness, &r_sweep(), &t_sweep_llc())
-}
-
-/// [`fig4`] rendered from `source` (plan builder: [`fig4_requests`]).
+/// The CPMR grid on `kernel` rendered from `source` (plan builder:
+/// [`fig4_requests`]).
 pub fn fig4_with(kernel: &dyn Kernel, harness: &Harness, source: &impl RunSource) -> Fig4 {
     fig4_with_sweeps_from(kernel, harness, &r_sweep(), &t_sweep_llc(), source)
 }
 
-/// The runs [`fig4`] consumes, as a plan: the isolated `(R, T)` grid,
+/// The runs [`fig4_with`] consumes, as a plan: the isolated `(R, T)` grid,
 /// seed-expanded. Grid points whose `T` is floored to the same
 /// `min_interval_bytes` collapse to one canonical request, so the plan
 /// itself dedups what the figure would re-measure.
@@ -90,14 +86,15 @@ pub fn fig4_sweep_requests<'k>(
 }
 
 /// Measures the CPMR grid with explicit sweeps (used by tests and smaller
-/// benches).
+/// benches) from a one-shot plan of [`fig4_sweep_requests`].
 pub fn fig4_with_sweeps(
     kernel: &dyn Kernel,
     harness: &Harness,
     r_values: &[u32],
     t_kib: &[usize],
 ) -> Fig4 {
-    fig4_with_sweeps_from(kernel, harness, r_values, t_kib, &Direct)
+    let source = planned(&fig4_sweep_requests(kernel, harness, r_values, t_kib));
+    fig4_with_sweeps_from(kernel, harness, r_values, t_kib, &source)
 }
 
 /// [`fig4_with_sweeps`] rendered from `source`: consumes exactly the runs

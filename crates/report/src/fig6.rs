@@ -7,12 +7,12 @@
 //! ~10 % on average and by >200 % in the best case.
 
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
 use crate::common::{
-    base_request, feasible_spm_kib, llc_request, spm_request, t_sweep_spm, Harness,
+    base_request, feasible_spm_kib, llc_request, planned, spm_request, t_sweep_spm, Harness,
 };
 use crate::stats::{geomean, over_seeds};
 use crate::table::{f3, Table};
@@ -104,9 +104,12 @@ impl Fig6 {
     }
 }
 
-/// Runs the per-kernel evaluation.
+/// Runs the per-kernel evaluation: a one-shot plan of [`fig6_requests`],
+/// then its [`fig6_followup_requests`] wave, then the render.
 pub fn fig6(suite: &[Box<dyn Kernel>], harness: &Harness, t_llc_kib: usize, r: u32) -> Fig6 {
-    fig6_with(suite, harness, t_llc_kib, r, &Direct)
+    let source = planned(&fig6_requests(suite, harness, t_llc_kib, r));
+    source.execute(&fig6_followup_requests(suite, harness, &source), 1);
+    fig6_with(suite, harness, t_llc_kib, r, &source)
 }
 
 /// [`fig6`] rendered from `source`.

@@ -7,11 +7,11 @@
 
 use prem_core::sensitivity;
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
-use crate::common::{base_request, llc_request, Harness};
+use crate::common::{base_request, llc_request, planned, Harness};
 use crate::stats::over_seeds;
 use crate::table::{pct, Table};
 
@@ -57,12 +57,8 @@ pub fn fig7_t_sweep() -> Vec<usize> {
     vec![64, 96, 128, 160, 192]
 }
 
-/// Measures Fig 7 over a kernel suite.
-pub fn fig7(suite: &[Box<dyn Kernel>], harness: &Harness, r: u32) -> Fig7 {
-    fig7_with(suite, harness, r, &Direct)
-}
-
-/// [`fig7`] rendered from `source` (plan builder: [`fig7_requests`]).
+/// Fig 7 over a kernel suite rendered from `source` (plan builder:
+/// [`fig7_requests`]).
 pub fn fig7_with(
     suite: &[Box<dyn Kernel>],
     harness: &Harness,
@@ -72,7 +68,7 @@ pub fn fig7_with(
     fig7_with_sweep_from(suite, harness, r, &fig7_t_sweep(), source)
 }
 
-/// The runs [`fig7`] consumes, as a plan.
+/// The runs [`fig7_with`] consumes, as a plan.
 pub fn fig7_requests<'k>(
     suite: &'k [Box<dyn Kernel>],
     harness: &Harness,
@@ -105,14 +101,16 @@ pub fn fig7_sweep_requests<'k>(
     reqs
 }
 
-/// Measures Fig 7 with an explicit interval-size sweep.
+/// Measures Fig 7 with an explicit interval-size sweep from a one-shot
+/// plan of [`fig7_sweep_requests`].
 pub fn fig7_with_sweep(
     suite: &[Box<dyn Kernel>],
     harness: &Harness,
     r: u32,
     t_kib: &[usize],
 ) -> Fig7 {
-    fig7_with_sweep_from(suite, harness, r, t_kib, &Direct)
+    let source = planned(&fig7_sweep_requests(suite, harness, r, t_kib));
+    fig7_with_sweep_from(suite, harness, r, t_kib, &source)
 }
 
 /// [`fig7_with_sweep`] rendered from `source`: consumes exactly the runs

@@ -14,13 +14,12 @@
 
 use std::ops::Add;
 
-use prem_core::{
-    run_baseline, run_prem_traced, LocalStore, NoiseModel, PrefetchStrategy, PremConfig,
-};
+use prem_core::RunWork;
 use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
+use prem_harness::{CorunnerMix, MatrixScenario, RunRequest, RunSource};
 use prem_kernels::Kernel;
-use prem_memsim::NullSink;
 
+use crate::common::{llc_request, planned};
 use crate::table::{f3, pct};
 use crate::Table;
 
@@ -63,8 +62,55 @@ pub struct SweepRow {
     pub polluted_lines: u64,
 }
 
+/// Every sweep point in output order — `n` co-runners of a profile — with
+/// its two requests: LLC-PREM under the mix on the TX1 platform, and the
+/// unprotected baseline under the same mix at the same interval size.
+/// Zero co-runners of any profile is one and the same empty mix, so every
+/// profile's `n = 0` point is one pair of requests.
+fn sweep_points(
+    kernel: &dyn Kernel,
+    t: usize,
+    r: u32,
+    seed: u64,
+    max: usize,
+) -> Vec<(CorunnerProfile, usize, [RunRequest<'_>; 2])> {
+    let mut points = Vec::new();
+    for profile in sweep_profiles() {
+        for n in 0..=max {
+            let mix = match n {
+                0 => CorunnerMix::new("none", Vec::new()),
+                _ => CorunnerMix::uniform(n, profile),
+            };
+            let prem = RunRequest {
+                scenario: MatrixScenario::Mix(mix),
+                ..llc_request(kernel, t, r, seed, Scenario::Corunners)
+            };
+            let base = RunRequest {
+                work: RunWork::Baseline,
+                ..prem.clone()
+            };
+            points.push((profile, n, [prem, base]));
+        }
+    }
+    points
+}
+
+/// The runs the sweep consumes, as a plan. Every PREM point shares one
+/// profile key, so the plan's profile memo profiles the sweep once.
+pub fn interference_requests(
+    kernel: &dyn Kernel,
+    t: usize,
+    r: u32,
+    seed: u64,
+    max_corunners: usize,
+) -> Vec<RunRequest<'_>> {
+    let points = sweep_points(kernel, t, r, seed, max_corunners);
+    points.into_iter().flat_map(|(_, _, reqs)| reqs).collect()
+}
+
 /// Runs the sweep: counts `0..=max_corunners` of every
-/// [`sweep_profiles`] entry on the TX1 platform.
+/// [`sweep_profiles`] entry on the TX1 platform, from a one-shot plan of
+/// [`interference_requests`].
 pub fn interference_sweep(
     kernel: &dyn Kernel,
     t: usize,
@@ -72,77 +118,41 @@ pub fn interference_sweep(
     seed: u64,
     max_corunners: usize,
 ) -> Vec<SweepRow> {
-    let intervals = kernel
-        .intervals(t)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-    let prem_cfg = PremConfig {
-        store: LocalStore::Llc {
-            prefetch: PrefetchStrategy::Repeated { r },
-        },
-        ..PremConfig::llc_tamed()
-    }
-    .with_seed(seed)
-    .with_noise(NoiseModel::tx1());
+    let source = planned(&interference_requests(kernel, t, r, seed, max_corunners));
+    interference_sweep_with(kernel, t, r, seed, max_corunners, &source)
+}
 
-    // One profile for the whole sweep: profiling is isolated and therefore
-    // independent of the co-runner mix, so every (profile, count) point
-    // shares the same (m_wcet, c_wcet). The empty mix runs first; it has
-    // constant contention and no polluters, so its timed walk self-profiles
-    // (fused) and reports the pair every other point is fed.
-    let point = |profile: CorunnerProfile, n: usize, profiled: Option<(f64, f64)>| {
-        let mix = vec![profile; n];
-        // fold, not sum: the empty mix must print 0.000, not -0.000.
-        let demand = mix.iter().map(|p| p.mean_demand()).fold(0.0, f64::add);
-        let cfg = PlatformConfig::tx1().llc_seed(seed).with_corunners(mix);
-        let mut platform = cfg.build();
-        let (prem, wcets) = run_prem_traced(
-            &mut platform,
-            &intervals,
-            &prem_cfg,
-            Scenario::Corunners,
-            profiled,
-            &mut NullSink,
-        )
-        .expect("LLC PREM cannot fail");
-        let mut base_platform = cfg.build();
-        let base = run_baseline(
-            &mut base_platform,
-            &intervals,
-            seed,
-            Scenario::Corunners,
-            NoiseModel::tx1(),
-        )
-        .expect("baseline cannot fail");
-        let row = SweepRow {
-            profile: profile.name(),
-            n,
-            demand,
-            prem_us: platform.cycles_to_us(prem.makespan_cycles),
-            cpmr: prem.cpmr,
-            envelope_us: platform.cycles_to_us(prem.budget_envelope_cycles),
-            violation_us: platform.cycles_to_us(prem.budget_violation_cycles),
-            baseline_us: platform.cycles_to_us(base.cycles),
-            corunner_bpc: prem.bus.corunner_bytes_per_cycle(),
-            polluted_lines: prem.polluted_lines,
-        };
-        (row, wcets)
-    };
-
-    let profiles = sweep_profiles();
-    // Zero co-runners of any profile is one and the same empty mix:
-    // simulate it once and relabel it per profile.
-    let (empty, profiled) = point(profiles[0], 0, None);
-    let mut rows = Vec::new();
-    for profile in profiles {
-        rows.push(SweepRow {
-            profile: profile.name(),
-            ..empty.clone()
-        });
-        for n in 1..=max_corunners {
-            rows.push(point(profile, n, Some(profiled)).0);
-        }
-    }
-    rows
+/// [`interference_sweep`] rendered from `source`: consumes exactly the runs
+/// [`interference_requests`] enumerates.
+pub fn interference_sweep_with(
+    kernel: &dyn Kernel,
+    t: usize,
+    r: u32,
+    seed: u64,
+    max_corunners: usize,
+    source: &impl RunSource,
+) -> Vec<SweepRow> {
+    let to_us = |cycles: f64| PlatformConfig::tx1().cycles_to_us(cycles);
+    sweep_points(kernel, t, r, seed, max_corunners)
+        .into_iter()
+        .map(|(profile, n, [prem, base])| {
+            let prem = source.output(&prem).prem();
+            let base = source.output(&base).baseline();
+            SweepRow {
+                profile: profile.name(),
+                n,
+                // fold, not sum: the empty mix must print 0.000, not -0.000.
+                demand: std::iter::repeat_n(profile.mean_demand(), n).fold(0.0, f64::add),
+                prem_us: to_us(prem.makespan_cycles),
+                cpmr: prem.cpmr,
+                envelope_us: to_us(prem.budget_envelope_cycles),
+                violation_us: to_us(prem.budget_violation_cycles),
+                baseline_us: to_us(base.cycles),
+                corunner_bpc: prem.bus.corunner_bytes_per_cycle(),
+                polluted_lines: prem.polluted_lines,
+            }
+        })
+        .collect()
 }
 
 /// Renders sweep rows as the `interference_sweep` table.

@@ -4,14 +4,15 @@
 //! (for assertions) plus [`Table`]/chart renderings (for humans):
 //!
 //! * [`fig2`] — SPM vs cache data-movement instruction counts (paper Fig 2)
-//! * [`fig3`] / [`fig5`] — bicg execution-time breakdown, naive (R=1) and
-//!   tamed (R=8) prefetching (paper Figs 3 and 5)
+//! * [`fig3`] — bicg execution-time breakdown, naive (R=1) and tamed (R=8)
+//!   prefetching (paper Figs 3 and 5)
 //! * [`fig4`] — CPMR over the (R, T) grid (paper Fig 4)
 //! * [`fig6`] — per-kernel fair co-scheduling results (paper Fig 6)
 //! * [`fig7`] — average interference sensitivity vs T (paper Fig 7)
 //! * [`mei`] — cache-dissection validation of the replacement-policy
 //!   premise (Mei et al., the paper's ref. \[13\])
-//! * [`ablation`] — replacement-policy and MSG ablations (beyond the paper)
+//! * [`ablation`] — replacement-policy, bias, MSG and prefetch-strategy
+//!   ablations (beyond the paper)
 //! * [`interference`] — co-runner count/profile sweep on the event-driven
 //!   interference engine (beyond the paper)
 //! * [`whatif`] — LLC replacement-policy what-if sweep rendered through
@@ -19,15 +20,15 @@
 //! * [`obs`] — phase-timing breakdown of one invocation, rendered from a
 //!   `prem-obs` metrics snapshot (beyond the paper)
 //!
-//! Since the run-plan refactor the simulator-heavy figures (3/4/5/6/7) are
-//! **plan builders + renderers**: a `*_requests` function enumerates the
-//! figure's canonical [`RunRequest`](prem_harness::RunRequest)s and a
-//! `*_with` twin renders the figure from any
-//! [`RunSource`](prem_harness::RunSource). The classic entry points
-//! (`fig3(kernel, harness)`, …) execute through the direct source and stay
-//! byte-identical; the `figures` binary merges all requested figures into
-//! one deduplicated plan on a
-//! [`PlanExecutor`](prem_harness::PlanExecutor), so cross-figure
+//! Every simulating artifact but the MSG and prefetch-strategy ablations is
+//! a **plan builder + renderer**: a `*_requests` function enumerates the
+//! artifact's canonical [`RunRequest`](prem_harness::RunRequest)s and a
+//! `*_with` twin renders it from any
+//! [`RunSource`](prem_harness::RunSource). Standalone entry points
+//! (`fig35`, `fig6`, `interference_sweep`, …) render from a one-shot plan
+//! ([`common::planned`]); the `figures` binary merges all requested
+//! artifacts into one deduplicated plan on a
+//! [`PlanExecutor`](prem_harness::PlanExecutor), so cross-artifact
 //! duplicates execute once.
 
 #![deny(missing_docs)]
@@ -54,11 +55,8 @@ pub use prem_table::{stats, table};
 
 pub use chart::{stacked_bars, Bar};
 pub use common::{
-    base_request, llc_platform_config, llc_prem_config, llc_request, run_base, run_llc, run_spm,
-    spm_request, Harness, DEFAULT_SEEDS, T_BASE,
+    base_request, llc_request, planned, run_base, run_llc, run_spm, spm_request, Harness,
+    DEFAULT_SEEDS, T_BASE,
 };
 pub use stats::{geomean, over_seeds, Stats};
 pub use table::Table;
-
-/// Re-export: Fig 5 is Fig 3 with the tamed prefetch (R = 8).
-pub use fig3::{fig5, Fig35};

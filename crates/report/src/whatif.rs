@@ -13,11 +13,11 @@
 
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
+use prem_harness::{MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
-use crate::common::DEFAULT_SEEDS;
+use crate::common::{planned, DEFAULT_SEEDS};
 use crate::stats::Stats;
 use crate::table::{f3, pct, Table};
 
@@ -82,41 +82,42 @@ fn whatif_t_bytes(kernel: &dyn Kernel) -> usize {
     (160 * KIB).max(kernel.min_interval_bytes())
 }
 
+/// One run of the sweep: `policy` and `seed` on the TX1 template,
+/// everything else held fixed.
+fn whatif_request(kernel: &dyn Kernel, policy: MatrixPolicy, seed: u64) -> RunRequest<'_> {
+    RunRequest {
+        kernel,
+        platform: PlatformSpec::tx1().with_policy(policy),
+        work: RunWork::PremLlc { r: WHATIF_R },
+        t_bytes: whatif_t_bytes(kernel),
+        seed,
+        scenario: MatrixScenario::Preset(Scenario::Isolation),
+        noise: NoiseModel::tx1(),
+    }
+}
+
 /// The runs the what-if sweep consumes, as a plan: the full policy axis ×
-/// the full canonical seed set on the TX1 template, everything else held
-/// fixed — exactly one derivation family of 21 requests.
+/// the full canonical seed set — exactly one derivation family of 21
+/// requests.
 ///
 /// Deliberately *not* parameterized over [`crate::common::Harness`]: the
 /// sweep keeps all of [`DEFAULT_SEEDS`] in `quick` mode so a quick merged
 /// plan still contains a multi-member family (the `replayed > 0` CI gate).
 pub fn whatif_requests(kernel: &dyn Kernel) -> Vec<RunRequest<'_>> {
-    let t_bytes = whatif_t_bytes(kernel);
-    let mut reqs = Vec::new();
-    for policy in MatrixPolicy::what_if_axis() {
-        for &seed in &DEFAULT_SEEDS {
-            reqs.push(RunRequest {
-                kernel,
-                platform: PlatformSpec::tx1().with_policy(policy),
-                work: RunWork::PremLlc { r: WHATIF_R },
-                t_bytes,
-                seed,
-                scenario: MatrixScenario::Preset(Scenario::Isolation),
-                noise: NoiseModel::tx1(),
-            });
-        }
-    }
-    reqs
+    MatrixPolicy::what_if_axis()
+        .into_iter()
+        .flat_map(|policy| DEFAULT_SEEDS.map(|seed| whatif_request(kernel, policy, seed)))
+        .collect()
 }
 
-/// Produces the what-if sweep through the direct source.
+/// Produces the what-if sweep from a one-shot plan of [`whatif_requests`].
 pub fn whatif(kernel: &dyn Kernel) -> WhatIf {
-    whatif_with(kernel, &Direct)
+    whatif_with(kernel, &planned(&whatif_requests(kernel)))
 }
 
 /// [`whatif`] rendered from `source`: consumes exactly the runs
 /// [`whatif_requests`] enumerates.
 pub fn whatif_with(kernel: &dyn Kernel, source: &impl RunSource) -> WhatIf {
-    let t_bytes = whatif_t_bytes(kernel);
     let mut rows = Vec::new();
     let mut biased_makespan = f64::NAN;
     for policy in MatrixPolicy::what_if_axis() {
@@ -124,17 +125,7 @@ pub fn whatif_with(kernel: &dyn Kernel, source: &impl RunSource) -> WhatIf {
         let mut makespan = Vec::new();
         let mut hit_rate = Vec::new();
         for &seed in &DEFAULT_SEEDS {
-            let run = source
-                .output(&RunRequest {
-                    kernel,
-                    platform: PlatformSpec::tx1().with_policy(policy),
-                    work: RunWork::PremLlc { r: WHATIF_R },
-                    t_bytes,
-                    seed,
-                    scenario: MatrixScenario::Preset(Scenario::Isolation),
-                    noise: NoiseModel::tx1(),
-                })
-                .prem();
+            let run = source.output(&whatif_request(kernel, policy, seed)).prem();
             cpmr.push(run.cpmr);
             makespan.push(run.makespan_cycles);
             let total = (run.prefetch_hits + run.prefetch_misses) as f64;
@@ -161,7 +152,7 @@ pub fn whatif_with(kernel: &dyn Kernel, source: &impl RunSource) -> WhatIf {
     }
     WhatIf {
         kernel: kernel.name().to_string(),
-        t_kib: t_bytes / KIB,
+        t_kib: whatif_t_bytes(kernel) / KIB,
         rows,
     }
 }
@@ -195,7 +186,8 @@ mod tests {
         assert_eq!(summary.families, 1);
         assert_eq!(summary.executed, 1, "one live representative");
         assert_eq!(summary.replayed, 7 * DEFAULT_SEEDS.len() - 1);
-        assert_eq!(whatif_with(&k, &executor), whatif(&k));
+        let live = PlanExecutor::new().without_replay();
+        assert_eq!(whatif_with(&k, &executor), whatif_with(&k, &live));
     }
 
     #[test]

@@ -133,9 +133,9 @@ pub fn capture_prem(
 
 /// Captures the standard LLC-PREM experiment configuration on the TX1
 /// platform: interval size `t`, `r` prefetch repetitions, TX1 noise —
-/// the traced twin of `prem_report::common::run_llc`, built from the
-/// same shared config/platform builders and byte-identical in its
-/// `PremRun` (pinned by the golden suite).
+/// the traced twin of `prem_report::common::run_llc`, configured from the
+/// same [`prem_report::llc_request`] and byte-identical in its `PremRun`
+/// (pinned by the golden suite).
 ///
 /// # Panics
 ///
@@ -148,13 +148,14 @@ pub fn capture_llc(
     seed: u64,
     scenario: Scenario,
 ) -> (PremRun, Trace) {
-    let intervals = kernel
-        .intervals(t)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-    let cfg = prem_report::llc_prem_config(r, seed);
-    let mut platform = prem_report::llc_platform_config(seed).build();
+    let req = prem_report::llc_request(kernel, t, r, seed, scenario);
+    let cfg = req
+        .work
+        .prem_config(req.seed, req.noise)
+        .expect("LLC-PREM is a PREM mode");
+    let mut platform = req.resolved_platform().build();
     let label = format!("{}({})", kernel.name(), kernel.dims());
-    capture_prem(&mut platform, &intervals, &cfg, scenario, label)
+    capture_prem(&mut platform, &req.tiled_intervals(), &cfg, scenario, label)
         .expect("llc prem capture cannot fail")
 }
 

@@ -84,11 +84,14 @@ mod tests {
         // bookkeeping in replay only runs under cache-thrashing
         // co-runners, so capture one of those mixes explicitly.
         use crate::capture::capture_prem;
+        use prem_core::{NoiseModel, RunWork};
         use prem_gpusim::{CorunnerProfile, PlatformConfig};
         use prem_kernels::Kernel;
         let kernel = Bicg::new(192, 192);
         let intervals = kernel.intervals(32 * KIB).expect("tiling");
-        let cfg = prem_report::llc_prem_config(4, 11);
+        let cfg = RunWork::PremLlc { r: 4 }
+            .prem_config(11, NoiseModel::tx1())
+            .expect("LLC-PREM is a PREM mode");
         let mut platform = PlatformConfig::tx1()
             .llc_seed(11)
             .with_corunners(vec![CorunnerProfile::CacheThrash; 2])
