@@ -58,7 +58,6 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::time::Instant;
 
-use prem_core::SyncConfig;
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_harness::{
     cell_requests, default_workers, parallel_map, run_matrix_metered, write_artifact, ExecFlags,
@@ -149,9 +148,11 @@ fn fig1_request(ctx: &Ctx) -> RunRequest<'_> {
     llc_request(&ctx.bicg, 160 * KIB, 8, 1, Scenario::Isolation)
 }
 
-/// The policy ablation's R values and the bias ablation's bad-way
-/// weights, shared by the ablation job's requests and render.
+/// The policy ablation's R values, the MSG ablation's granularities (µs)
+/// and the bias ablation's bad-way weights, shared by the ablation job's
+/// requests and render.
 const POLICY_RS: &[u32] = &[1, 8];
+const MSGS_US: &[f64] = &[5.0, 10.0, 20.0, 50.0, 100.0];
 const BIAS_WEIGHTS: &[u32] = &[1, 2, 3, 5, 9];
 
 /// The paper-figure jobs, in output order — one table drives dispatch,
@@ -167,8 +168,8 @@ const JOBS: &[Job] = &[
         render: |ctx| {
             let t0 = Instant::now();
             let run = ctx.executor.output(&fig1_request(ctx)).prem();
-            let clock_ghz = PlatformConfig::tx1().clock_ghz;
-            let text = prem_report::fig1::timeline(&run, &SyncConfig::tx1(), clock_ghz, 4, 0.4);
+            let tx1 = PlatformConfig::tx1();
+            let text = prem_report::fig1::timeline(&run, &tx1.cpu.sync, tx1.clock_ghz, 4, 0.4);
             vec![Artifact {
                 name: "fig1".into(),
                 text,
@@ -276,11 +277,15 @@ const JOBS: &[Job] = &[
     Job {
         name: "ablation",
         what: "ablation_{policy,msg,adaptive,bias}.{txt,csv} — beyond-paper ablations",
-        // The MSG and prefetch-strategy ablations execute directly.
         requests: |ctx| {
-            let policy = ablation::policy_requests(&ctx.bicg, &ctx.harness, 160 * KIB, POLICY_RS);
-            let bias = ablation::bias_requests(&ctx.bicg, &ctx.harness, 160 * KIB, BIAS_WEIGHTS);
-            [policy, bias].concat()
+            let (bicg, harness) = (&ctx.bicg, &ctx.harness);
+            [
+                ablation::policy_requests(bicg, harness, 160 * KIB, POLICY_RS),
+                ablation::msg_requests(bicg, harness, 96 * KIB, 160 * KIB, MSGS_US),
+                ablation::adaptive_requests(bicg, harness, 160 * KIB),
+                ablation::bias_requests(bicg, harness, 160 * KIB, BIAS_WEIGHTS),
+            ]
+            .concat()
         },
         render: |ctx| {
             // Each ablation gets its own t0 so the log lines report per-artifact
@@ -296,13 +301,7 @@ const JOBS: &[Job] = &[
                 t0,
             ));
             let t0 = Instant::now();
-            let rows = ablation::msg_ablation(
-                &ctx.bicg,
-                &ctx.harness,
-                96 * KIB,
-                160 * KIB,
-                &[5.0, 10.0, 20.0, 50.0, 100.0],
-            );
+            let rows = ablation::msg_ablation_with(bicg, harness, 96 * KIB, 160 * KIB, MSGS_US, ex);
             out.push(Artifact::from_table(
                 "ablation_msg",
                 &ablation::msg_table(&rows, 96, 160),
@@ -310,7 +309,7 @@ const JOBS: &[Job] = &[
                 t0,
             ));
             let t0 = Instant::now();
-            let rows = ablation::adaptive_ablation(&ctx.bicg, &ctx.harness, 160 * KIB);
+            let rows = ablation::adaptive_ablation_with(bicg, harness, 160 * KIB, ex);
             out.push(Artifact::from_table(
                 "ablation_adaptive",
                 &ablation::adaptive_table(&rows, 160),

@@ -16,7 +16,7 @@ use crate::budget::{BudgetPolicy, Budgets};
 use crate::interval::IntervalSpec;
 use crate::local_store::LocalStore;
 use crate::metrics::Breakdown;
-use crate::sync::{PhaseTiming, SyncConfig};
+use crate::sync::PhaseTiming;
 
 /// Unmanaged background traffic during compute phases.
 ///
@@ -97,8 +97,6 @@ fn inject_noise(stream: &OpStream, noise: NoiseModel, counter: &mut u64) -> OpSt
 pub struct PremConfig {
     /// Local-store strategy (SPM or LLC + prefetch strategy).
     pub store: LocalStore,
-    /// Synchronization protocol parameters.
-    pub sync: SyncConfig,
     /// Budgeting policy.
     pub budget: BudgetPolicy,
     /// Seed for the platform's randomized components.
@@ -108,12 +106,11 @@ pub struct PremConfig {
 }
 
 impl PremConfig {
-    /// The paper's proposed configuration: LLC with `R = 8`, TX1 sync,
-    /// fair co-scheduling.
+    /// The paper's proposed configuration: LLC with `R = 8`, fair
+    /// co-scheduling.
     pub fn llc_tamed() -> Self {
         PremConfig {
             store: LocalStore::llc_tamed(),
-            sync: SyncConfig::tx1(),
             budget: BudgetPolicy::fair(),
             seed: 1,
             noise: NoiseModel::off(),
@@ -124,7 +121,6 @@ impl PremConfig {
     pub fn spm() -> Self {
         PremConfig {
             store: LocalStore::spm_default(),
-            sync: SyncConfig::tx1(),
             budget: BudgetPolicy::fair(),
             seed: 1,
             noise: NoiseModel::off(),
@@ -268,8 +264,8 @@ pub fn run_prem_traced<S: TraceSink>(
     profiled: Option<(f64, f64)>,
     sink: &mut S,
 ) -> Result<(PremRun, (f64, f64)), ExecError> {
-    let msg_cycles = platform.us_to_cycles(cfg.sync.msg_us);
-    let switch_cycles = platform.us_to_cycles(cfg.sync.switch_cost_us());
+    let msg_cycles = platform.us_to_cycles(platform.cpu.sync.msg_us);
+    let switch_cycles = platform.us_to_cycles(platform.cpu.sync.switch_cost_us());
 
     let mut engine = InterferenceEngine::new(platform.cpu.active_corunners(scenario), cfg.seed);
     // Fused self-profiling eligibility: constant contention (so the live
@@ -333,7 +329,7 @@ pub fn run_prem_traced<S: TraceSink>(
         let m_pass = cfg.store.m_phase_pass(iv);
         let rounds = match &cfg.store {
             LocalStore::Llc { prefetch } => *prefetch,
-            LocalStore::Spm { .. } => crate::local_store::PrefetchStrategy::Single,
+            LocalStore::Spm { .. } => crate::local_store::PrefetchStrategy::Repeated { r: 1 },
         };
         let mut m_work = 0.0;
         let mut used = 0;
@@ -613,7 +609,7 @@ pub fn profile_phases(
         let m_pass = cfg.store.m_phase_pass(iv);
         let rounds = match &cfg.store {
             LocalStore::Llc { prefetch } => *prefetch,
-            LocalStore::Spm { .. } => crate::local_store::PrefetchStrategy::Single,
+            LocalStore::Spm { .. } => crate::local_store::PrefetchStrategy::Repeated { r: 1 },
         };
         let mut m_work = 0.0;
         let max_rounds = rounds.max_rounds();

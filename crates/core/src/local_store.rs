@@ -19,10 +19,9 @@ use crate::interval::IntervalSpec;
 /// How M-phase prefetches are issued on the LLC path.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum PrefetchStrategy {
-    /// One prefetch pass (the naive approach of paper §III).
-    Single,
     /// `r` full prefetch passes (the paper's contribution, §IV: `r = 8`
-    /// drives the bad-way residency below 0.5 %).
+    /// drives the bad-way residency below 0.5 %; `r = 1` is the naive
+    /// single pass of §III).
     Repeated {
         /// The prefetch repetition factor `R ≥ 1`.
         r: u32,
@@ -39,7 +38,6 @@ impl PrefetchStrategy {
     /// The fixed number of passes, or the maximum for the adaptive variant.
     pub fn max_rounds(self) -> u32 {
         match self {
-            PrefetchStrategy::Single => 1,
             PrefetchStrategy::Repeated { r } => r.max(1),
             PrefetchStrategy::UntilResident { max_rounds } => max_rounds.max(1),
         }
@@ -79,7 +77,7 @@ impl LocalStore {
     /// The naive LLC configuration of §III (single prefetch pass).
     pub fn llc_naive() -> Self {
         LocalStore::Llc {
-            prefetch: PrefetchStrategy::Single,
+            prefetch: PrefetchStrategy::Repeated { r: 1 },
         }
     }
 
@@ -253,7 +251,7 @@ mod tests {
 
     #[test]
     fn strategies_report_rounds() {
-        assert_eq!(PrefetchStrategy::Single.max_rounds(), 1);
+        assert_eq!(PrefetchStrategy::Repeated { r: 1 }.max_rounds(), 1);
         assert_eq!(PrefetchStrategy::Repeated { r: 8 }.max_rounds(), 8);
         assert_eq!(
             PrefetchStrategy::UntilResident { max_rounds: 12 }.max_rounds(),

@@ -3,8 +3,9 @@
 //! The run-plan layer (`prem-harness::plan`) canonicalizes every simulator
 //! invocation in the workspace into a request; this module is the single
 //! place such a request becomes an actual execution. [`RunWork`] names the
-//! three execution modes every consumer uses — tamed LLC-PREM, SPM-PREM
-//! and the unprotected baseline — [`RunWork::prem_config`] derives the one
+//! execution modes consumers use — LLC-PREM with a fixed prefetch
+//! repetition or with adaptive until-resident prefetching, SPM-PREM and
+//! the unprotected baseline — [`RunWork::prem_config`] derives the one
 //! canonical [`PremConfig`] per mode, and [`execute_run`] runs a resolved
 //! request on a freshly built platform.
 //!
@@ -22,6 +23,10 @@ use crate::local_store::{LocalStore, PrefetchStrategy};
 use crate::whatif::RunCapture;
 use crate::{BaselineRun, PremRun};
 
+/// Upper bound on the M-phase prefetch rounds of
+/// [`RunWork::PremLlcUntilResident`].
+pub const UNTIL_RESIDENT_MAX_ROUNDS: u32 = 16;
+
 /// What a run request executes once its platform is resolved.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RunWork {
@@ -31,6 +36,12 @@ pub enum RunWork {
         /// Prefetch repetition factor.
         r: u32,
     },
+    /// LLC-PREM with adaptive prefetching: M-phase rounds repeat until one
+    /// misses nothing, up to [`UNTIL_RESIDENT_MAX_ROUNDS`]
+    /// ([`PremConfig::llc_tamed`] with `UntilResident`). Never
+    /// replay-eligible: how many rounds run depends on the LLC policy and
+    /// seed.
+    PremLlcUntilResident,
     /// SPM-PREM, the HePREM-like state of the art ([`PremConfig::spm`]).
     PremSpm,
     /// The unprotected baseline (no phases, no staging, no protection).
@@ -38,12 +49,13 @@ pub enum RunWork {
 }
 
 impl RunWork {
-    /// Short stable name used in canonical request keys (`llc-r8`, `spm`,
-    /// `base`). Part of every cached fingerprint — renaming a mode
-    /// invalidates all published plans, so name modes once.
+    /// Short stable name used in canonical request keys (`llc-r8`,
+    /// `llc-until16`, `spm`, `base`). Part of every cached fingerprint —
+    /// renaming a mode invalidates all published plans, so name modes once.
     pub fn key(&self) -> String {
         match self {
             RunWork::PremLlc { r } => format!("llc-r{r}"),
+            RunWork::PremLlcUntilResident => format!("llc-until{UNTIL_RESIDENT_MAX_ROUNDS}"),
             RunWork::PremSpm => "spm".into(),
             RunWork::Baseline => "base".into(),
         }
@@ -51,16 +63,19 @@ impl RunWork {
 
     /// The canonical [`PremConfig`] this mode executes under (`None` for
     /// the baseline, which takes seed and noise directly). This is the
-    /// single source of the experiment configurations: `prem-report`'s
-    /// `llc_prem_config` and the matrix engine both delegate here.
+    /// single source of the experiment configurations: every request of
+    /// the plan layer, and so every figure, ablation and matrix cell,
+    /// executes under the config derived here.
     pub fn prem_config(&self, seed: u64, noise: NoiseModel) -> Option<PremConfig> {
-        let cfg = match self {
-            RunWork::PremLlc { r } => PremConfig {
-                store: LocalStore::Llc {
-                    prefetch: PrefetchStrategy::Repeated { r: *r },
-                },
-                ..PremConfig::llc_tamed()
-            },
+        let llc = |prefetch| PremConfig {
+            store: LocalStore::Llc { prefetch },
+            ..PremConfig::llc_tamed()
+        };
+        let cfg = match *self {
+            RunWork::PremLlc { r } => llc(PrefetchStrategy::Repeated { r }),
+            RunWork::PremLlcUntilResident => llc(PrefetchStrategy::UntilResident {
+                max_rounds: UNTIL_RESIDENT_MAX_ROUNDS,
+            }),
             RunWork::PremSpm => PremConfig::spm(),
             RunWork::Baseline => return None,
         };
@@ -72,7 +87,7 @@ impl RunWork {
 /// result, depending on the request's [`RunWork`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunOutput {
-    /// A PREM schedule execution ([`RunWork::PremLlc`] / [`RunWork::PremSpm`]).
+    /// A PREM schedule execution (every [`RunWork`] but the baseline).
     Prem(PremRun),
     /// An unprotected baseline execution ([`RunWork::Baseline`]).
     Baseline(BaselineRun),
@@ -249,6 +264,7 @@ mod tests {
     fn work_keys_are_stable() {
         // These strings are part of every cached request fingerprint.
         assert_eq!(RunWork::PremLlc { r: 8 }.key(), "llc-r8");
+        assert_eq!(RunWork::PremLlcUntilResident.key(), "llc-until16");
         assert_eq!(RunWork::PremSpm.key(), "spm");
         assert_eq!(RunWork::Baseline.key(), "base");
     }
@@ -266,6 +282,18 @@ mod tests {
         .with_seed(11)
         .with_noise(noise);
         assert_eq!(llc, by_hand);
+        let adaptive = RunWork::PremLlcUntilResident
+            .prem_config(11, noise)
+            .unwrap();
+        let by_hand = PremConfig {
+            store: LocalStore::Llc {
+                prefetch: PrefetchStrategy::UntilResident { max_rounds: 16 },
+            },
+            ..PremConfig::llc_tamed()
+        }
+        .with_seed(11)
+        .with_noise(noise);
+        assert_eq!(adaptive, by_hand);
         let spm = RunWork::PremSpm.prem_config(11, noise).unwrap();
         assert_eq!(spm, PremConfig::spm().with_seed(11).with_noise(noise));
         assert!(RunWork::Baseline.prem_config(11, noise).is_none());
@@ -370,6 +398,7 @@ mod tests {
         let works = [
             RunWork::PremLlc { r: 1 },
             RunWork::PremLlc { r: 8 },
+            RunWork::PremLlcUntilResident,
             RunWork::PremSpm,
             RunWork::Baseline,
         ];
@@ -384,7 +413,8 @@ mod tests {
                 assert!(plain.capture.is_none(), "{ctx}");
 
                 let eligible = crate::replay_eligible(cfg, work, scenario);
-                assert_eq!(eligible, fusable && work != RunWork::PremSpm, "{ctx}");
+                let fixed_llc = matches!(work, RunWork::PremLlc { .. } | RunWork::Baseline);
+                assert_eq!(eligible, fusable && fixed_llc, "{ctx}");
                 let mut variants = vec![RunOptions {
                     profiled,
                     capture: false,

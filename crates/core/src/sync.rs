@@ -10,44 +10,11 @@
 //! * a **minimum synchronization granularity (MSG)** (Fig 1 (c)): phases
 //!   shorter than the MSG cannot release the token early — the device idles
 //!   until the watchdog fires (Fig 1 (d)).
+//!
+//! Both are CPU-side timings, so [`SyncConfig`] lives on the platform
+//! (`CpuConfig::sync`) and the executor reads it from there.
 
-/// Synchronization timing parameters, in microseconds (device independent;
-/// converted to cycles at the platform clock).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SyncConfig {
-    /// Minimum synchronization granularity: the smallest admissible phase
-    /// budget.
-    pub msg_us: f64,
-    /// Interrupt delivery latency.
-    pub irq_latency_us: f64,
-    /// Interrupt handler (token exchange) execution time.
-    pub handler_us: f64,
-}
-
-impl SyncConfig {
-    /// TX1-like defaults: 40 µs MSG, 3 µs interrupt latency, 2 µs handler.
-    pub fn tx1() -> Self {
-        SyncConfig {
-            msg_us: 40.0,
-            irq_latency_us: 3.0,
-            handler_us: 2.0,
-        }
-    }
-
-    /// A hypothetical faster synchronization fabric (ablation).
-    pub fn fast(msg_us: f64) -> Self {
-        SyncConfig {
-            msg_us,
-            irq_latency_us: 1.0,
-            handler_us: 0.5,
-        }
-    }
-
-    /// Cost of one phase switch (one token exchange), µs.
-    pub fn switch_cost_us(&self) -> f64 {
-        self.irq_latency_us + self.handler_us
-    }
-}
+pub use prem_gpusim::SyncConfig;
 
 /// Timing of one executed phase inside its budgeted slot.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]

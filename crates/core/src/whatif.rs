@@ -35,10 +35,12 @@
 //!   contention-independent; only DRAM costs differ).
 //!
 //! Eligibility ([`replay_eligible`]) is exactly the set of runs where the
-//! op-sequence invariance holds: LLC-staged PREM and baseline work (SPM
-//! staging has no LLC what-if axis), no L1, and a co-runner mix whose
-//! contention is constant and which never pollutes the LLC (pollution
-//! volume depends on budgets, which depend on policy/seed).
+//! op-sequence invariance holds: LLC-staged PREM with a fixed repetition
+//! and baseline work (SPM staging has no LLC what-if axis, and adaptive
+//! prefetching stops after a policy/seed-dependent number of rounds), no
+//! L1, and a co-runner mix whose contention is constant and which never
+//! pollutes the LLC (pollution volume depends on budgets, which depend on
+//! policy/seed).
 
 use std::ops::Range;
 
@@ -59,8 +61,8 @@ use crate::sync::PhaseTiming;
 /// Whether a run is replay-derivable across the LLC policy/seed axes.
 ///
 /// True exactly when the LLC's input op sequence is invariant in those
-/// axes: LLC-PREM (fixed repetition) or baseline work, no L1 in front of
-/// the LLC, and a co-runner mix under `scenario` that is time-invariant
+/// axes: LLC-PREM with a fixed repetition or baseline work, no L1 in front
+/// of the LLC, and a co-runner mix under `scenario` that is time-invariant
 /// (constant contention) and never pollutes the LLC.
 pub fn replay_eligible(cfg: &PlatformConfig, work: RunWork, scenario: Scenario) -> bool {
     if cfg.l1.is_some() {
@@ -71,6 +73,9 @@ pub fn replay_eligible(cfg: &PlatformConfig, work: RunWork, scenario: Scenario) 
         // SPM staging bypasses the LLC: there is no policy/seed axis to
         // derive along (and the C-phase never touches the cache).
         RunWork::PremSpm => return false,
+        // Adaptive round counts depend on which prefetches hit, i.e. on
+        // the policy and seed.
+        RunWork::PremLlcUntilResident => return false,
     }
     // Static/polluter properties are seed-independent, so probe with 0.
     let engine = InterferenceEngine::new(cfg.cpu.active_corunners(scenario), 0);
@@ -205,8 +210,8 @@ pub(crate) fn execute_captured(
         .prem_config(seed, noise)
     {
         Some(cfg) => {
-            let msg_cycles = platform.us_to_cycles(cfg.sync.msg_us);
-            let switch_cycles = platform.us_to_cycles(cfg.sync.switch_cost_us());
+            let msg_cycles = platform.us_to_cycles(platform.cpu.sync.msg_us);
+            let switch_cycles = platform.us_to_cycles(platform.cpu.sync.switch_cost_us());
             let rounds = match &cfg.store {
                 LocalStore::Llc { prefetch } => {
                     assert!(
@@ -702,6 +707,38 @@ mod tests {
     }
 
     #[test]
+    fn capture_replays_under_the_platforms_own_msg() {
+        // The capture reads the MSG and switch cost from the platform it
+        // runs on: with a non-default MSG, every sibling's replay still
+        // equals its live run.
+        let with_msg = |policy: Policy, seed| {
+            let mut cfg = small_platform(policy, seed);
+            cfg.cpu.sync.msg_us = 5.0;
+            cfg
+        };
+        let ivs = toy_intervals();
+        let work = RunWork::PremLlc { r: 4 };
+        let noise = NoiseModel::tx1();
+        let rep_cfg = with_msg(Policy::nvidia_like(4), 11);
+        let (rep, capture) = run_captured(&rep_cfg, &ivs, work, 11, Scenario::Isolation, noise);
+        let default_msg = small_platform(Policy::nvidia_like(4), 11);
+        assert_ne!(
+            rep,
+            run_live(&default_msg, &ivs, work, 11, Scenario::Isolation, noise),
+            "the MSG must shape this schedule"
+        );
+        for (policy, seed) in sibling_axis() {
+            let sib_cfg = with_msg(policy.clone(), seed);
+            let live = run_live(&sib_cfg, &ivs, work, seed, Scenario::Isolation, noise);
+            assert_eq!(
+                live,
+                capture.replay_for(&sib_cfg, seed),
+                "sibling {policy:?} seed {seed} diverged"
+            );
+        }
+    }
+
+    #[test]
     fn eligibility_rules() {
         let cfg = PlatformConfig::tx1();
         let llc = RunWork::PremLlc { r: 8 };
@@ -716,6 +753,12 @@ mod tests {
         assert!(!replay_eligible(
             &cfg,
             RunWork::PremSpm,
+            Scenario::Isolation
+        ));
+        // Adaptive round counts follow the policy/seed.
+        assert!(!replay_eligible(
+            &cfg,
+            RunWork::PremLlcUntilResident,
             Scenario::Isolation
         ));
         // Pollution volume depends on budgets, budgets on policy/seed.

@@ -42,19 +42,55 @@ pub const INTERFERENCE_MIX: [CorunnerProfile; 3] = [
     CorunnerProfile::Membomb,
 ];
 
+/// Timing of the CPU/GPU DRAM-token exchange, in microseconds (converted
+/// to cycles at the platform clock); the protocol is described in
+/// `prem_core`'s `sync` module.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SyncConfig {
+    /// Minimum synchronization granularity: the smallest admissible phase
+    /// budget.
+    pub msg_us: f64,
+    /// Interrupt delivery latency.
+    pub irq_latency_us: f64,
+    /// Interrupt handler (token exchange) execution time.
+    pub handler_us: f64,
+}
+
+impl SyncConfig {
+    /// TX1-like defaults: 40 µs MSG, 3 µs interrupt latency, 2 µs handler.
+    pub fn tx1() -> Self {
+        SyncConfig {
+            msg_us: 40.0,
+            irq_latency_us: 3.0,
+            handler_us: 2.0,
+        }
+    }
+
+    /// Cost of one phase switch (one token exchange), µs.
+    pub fn switch_cost_us(&self) -> f64 {
+        self.irq_latency_us + self.handler_us
+    }
+}
+
 /// CPU-side configuration.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CpuConfig {
     /// The co-runner mix activated by [`Scenario::Corunners`]. Empty by
     /// default (equivalent to isolation until a mix is configured).
     pub corunners: Vec<CorunnerProfile>,
+    /// Timing of the token exchange, a watchdog interrupt plus a CPU
+    /// handler.
+    pub sync: SyncConfig,
 }
 
 impl CpuConfig {
-    /// TX1 defaults: no custom co-runner mix configured; the presets
-    /// carry the paper's scenarios.
+    /// TX1 defaults: no custom co-runner mix configured (the presets
+    /// carry the paper's scenarios) and TX1 token-exchange timing.
     pub fn tx1() -> Self {
-        CpuConfig { corunners: vec![] }
+        CpuConfig {
+            corunners: vec![],
+            sync: SyncConfig::tx1(),
+        }
     }
 
     /// Replaces the co-runner mix (builder form).

@@ -30,7 +30,7 @@ mod platform;
 mod sm;
 
 pub use cost::CostModel;
-pub use cpu::{CpuConfig, Scenario, INTERFERENCE_MIX};
+pub use cpu::{CpuConfig, Scenario, SyncConfig, INTERFERENCE_MIX};
 pub use interference::{CorunnerProfile, InterferenceEngine};
 pub use op::{Op, OpCounts, OpStream};
 pub use platform::{Platform, PlatformConfig};

@@ -33,8 +33,8 @@
 //!   canonical key (the fingerprint selects the shard; the key string
 //!   guarantees distinct requests can never alias a cache slot).
 //!
-//! Every simulator execution in this module — a pool unit or a lazy
-//! [`RunSource::output`] miss — takes one path. The request's
+//! Every simulator execution in this module is a pool unit of a plan (a
+//! lazy [`RunSource::output`] miss is a one-request plan). The request's
 //! profile-memo cell (one per [`RunRequest::profile_key`]) either supplies
 //! a memoized `(m_wcet, c_wcet)` or is backfilled with the pair the run
 //! reports, and the request tiles, resolves and runs through the core
@@ -56,6 +56,7 @@
 //! experiment tweak (the platform-config digest lives in every canonical
 //! key) re-executes exactly the invalidated frontier.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::AddAssign;
@@ -403,17 +404,6 @@ pub trait RunSource: Sync {
 /// One exactly-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
 /// execution whose request has the same [`RunRequest::profile_key`].
 type ProfileCell = Arc<OnceLock<(f64, f64)>>;
-
-/// The memo cell for `key`, created empty on first sight, and whether it
-/// already existed (a profile hit) — the one lookup behind the plan
-/// expansion and the lazy [`RunSource::output`] path.
-fn memo_cell(memo: &mut HashMap<String, ProfileCell>, key: String) -> (ProfileCell, bool) {
-    use std::collections::hash_map::Entry;
-    match memo.entry(key) {
-        Entry::Occupied(e) => (e.get().clone(), true),
-        Entry::Vacant(v) => (v.insert(ProfileCell::default()).clone(), false),
-    }
-}
 
 /// Executes `req` through its profile-memo cell: a filled cell feeds the
 /// memoized pair in, and an empty one (or none, with memoization off) lets
@@ -849,14 +839,15 @@ impl PlanExecutor {
             let mut memo = self.profiles.lock().expect("profile memo poisoned");
             units
                 .iter()
-                .map(|unit| {
-                    let (cell, hit) = memo_cell(&mut memo, unit_req(unit).profile_key()?);
-                    if hit {
+                .map(|unit| match memo.entry(unit_req(unit).profile_key()?) {
+                    Entry::Occupied(e) => {
                         summary.profile_hits += 1;
-                    } else {
-                        summary.profile_misses += 1;
+                        Some(e.get().clone())
                     }
-                    Some(cell)
+                    Entry::Vacant(v) => {
+                        summary.profile_misses += 1;
+                        Some(v.insert(ProfileCell::default()).clone())
+                    }
                 })
                 .collect()
         } else {
@@ -1043,12 +1034,12 @@ impl PlanExecutor {
 }
 
 impl RunSource for PlanExecutor {
-    /// Serves `req` through the full tier — memory hit, then disk hit
-    /// (with a persistent store), then live execution on the calling
-    /// thread; misses are memoized in memory and appended to the store,
-    /// so the data-dependent tail of a figure — e.g. a best-T follow-up —
-    /// stays correct and warm-cacheable even when its requests were not
-    /// part of any submitted plan.
+    /// Serves `req` from memory, or else as a one-request plan: disk hit
+    /// (with a persistent store) or live execution through the profile
+    /// memo on the calling thread, memoized in memory and appended to the
+    /// store — so the data-dependent tail of a figure (e.g. a best-T
+    /// follow-up) stays correct and warm-cacheable even when its requests
+    /// were not part of any submitted plan.
     fn output(&self, req: &RunRequest<'_>) -> RunOutput {
         let key = req.key();
         if let Some(out) = self.lookup(&key) {
@@ -1056,33 +1047,9 @@ impl RunSource for PlanExecutor {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return out;
         }
-        if let Some(out) = self.disk_lookup(&key, &NullMetrics) {
-            self.requested.fetch_add(1, Ordering::Relaxed);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.insert(key, out.clone());
-            return out;
-        }
-        // A lazy miss profiles through the same memo the pool uses, so a
-        // data-dependent tail (e.g. a best-T follow-up re-running a
-        // scenario sibling) still skips the pass, with the hit or miss
-        // charged on this executor's counters.
-        let cell = req.profile_key().filter(|_| self.profile_memo).map(|key| {
-            let mut memo = self.profiles.lock().expect("profile memo poisoned");
-            let (cell, hit) = memo_cell(&mut memo, key);
-            let counter = if hit {
-                &self.profile_hits
-            } else {
-                &self.profile_misses
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            cell
-        });
-        let out = run_through(req, cell.as_ref(), false).output;
-        self.requested.fetch_add(1, Ordering::Relaxed);
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        self.persist([(key.as_str(), &out)], &NullMetrics);
-        self.insert(key, out.clone());
-        out
+        self.execute(std::slice::from_ref(req), 1);
+        self.lookup(&key)
+            .expect("a one-request plan caches its request")
     }
 }
 

@@ -304,6 +304,7 @@ impl OwnedRunRequest {
             }
             RunWork::PremSpm => w.write_all(&[1])?,
             RunWork::Baseline => w.write_all(&[2])?,
+            RunWork::PremLlcUntilResident => w.write_all(&[3])?,
         }
         write_varint(w, self.t_bytes as u64)?;
         write_varint(w, self.seed)?;
@@ -389,6 +390,7 @@ impl OwnedRunRequest {
             }
             1 => RunWork::PremSpm,
             2 => RunWork::Baseline,
+            3 => RunWork::PremLlcUntilResident,
             t => return Err(bad_data(&format!("work tag {t}"))),
         };
         let t_bytes = read_usize(r)?;
@@ -669,11 +671,13 @@ fn parse_kernel(s: &str) -> io::Result<KernelId> {
     Ok(KernelId::new(name, dims))
 }
 
-/// Parses the [`RunWork::key`] spelling (`llc-r8`, `spm`, `base`).
+/// Parses the [`RunWork::key`] spelling (`llc-r8`, `llc-until16`, `spm`,
+/// `base`).
 fn parse_work(s: &str) -> io::Result<RunWork> {
     match s {
         "spm" => return Ok(RunWork::PremSpm),
         "base" => return Ok(RunWork::Baseline),
+        "llc-until16" => return Ok(RunWork::PremLlcUntilResident),
         _ => {}
     }
     let err = || bad_data(&format!("unknown work mode `{s}`"));
@@ -748,9 +752,14 @@ mod tests {
 
     #[test]
     fn binary_and_line_forms_round_trip() {
-        let req = sample();
-        assert_eq!(OwnedRunRequest::decode(&req.encode()).unwrap(), req);
-        assert_eq!(OwnedRunRequest::from_line(&req.to_line()).unwrap(), req);
+        let until = OwnedRunRequest {
+            work: RunWork::PremLlcUntilResident,
+            ..sample()
+        };
+        for req in [sample(), until] {
+            assert_eq!(OwnedRunRequest::decode(&req.encode()).unwrap(), req);
+            assert_eq!(OwnedRunRequest::from_line(&req.to_line()).unwrap(), req);
+        }
     }
 
     #[test]
@@ -808,12 +817,15 @@ mod tests {
             "v1 kernel=bicg:128x64 platform=tx1 work=spm t=16384 seed=1 scenario=isolation",
             "v1 kernel=bicg:128x64 platform=tx9 work=spm t=16384 seed=1 scenario=isolation noise=0x0",
             "v1 kernel=bicg:128x64 platform=tx1 work=warp t=16384 seed=1 scenario=isolation noise=0x0",
+            "v1 kernel=bicg:128x64 platform=tx1 work=llc-until t=16384 seed=1 scenario=isolation noise=0x0",
+            "v1 kernel=bicg:128x64 platform=tx1 work=llc-untilx t=16384 seed=1 scenario=isolation noise=0x0",
             "v1 kernel=bicg:128x64 platform=tx1 work=spm t=16384 seed=1 scenario=solitude noise=0x0",
             "v1 kernel=bicg:128x64 platform=tx1 work=spm t=16384 seed=1 seed=2 scenario=isolation noise=0x0",
             "v1 kernel=bicg:128x64 platform=tx1 work=spm t=16384 seed=1 scenario=isolation noise=0x0 color=red",
             "v1 kernel=bicg:128x64 platform=tx1 policy=mru work=spm t=16384 seed=1 scenario=isolation noise=0x0",
         ] {
-            assert!(OwnedRunRequest::from_line(line).is_err(), "accepted: {line}");
+            let err = OwnedRunRequest::from_line(line).expect_err(line);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
         }
     }
 

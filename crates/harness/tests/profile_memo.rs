@@ -57,6 +57,7 @@ fn coord() -> impl Strategy<Value = Coord> {
         prop::sample::select(vec![
             RunWork::PremLlc { r: 4 },
             RunWork::PremLlc { r: 8 },
+            RunWork::PremLlcUntilResident,
             RunWork::Baseline,
             RunWork::PremSpm,
         ]),

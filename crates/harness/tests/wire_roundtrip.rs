@@ -80,7 +80,7 @@ proptest! {
             proptest::sample::select(kernel_pool()),
             proptest::sample::select(platform_pool()),
         ),
-        (policy_tag, mode, r) in (0usize..8, 0usize..3, 1u32..9),
+        (policy_tag, mode, r) in (0usize..8, 0usize..4, 1u32..9),
         t_kib in proptest::sample::select(vec![16usize, 32, 64]),
         seed in 0u64..1000,
         (scenario_tag, duty_steps) in (0usize..6, 0u64..17),
@@ -95,7 +95,8 @@ proptest! {
             work: match mode {
                 0 => RunWork::PremLlc { r },
                 1 => RunWork::PremSpm,
-                _ => RunWork::Baseline,
+                2 => RunWork::Baseline,
+                _ => RunWork::PremLlcUntilResident,
             },
             t_bytes: t_kib * KIB,
             seed,

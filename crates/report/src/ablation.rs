@@ -10,17 +10,14 @@
 //! * [`adaptive_ablation`] — fixed `R` repetition versus the adaptive
 //!   `UntilResident` strategy.
 
-use prem_core::{
-    run_prem, sensitivity, LocalStore, NoiseModel, PrefetchStrategy, PremConfig, PremRun, RunWork,
-    SyncConfig,
-};
+use prem_core::{sensitivity, NoiseModel, PremRun, RunWork};
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_harness::{MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::Policy;
 
 use crate::common::{planned, Harness};
-use crate::stats::{over_seeds, Stats};
+use crate::stats::Stats;
 use crate::table::{f3, pct, Table};
 
 /// One policy's behaviour under PREM.
@@ -48,19 +45,19 @@ const POLICIES: [(&str, MatrixPolicy); 6] = [
 ];
 
 /// One ablation point's runs on `platform`, one per harness seed:
-/// noise-free LLC-PREM, as [`PremConfig::llc_tamed`] defaults.
+/// noise-free `work` under `scenario`.
 fn seed_requests<'k>(
     kernel: &'k dyn Kernel,
     harness: &Harness,
-    platform: PlatformSpec,
+    platform: &PlatformSpec,
     t_bytes: usize,
-    r: u32,
+    work: RunWork,
     scenario: Scenario,
 ) -> Vec<RunRequest<'k>> {
     harness.requests(|seed| RunRequest {
         kernel,
         platform: platform.clone(),
-        work: RunWork::PremLlc { r },
+        work,
         t_bytes,
         seed,
         scenario: MatrixScenario::Preset(scenario),
@@ -78,8 +75,9 @@ fn policy_point<'k>(
     r: u32,
 ) -> [Vec<RunRequest<'k>>; 2] {
     let platform = PlatformSpec::tx1().with_policy(policy);
+    let work = RunWork::PremLlc { r };
     [Scenario::Isolation, Scenario::Interference]
-        .map(|s| seed_requests(kernel, harness, platform.clone(), t_bytes, r, s))
+        .map(|s| seed_requests(kernel, harness, &platform, t_bytes, work, s))
 }
 
 /// The runs the policy ablation consumes, as a plan. Per (R, scenario) the
@@ -165,8 +163,45 @@ pub struct MsgRow {
     pub spm_over_llc: f64,
 }
 
+/// One MSG point's runs in isolation: SPM-PREM at `t_spm` and tamed
+/// LLC-PREM at `t_llc` on the TX1 with its MSG set to `msg_us` (the
+/// config digest in the request key separates the points).
+fn msg_point<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_spm: usize,
+    t_llc: usize,
+    msg_us: f64,
+) -> [Vec<RunRequest<'k>>; 2] {
+    let mut config = PlatformConfig::tx1();
+    config.cpu.sync.msg_us = msg_us;
+    let platform = PlatformSpec::new("tx1", config);
+    let isolated =
+        |work, t| seed_requests(kernel, harness, &platform, t, work, Scenario::Isolation);
+    [
+        isolated(RunWork::PremSpm, t_spm),
+        isolated(RunWork::PremLlc { r: 8 }, t_llc),
+    ]
+}
+
+/// The runs the MSG ablation consumes, as a plan. Per MSG value the LLC
+/// runs differ only in seed: one derivation family.
+pub fn msg_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_spm: usize,
+    t_llc: usize,
+    msgs_us: &[f64],
+) -> Vec<RunRequest<'k>> {
+    msgs_us
+        .iter()
+        .flat_map(|&m| msg_point(kernel, harness, t_spm, t_llc, m).concat())
+        .collect()
+}
+
 /// Sweeps the MSG: with a fast sync fabric the SPM's small-phase penalty
 /// shrinks — quantifying how much of the LLC win is sync-granularity.
+/// Renders from a one-shot plan of [`msg_requests`].
 pub fn msg_ablation(
     kernel: &dyn Kernel,
     harness: &Harness,
@@ -174,39 +209,25 @@ pub fn msg_ablation(
     t_llc: usize,
     msgs_us: &[f64],
 ) -> Vec<MsgRow> {
-    let spm_ivs = kernel.intervals(t_spm).expect("spm tiling");
-    let llc_ivs = kernel.intervals(t_llc).expect("llc tiling");
+    let source = planned(&msg_requests(kernel, harness, t_spm, t_llc, msgs_us));
+    msg_ablation_with(kernel, harness, t_spm, t_llc, msgs_us, &source)
+}
+
+/// [`msg_ablation`] rendered from `source`: consumes exactly the runs
+/// [`msg_requests`] enumerates.
+pub fn msg_ablation_with(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_spm: usize,
+    t_llc: usize,
+    msgs_us: &[f64],
+    source: &impl RunSource,
+) -> Vec<MsgRow> {
     msgs_us
         .iter()
         .map(|&msg_us| {
-            let sync = SyncConfig {
-                msg_us,
-                ..SyncConfig::tx1()
-            };
-            let spm = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-                let cfg = PremConfig {
-                    sync,
-                    ..PremConfig::spm()
-                }
-                .with_seed(seed);
-                run_prem(&mut p, &spm_ivs, &cfg, Scenario::Isolation)
-                    .expect("spm run")
-                    .makespan_cycles
-            })
-            .mean;
-            let llc = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-                let cfg = PremConfig {
-                    sync,
-                    ..PremConfig::llc_tamed()
-                }
-                .with_seed(seed);
-                run_prem(&mut p, &llc_ivs, &cfg, Scenario::Isolation)
-                    .expect("llc run")
-                    .makespan_cycles
-            })
-            .mean;
+            let [spm, llc] = msg_point(kernel, harness, t_spm, t_llc, msg_us)
+                .map(|reqs| mean_over(&reqs, |req| source.output(req).prem().makespan_cycles));
             MsgRow {
                 msg_us,
                 spm_over_llc: spm / llc,
@@ -246,7 +267,7 @@ pub struct BiasRow {
 fn bias_point<'k>(
     kernel: &'k dyn Kernel,
     harness: &Harness,
-    t_bytes: usize,
+    t: usize,
     w: u32,
     r: u32,
 ) -> Vec<RunRequest<'k>> {
@@ -254,7 +275,8 @@ fn bias_point<'k>(
         weights: vec![1, 1, w, 1],
     };
     let platform = PlatformSpec::new("tx1", PlatformConfig::tx1().llc_policy(policy));
-    seed_requests(kernel, harness, platform, t_bytes, r, Scenario::Isolation)
+    let work = RunWork::PremLlc { r };
+    seed_requests(kernel, harness, &platform, t, work, Scenario::Isolation)
 }
 
 /// The runs the bias ablation consumes, as a plan: every weight at R = 1
@@ -345,52 +367,75 @@ pub struct AdaptiveRow {
     pub makespan_rel_r8: f64,
 }
 
-/// Compares `Repeated{r}` against `UntilResident`.
+/// The prefetch-strategy ablation's rows: label and work. The fixed R=8
+/// row is also the makespan reference.
+const STRATEGIES: [(&str, RunWork); 4] = [
+    ("fixed R=1", RunWork::PremLlc { r: 1 }),
+    ("fixed R=4", RunWork::PremLlc { r: 4 }),
+    ("fixed R=8", RunWork::PremLlc { r: 8 }),
+    ("until-resident (max 16)", RunWork::PremLlcUntilResident),
+];
+
+/// One prefetch strategy's runs on the TX1, noise-free in isolation.
+fn strategy_point<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t: usize,
+    work: RunWork,
+) -> Vec<RunRequest<'k>> {
+    let platform = PlatformSpec::tx1();
+    seed_requests(kernel, harness, &platform, t, work, Scenario::Isolation)
+}
+
+/// The runs the prefetch-strategy ablation consumes, as a plan: every
+/// strategy of [`adaptive_ablation`] per seed.
+pub fn adaptive_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+) -> Vec<RunRequest<'k>> {
+    STRATEGIES
+        .iter()
+        .flat_map(|&(_, work)| strategy_point(kernel, harness, t_bytes, work))
+        .collect()
+}
+
+/// Compares `Repeated{r}` against `UntilResident`. Renders from a one-shot
+/// plan of [`adaptive_requests`].
 pub fn adaptive_ablation(
     kernel: &dyn Kernel,
     harness: &Harness,
     t_bytes: usize,
 ) -> Vec<AdaptiveRow> {
-    let intervals = kernel.intervals(t_bytes).expect("tiling");
-    let strategies = vec![
-        ("fixed R=1".to_string(), PrefetchStrategy::Repeated { r: 1 }),
-        ("fixed R=4".to_string(), PrefetchStrategy::Repeated { r: 4 }),
-        ("fixed R=8".to_string(), PrefetchStrategy::Repeated { r: 8 }),
-        (
-            "until-resident (max 16)".to_string(),
-            PrefetchStrategy::UntilResident { max_rounds: 16 },
-        ),
-    ];
-    // One run per (strategy, seed); the fixed R=8 strategy's runs are
-    // also the makespan reference.
-    let runs: Vec<Vec<PremRun>> = strategies
+    let source = planned(&adaptive_requests(kernel, harness, t_bytes));
+    adaptive_ablation_with(kernel, harness, t_bytes, &source)
+}
+
+/// [`adaptive_ablation`] rendered from `source`: consumes exactly the runs
+/// [`adaptive_requests`] enumerates.
+pub fn adaptive_ablation_with(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    source: &impl RunSource,
+) -> Vec<AdaptiveRow> {
+    let runs: Vec<Vec<PremRun>> = STRATEGIES
         .iter()
-        .map(|&(_, strategy)| {
-            harness
-                .seeds
-                .iter()
-                .map(|&seed| {
-                    let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-                    let cfg = PremConfig {
-                        store: LocalStore::Llc { prefetch: strategy },
-                        ..PremConfig::llc_tamed()
-                    }
-                    .with_seed(seed);
-                    run_prem(&mut p, &intervals, &cfg, Scenario::Isolation).expect("llc run")
-                })
-                .collect()
+        .map(|&(_, work)| {
+            let reqs = strategy_point(kernel, harness, t_bytes, work);
+            reqs.iter().map(|req| source.output(req).prem()).collect()
         })
         .collect();
-    let r8 = strategies
+    let r8 = STRATEGIES
         .iter()
-        .position(|&(_, s)| s == PrefetchStrategy::Repeated { r: 8 })
+        .position(|&(_, work)| work == RunWork::PremLlc { r: 8 })
         .map(|i| mean_over(&runs[i], |run| run.makespan_cycles))
         .expect("R=8 is a strategy");
-    strategies
-        .into_iter()
+    STRATEGIES
+        .iter()
         .zip(&runs)
-        .map(|((label, _), runs)| AdaptiveRow {
-            strategy: label,
+        .map(|(&(label, _), runs)| AdaptiveRow {
+            strategy: label.to_string(),
             cpmr: mean_over(runs, |run| run.cpmr),
             rounds: mean_over(runs, |run| run.max_rounds_used as f64),
             makespan_rel_r8: mean_over(runs, |run| run.makespan_cycles) / r8,
@@ -399,8 +444,8 @@ pub fn adaptive_ablation(
 }
 
 /// The mean of `f` over per-seed `runs` (in seed order) — what
-/// [`over_seeds`] computes, from runs simulated once instead of once per
-/// metric.
+/// [`over_seeds`](crate::stats::over_seeds) computes, from runs simulated
+/// once instead of once per metric.
 fn mean_over<T>(runs: &[T], f: impl Fn(&T) -> f64) -> f64 {
     Stats::of(&runs.iter().map(f).collect::<Vec<_>>()).mean
 }

@@ -6,12 +6,12 @@
 //! builds on — tamed/naive LLC-PREM, SPM-PREM and the unprotected
 //! baseline — are *request builders* ([`llc_request`], [`spm_request`],
 //! [`base_request`]) producing canonical [`RunRequest`]s on the TX1
-//! platform with TX1-calibrated noise. The classic runners ([`run_llc`],
-//! [`run_spm`], [`run_base`]) execute one such request, so a standalone
-//! call is byte-identical to the same request served from a merged figure
-//! plan's cache. Standalone figure entry points render from [`planned`].
+//! platform with TX1-calibrated noise. A single run is
+//! `llc_request(..).execute()`, byte-identical to the same request served
+//! from a merged figure plan's cache. Standalone figure entry points
+//! render from [`planned`].
 
-use prem_core::{BaselineRun, NoiseModel, PremRun, RunWork};
+use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_harness::{MatrixScenario, PlanExecutor, PlatformSpec, RunRequest};
 use prem_kernels::Kernel;
@@ -117,31 +117,6 @@ pub fn planned(requests: &[RunRequest<'_>]) -> PlanExecutor {
     executor
 }
 
-/// Runs PREM on the LLC with `r` prefetch repetitions at interval size `t`.
-///
-/// # Panics
-///
-/// Panics if the kernel cannot be tiled at `t` — experiment configurations
-/// are expected to respect `kernel.min_interval_bytes()`.
-pub fn run_llc(kernel: &dyn Kernel, t: usize, r: u32, seed: u64, scenario: Scenario) -> PremRun {
-    llc_request(kernel, t, r, seed, scenario).execute().prem()
-}
-
-/// Runs PREM on the scratchpad at interval size `t` (`t` must fit the SPM).
-///
-/// # Panics
-///
-/// Panics if the kernel cannot be tiled at `t` or the tiling exceeds the
-/// scratchpad.
-pub fn run_spm(kernel: &dyn Kernel, t: usize, seed: u64, scenario: Scenario) -> PremRun {
-    spm_request(kernel, t, seed, scenario).execute().prem()
-}
-
-/// Runs the unprotected baseline (cache-tiled at [`T_BASE`], no PREM).
-pub fn run_base(kernel: &dyn Kernel, seed: u64, scenario: Scenario) -> BaselineRun {
-    base_request(kernel, seed, scenario).execute().baseline()
-}
-
 /// The interval sizes (KiB) evaluated on the LLC (paper Figs 3–5).
 pub fn t_sweep_llc() -> Vec<usize> {
     vec![32, 64, 96, 128, 160, 192, 224, 256]
@@ -182,11 +157,17 @@ mod tests {
     #[test]
     fn runners_produce_consistent_runs() {
         let k = Bicg::new(128, 128);
-        let llc = run_llc(&k, 32 * KIB, 8, 1, Scenario::Isolation);
+        let llc = llc_request(&k, 32 * KIB, 8, 1, Scenario::Isolation)
+            .execute()
+            .prem();
         assert!(llc.makespan_cycles > 0.0);
-        let spm = run_spm(&k, 32 * KIB, 1, Scenario::Isolation);
+        let spm = spm_request(&k, 32 * KIB, 1, Scenario::Isolation)
+            .execute()
+            .prem();
         assert!(spm.makespan_cycles > 0.0);
-        let base = run_base(&k, 1, Scenario::Isolation);
+        let base = base_request(&k, 1, Scenario::Isolation)
+            .execute()
+            .baseline();
         assert!(base.cycles > 0.0);
         // PREM schedules cannot be faster than the raw baseline.
         assert!(llc.makespan_cycles > base.cycles * 0.5);

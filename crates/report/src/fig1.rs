@@ -36,7 +36,7 @@ pub fn timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_llc;
+    use crate::common::llc_request;
     use prem_gpusim::Scenario;
     use prem_kernels::Bicg;
     use prem_memsim::KIB;
@@ -44,7 +44,9 @@ mod tests {
     #[test]
     fn timeline_renders_phases_and_idling() {
         let k = Bicg::new(128, 128);
-        let run = run_llc(&k, 32 * KIB, 8, 1, Scenario::Isolation);
+        let run = llc_request(&k, 32 * KIB, 8, 1, Scenario::Isolation)
+            .execute()
+            .prem();
         let s = timeline(&run, &SyncConfig::tx1(), 1.0, 4, 0.5);
         assert!(s.contains('M'));
         assert!(s.contains('C'));

@@ -20,8 +20,7 @@
 //! * [`obs`] — phase-timing breakdown of one invocation, rendered from a
 //!   `prem-obs` metrics snapshot (beyond the paper)
 //!
-//! Every simulating artifact but the MSG and prefetch-strategy ablations is
-//! a **plan builder + renderer**: a `*_requests` function enumerates the
+//! Every simulating artifact is a **plan builder + renderer**: a `*_requests` function enumerates the
 //! artifact's canonical [`RunRequest`](prem_harness::RunRequest)s and a
 //! `*_with` twin renders it from any
 //! [`RunSource`](prem_harness::RunSource). Standalone entry points
@@ -54,9 +53,6 @@ pub mod whatif;
 pub use prem_table::{stats, table};
 
 pub use chart::{stacked_bars, Bar};
-pub use common::{
-    base_request, llc_request, planned, run_base, run_llc, run_spm, spm_request, Harness,
-    DEFAULT_SEEDS, T_BASE,
-};
+pub use common::{base_request, llc_request, planned, spm_request, Harness, DEFAULT_SEEDS, T_BASE};
 pub use stats::{geomean, over_seeds, Stats};
 pub use table::Table;

@@ -306,7 +306,9 @@ mod tests {
         // The traced twin must not drift from the experiment runner the
         // figures use — same config, same PremRun.
         let kernel = Bicg::new(128, 128);
-        let plain = prem_report::run_llc(&kernel, 32 * KIB, 8, 11, Scenario::Isolation);
+        let plain = prem_report::llc_request(&kernel, 32 * KIB, 8, 11, Scenario::Isolation)
+            .execute()
+            .prem();
         let (captured, _) = capture_llc(&kernel, 32 * KIB, 8, 11, Scenario::Isolation);
         assert_eq!(plain, captured);
     }

@@ -133,8 +133,8 @@ pub fn capture_prem(
 
 /// Captures the standard LLC-PREM experiment configuration on the TX1
 /// platform: interval size `t`, `r` prefetch repetitions, TX1 noise —
-/// the traced twin of `prem_report::common::run_llc`, configured from the
-/// same [`prem_report::llc_request`] and byte-identical in its `PremRun`
+/// the traced twin of executing [`prem_report::llc_request`], configured
+/// from that same request and byte-identical in its `PremRun`
 /// (pinned by the golden suite).
 ///
 /// # Panics

@@ -9,7 +9,7 @@ use prem_gpu::memsim::KIB;
 use prem_gpu::report::fig4::fig4_with_sweeps;
 use prem_gpu::report::fig6::fig6;
 use prem_gpu::report::fig7::fig7_with_sweep;
-use prem_gpu::report::{run_base, run_llc, run_spm, Harness};
+use prem_gpu::report::{base_request, llc_request, spm_request, Harness};
 
 fn bicg() -> Bicg {
     Bicg::new(512, 512)
@@ -66,13 +66,21 @@ fn coin_toss_model_picks_r8() {
 #[test]
 fn spm_indifferent_baseline_exposed() {
     let kernel = bicg();
-    let spm_iso = run_spm(&kernel, 96 * KIB, 11, Scenario::Isolation);
-    let spm_intf = run_spm(&kernel, 96 * KIB, 11, Scenario::Interference);
+    let spm_iso = spm_request(&kernel, 96 * KIB, 11, Scenario::Isolation)
+        .execute()
+        .prem();
+    let spm_intf = spm_request(&kernel, 96 * KIB, 11, Scenario::Interference)
+        .execute()
+        .prem();
     let rel = spm_intf.makespan_cycles / spm_iso.makespan_cycles;
     assert!(rel < 1.01, "SPM sensitivity {rel}");
 
-    let base_iso = run_base(&kernel, 11, Scenario::Isolation);
-    let base_intf = run_base(&kernel, 11, Scenario::Interference);
+    let base_iso = base_request(&kernel, 11, Scenario::Isolation)
+        .execute()
+        .baseline();
+    let base_intf = base_request(&kernel, 11, Scenario::Interference)
+        .execute()
+        .baseline();
     let rel = base_intf.cycles / base_iso.cycles;
     assert!(rel > 2.0, "baseline sensitivity only {rel}");
 }
@@ -95,8 +103,12 @@ fn llc_beats_spm() {
 #[test]
 fn llc_beats_contended_baseline_at_scale() {
     let kernel = Bicg::new(1024, 1024);
-    let llc = run_llc(&kernel, 160 * KIB, 8, 11, Scenario::Interference);
-    let base = run_base(&kernel, 11, Scenario::Interference);
+    let llc = llc_request(&kernel, 160 * KIB, 8, 11, Scenario::Interference)
+        .execute()
+        .prem();
+    let base = base_request(&kernel, 11, Scenario::Interference)
+        .execute()
+        .baseline();
     assert!(
         base.cycles > llc.makespan_cycles,
         "baseline {:.3e} vs llc {:.3e}",
@@ -124,8 +136,14 @@ fn taming_restores_predictability() {
     let kernel = bicg();
     let t = 160 * KIB;
     let sens = |r: u32| {
-        let iso = run_llc(&kernel, t, r, 11, Scenario::Isolation).makespan_cycles;
-        let intf = run_llc(&kernel, t, r, 11, Scenario::Interference).makespan_cycles;
+        let iso = llc_request(&kernel, t, r, 11, Scenario::Isolation)
+            .execute()
+            .prem()
+            .makespan_cycles;
+        let intf = llc_request(&kernel, t, r, 11, Scenario::Interference)
+            .execute()
+            .prem()
+            .makespan_cycles;
         intf / iso - 1.0
     };
     let naive = sens(1);
@@ -142,7 +160,9 @@ fn taming_restores_predictability() {
 fn overhead_shrinks_with_interval_size() {
     let kernel = bicg();
     let share = |t_kib: usize| {
-        let run = run_llc(&kernel, t_kib * KIB, 8, 11, Scenario::Isolation);
+        let run = llc_request(&kernel, t_kib * KIB, 8, 11, Scenario::Isolation)
+            .execute()
+            .prem();
         (run.breakdown.idle + run.breakdown.sync) / run.makespan_cycles
     };
     let small = share(32);

@@ -3,15 +3,21 @@
 //! its length, so an entry point tiles each distinct interval size once
 //! however many requests share it. A lazy executor (or executing each
 //! request on its own) re-tiles for every request, which at paper scale
-//! costs milliseconds per run.
+//! costs milliseconds per run. And an executor that has run an artifact's
+//! requests renders it without simulating anything.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use prem_gpu::core::IntervalSpec;
+use prem_gpu::harness::PlanExecutor;
 use prem_gpu::kernels::{Bicg, Kernel, KernelError, VerifyError};
 use prem_gpu::memsim::KIB;
-use prem_gpu::report::ablation::{bias_ablation, policy_ablation};
+use prem_gpu::report::ablation::{
+    adaptive_ablation, adaptive_ablation_with, adaptive_requests, bias_ablation,
+    bias_ablation_with, bias_requests, msg_ablation, msg_ablation_with, msg_requests,
+    policy_ablation, policy_ablation_with, policy_requests,
+};
 use prem_gpu::report::fig3::{fig35, fig35_requests};
 use prem_gpu::report::interference::interference_sweep;
 use prem_gpu::report::Harness;
@@ -21,12 +27,13 @@ use prem_gpu::report::Harness;
 #[derive(Debug)]
 struct EntryPointBicg {
     inner: Bicg,
+    name: &'static str,
     tilings: AtomicUsize,
 }
 
 impl Kernel for EntryPointBicg {
     fn name(&self) -> &'static str {
-        "entry-point-bicg"
+        self.name
     }
     fn dims(&self) -> String {
         self.inner.dims()
@@ -50,6 +57,15 @@ impl Kernel for EntryPointBicg {
 }
 
 impl EntryPointBicg {
+    /// A 128×128 bicg named `name`.
+    fn new(name: &'static str) -> Self {
+        EntryPointBicg {
+            inner: Bicg::new(128, 128),
+            name,
+            tilings: AtomicUsize::new(0),
+        }
+    }
+
     /// How many tilings `render` builds.
     fn tilings_of(&self, render: impl FnOnce()) -> usize {
         self.tilings.store(0, Ordering::Relaxed);
@@ -60,10 +76,7 @@ impl EntryPointBicg {
 
 #[test]
 fn standalone_entry_points_tile_each_kernel_t_once() {
-    let kernel = EntryPointBicg {
-        inner: Bicg::new(128, 128),
-        tilings: AtomicUsize::new(0),
-    };
+    let kernel = EntryPointBicg::new("entry-point-bicg");
     let harness = Harness::quick();
     let t = 32 * KIB;
 
@@ -81,6 +94,15 @@ fn standalone_entry_points_tile_each_kernel_t_once() {
         bias_ablation(&kernel, &harness, t, &[1, 3]);
     });
     assert_eq!(bias, 1, "bias_ablation");
+    // The MSG ablation's SPM and LLC runs sit at two interval sizes.
+    let msg = kernel.tilings_of(|| {
+        msg_ablation(&kernel, &harness, t, 2 * t, &[5.0, 50.0]);
+    });
+    assert_eq!(msg, 2, "msg_ablation");
+    let adaptive = kernel.tilings_of(|| {
+        adaptive_ablation(&kernel, &harness, t);
+    });
+    assert_eq!(adaptive, 1, "adaptive_ablation");
 
     // The breakdown figure spans several interval sizes (baseline, SPM and
     // LLC rows, some of them shared).
@@ -94,4 +116,30 @@ fn standalone_entry_points_tile_each_kernel_t_once() {
         fig35(&kernel, &harness, 8, &spm, &llc);
     });
     assert_eq!(fig, distinct.len(), "fig35: one tiling per distinct T");
+}
+
+#[test]
+fn ablations_render_from_an_executor_that_ran_their_plans() {
+    let kernel = EntryPointBicg::new("ablation-render-bicg");
+    let harness = Harness::default();
+    let (t, rs, msgs, weights) = (32 * KIB, [1, 8], [5.0, 50.0], [1, 3]);
+    let executor = PlanExecutor::new();
+    let plan = [
+        policy_requests(&kernel, &harness, t, &rs),
+        msg_requests(&kernel, &harness, t, 2 * t, &msgs),
+        adaptive_requests(&kernel, &harness, t),
+        bias_requests(&kernel, &harness, t, &weights),
+    ]
+    .concat();
+    executor.execute(&plan, 1);
+    let executed = executor.executed_runs();
+
+    let tilings = kernel.tilings_of(|| {
+        policy_ablation_with(&kernel, &harness, t, &rs, &executor);
+        msg_ablation_with(&kernel, &harness, t, 2 * t, &msgs, &executor);
+        adaptive_ablation_with(&kernel, &harness, t, &executor);
+        bias_ablation_with(&kernel, &harness, t, &weights, &executor);
+    });
+    assert_eq!(executor.executed_runs(), executed, "a render simulated");
+    assert_eq!(tilings, 0, "a render tiled");
 }
