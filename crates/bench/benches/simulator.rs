@@ -1,12 +1,12 @@
 //! Microbenchmarks of the simulator itself: cache access throughput per
-//! replacement policy, prefetch passes, PREM executor end-to-end, and
-//! kernel tiling generation.
+//! replacement policy, prefetch passes, PREM executor end-to-end (isolated
+//! and under bursty co-runners), and kernel tiling generation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use prem_core::{run_prem, PremConfig};
-use prem_gpusim::{PlatformConfig, Scenario};
+use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::{AccessKind, Cache, CacheConfig, LineAddr, Phase, Policy, KIB};
 
@@ -100,19 +100,42 @@ fn bench_packed_hot_path(c: &mut Criterion) {
 fn bench_prem_executor(c: &mut Criterion) {
     let kernel = Bicg::new(256, 256);
     let intervals = kernel.intervals(96 * KIB).expect("tiling");
+    // `llc_r8_bursty` runs the C-phases under three half-duty bursty
+    // co-runners: the time-varying coster, which reads contention through
+    // windows between burst edges.
+    let bursty = PlatformConfig::tx1().with_corunners(vec![
+        CorunnerProfile::Bursty {
+            duty: 0.5,
+            period_cycles: 80_000.0,
+        };
+        3
+    ]);
     let mut g = c.benchmark_group("prem_executor");
     g.sample_size(20);
-    for (name, cfg) in [
-        ("llc_r8", PremConfig::llc_tamed()),
-        ("spm", PremConfig::spm()),
+    for (name, platform, cfg, scenario) in [
+        (
+            "llc_r8",
+            PlatformConfig::tx1(),
+            PremConfig::llc_tamed(),
+            Scenario::Isolation,
+        ),
+        (
+            "spm",
+            PlatformConfig::tx1(),
+            PremConfig::spm(),
+            Scenario::Isolation,
+        ),
+        (
+            "llc_r8_bursty",
+            bursty,
+            PremConfig::llc_tamed(),
+            Scenario::Corunners,
+        ),
     ] {
         g.bench_function(name, |b| {
-            let mut platform = PlatformConfig::tx1().build();
+            let mut platform = platform.build();
             b.iter(|| {
-                black_box(
-                    run_prem(&mut platform, &intervals, &cfg, Scenario::Isolation)
-                        .expect("prem run"),
-                )
+                black_box(run_prem(&mut platform, &intervals, &cfg, scenario).expect("prem run"))
             })
         });
     }

@@ -424,10 +424,13 @@ fn main() -> ExitCode {
     // column uses mixes the fusion cannot touch — time-varying (bursty)
     // contention — where the per-cell pass is still real work the memo
     // elides. Bursty mixes are non-polluting, so the pass and the timed
-    // run cost about the same (both take the fixed-round all-hit
-    // shortcut) and the elided pass shows as a ~2x cold/warm gap; a
-    // polluting profile would deflate the ratio instead (its timed run
-    // cannot shortcut, dwarfing the pass). R=16 keeps the column
+    // run stage alike (both walk only the prefetch-round lines whose LLC
+    // set missed in the round before) and, with the timed C-phase reading
+    // contention through windows between burst edges, cost about the
+    // same: the elided pass shows as a ~2x cold/warm gap. A polluting
+    // profile would deflate the ratio instead (its timed run also pays
+    // the pollution fills the pass never sees, dwarfing the pass). R=16
+    // keeps the column
     // M-phase-heavy: the M-pass costs the same in the profiling pass and
     // the timed run, so the sweep's co-runner C-phase overhead does not
     // drown the pass the memo elides. The cold/warm ratio is asserted

@@ -10,11 +10,13 @@
 //! when interference makes C-phase misses slower than budgeted.
 
 use prem_gpusim::{ExecError, InterferenceEngine, Op, OpStream, Platform, Scenario, SmExecutor};
-use prem_memsim::{BusWindow, CacheStats, Contention, LineAddr, NullSink, Phase, TraceSink};
+use prem_memsim::{
+    AccessKind, BusWindow, Cache, CacheStats, Contention, LineAddr, NullSink, Phase, TraceSink,
+};
 
 use crate::budget::{BudgetPolicy, Budgets};
 use crate::interval::IntervalSpec;
-use crate::local_store::LocalStore;
+use crate::local_store::{LocalStore, PrefetchStrategy};
 use crate::metrics::Breakdown;
 use crate::sync::PhaseTiming;
 
@@ -69,14 +71,15 @@ const NOISE_BASE_LINE: u64 = 0x0F00_0000;
 
 /// Injects one unmanaged read after every `noise.every` memory ops of
 /// `stream`, cycling through the noise working set. `counter` persists
-/// across phases so the rotation is continuous.
-fn inject_noise(stream: &OpStream, noise: NoiseModel, counter: &mut u64) -> OpStream {
+/// across phases so the rotation is continuous. With noise off the stream
+/// is returned as built.
+fn inject_noise(stream: OpStream, noise: NoiseModel, counter: &mut u64) -> OpStream {
     if !noise.enabled() {
-        return stream.clone();
+        return stream;
     }
     let mut out = OpStream::with_capacity(stream.len() + stream.len() / noise.every as usize + 1);
     let mut since = 0u32;
-    for op in stream {
+    for op in &stream {
         out.push(*op);
         let is_mem = !matches!(op, Op::Alu(_) | Op::TranslAddr(_));
         if is_mem {
@@ -314,6 +317,7 @@ pub fn run_prem_traced<S: TraceSink>(
     let mut c_wcet_obs = 0.0f64;
     let mut interval_timings = Vec::with_capacity(intervals.len());
     let mut bus = BusWindow::default();
+    let mut set_rounds = SetRounds::new(platform.mem.llc());
     // Global schedule clock: what bursty co-runners' duty windows are
     // phased against.
     let mut now = 0.0f64;
@@ -326,65 +330,11 @@ pub fn run_prem_traced<S: TraceSink>(
         // blocked, so the phase runs isolated and unpolluted) ---
         now += switch_cycles;
         sink.on_phase(Phase::MPhase, now);
-        let m_pass = cfg.store.m_phase_pass(iv);
-        let rounds = match &cfg.store {
-            LocalStore::Llc { prefetch } => *prefetch,
-            LocalStore::Spm { .. } => crate::local_store::PrefetchStrategy::Repeated { r: 1 },
-        };
-        let mut m_work = 0.0;
-        let mut used = 0;
-        let max_rounds = rounds.max_rounds();
-        let mut round = 0;
-        // A fixed repetition re-runs one identical input pass, so a sink
-        // that opted into deduplicated delivery observes round 1 only and
-        // the repeats run unobserved — they carry no information the first
-        // round didn't (outcomes are not part of a sequence capture).
-        let dedup = S::DEDUP_M_ROUNDS && !rounds.adaptive();
-        while round < max_rounds {
-            let mut ex = SmExecutor::new(&mut platform.mem, &platform.cost);
-            let out = if round == 0 || !dedup {
-                ex.run_traced(&m_pass, Phase::MPhase, m_cont, now + m_work, sink)?
-            } else {
-                ex.run_traced(&m_pass, Phase::MPhase, m_cont, now + m_work, &mut NullSink)?
-            };
-            m_work += out.cycles;
-            prefetch_hits += out.prefetch_hits;
-            prefetch_misses += out.prefetch_misses;
-            used += 1;
-            round += 1;
-            if rounds.adaptive() && used > 1 && out.prefetch_misses == 0 {
-                break;
-            }
-            // All-hit shortcut: a zero-miss round left contents, RNG and
-            // (up to unobservable clock values) replacement state exactly
-            // where they were, so every remaining fixed round is the same
-            // pure hit pass with bit-identical cycles. Credit those rounds
-            // analytically — repeated f64 adds preserve the exact summation
-            // a simulated loop would produce — instead of re-simulating
-            // the footprint. Only when the remaining rounds run unobserved
-            // (no per-event recording, or the sink deduplicates repeats and
-            // round 1 is already delivered) and no L1 sits in front of the
-            // LLC (L1 churn would make later rounds diverge).
-            if (!S::RECORDS || dedup)
-                && !rounds.adaptive()
-                && out.prefetch_misses == 0
-                && round < max_rounds
-                && platform.mem.l1().is_none()
-            {
-                let remaining = max_rounds - round;
-                for _ in 0..remaining {
-                    m_work += out.cycles;
-                    prefetch_hits += out.prefetch_hits;
-                }
-                platform
-                    .mem
-                    .llc_mut()
-                    .credit_repeated_hits(Phase::MPhase, u64::from(remaining) * out.prefetch_hits);
-                used += remaining;
-                round = max_rounds;
-            }
-        }
-        max_rounds_used = max_rounds_used.max(used);
+        let m = run_m_phase(platform, iv, &cfg.store, m_cont, now, &mut set_rounds, sink)?;
+        prefetch_hits += m.hits;
+        prefetch_misses += m.misses;
+        let m_work = m.work;
+        max_rounds_used = max_rounds_used.max(m.rounds);
         // The M-phase runs token-held, i.e. isolated — its work IS the
         // profiling measurement (identical accumulation in both passes).
         m_wcet_obs = m_wcet_obs.max(m_work);
@@ -398,7 +348,7 @@ pub fn run_prem_traced<S: TraceSink>(
         // a no-op; otherwise the real C budget bounds the pollution slot.
         let pollute_window = known_budgets.as_ref().map_or(0.0, |b| b.c_cycles);
         engine.pollute_traced(platform.mem.llc_mut(), pollute_window, sink);
-        let c_stream = inject_noise(&cfg.store.c_phase(iv), cfg.noise, &mut noise_counter);
+        let c_stream = inject_noise(cfg.store.c_phase(iv), cfg.noise, &mut noise_counter);
         let mut ex = SmExecutor::new(&mut platform.mem, &platform.cost);
         let c_out = match fused_c_cont {
             // Fused: one walk prices the live C-phase and, per op in issue
@@ -534,7 +484,7 @@ pub fn run_baseline_traced<S: TraceSink>(
         if let Some(&window) = windows.get(i) {
             engine.pollute_traced(platform.mem.llc_mut(), window, sink);
         }
-        let stream = inject_noise(&LocalStore::baseline(iv), noise, &mut noise_counter);
+        let stream = inject_noise(LocalStore::baseline(iv), noise, &mut noise_counter);
         let out = SmExecutor::new(&mut platform.mem, &platform.cost).run_under_traced(
             &stream,
             Phase::Unphased,
@@ -565,7 +515,7 @@ fn baseline_windows(
     let mut noise_counter = 0u64;
     let mut windows = Vec::with_capacity(intervals.len());
     for iv in intervals {
-        let stream = inject_noise(&LocalStore::baseline(iv), noise, &mut noise_counter);
+        let stream = inject_noise(LocalStore::baseline(iv), noise, &mut noise_counter);
         let out = SmExecutor::new(&mut scratch.mem, &scratch.cost).run(
             &stream,
             Phase::Unphased,
@@ -604,47 +554,20 @@ pub fn profile_phases(
     let mut m_wcet = 0.0f64;
     let mut c_wcet = 0.0f64;
     let mut noise_counter = 0u64;
+    let mut set_rounds = SetRounds::new(platform.mem.llc());
     for iv in intervals {
         platform.mem.begin_interval();
-        let m_pass = cfg.store.m_phase_pass(iv);
-        let rounds = match &cfg.store {
-            LocalStore::Llc { prefetch } => *prefetch,
-            LocalStore::Spm { .. } => crate::local_store::PrefetchStrategy::Repeated { r: 1 },
-        };
-        let mut m_work = 0.0;
-        let max_rounds = rounds.max_rounds();
-        let mut round = 0;
-        while round < max_rounds {
-            let out = SmExecutor::new(&mut platform.mem, &platform.cost).run(
-                &m_pass,
-                Phase::MPhase,
-                m_cont,
-            )?;
-            m_work += out.cycles;
-            round += 1;
-            if rounds.adaptive() && round > 1 && out.prefetch_misses == 0 {
-                break;
-            }
-            // Same all-hit shortcut as the timed run (profiling is never
-            // traced, so only the L1 gate applies): remaining fixed rounds
-            // after a zero-miss round are identical pure hit passes.
-            if !rounds.adaptive()
-                && out.prefetch_misses == 0
-                && round < max_rounds
-                && platform.mem.l1().is_none()
-            {
-                let remaining = max_rounds - round;
-                for _ in 0..remaining {
-                    m_work += out.cycles;
-                }
-                platform
-                    .mem
-                    .llc_mut()
-                    .credit_repeated_hits(Phase::MPhase, u64::from(remaining) * out.prefetch_hits);
-                round = max_rounds;
-            }
-        }
-        let c_stream = inject_noise(&cfg.store.c_phase(iv), cfg.noise, &mut noise_counter);
+        let m = run_m_phase(
+            platform,
+            iv,
+            &cfg.store,
+            m_cont,
+            0.0,
+            &mut set_rounds,
+            &mut NullSink,
+        )?;
+        let m_work = m.work;
+        let c_stream = inject_noise(cfg.store.c_phase(iv), cfg.noise, &mut noise_counter);
         let c_out = SmExecutor::new(&mut platform.mem, &platform.cost).run(
             &c_stream,
             Phase::CPhase,
@@ -654,6 +577,191 @@ pub fn profile_phases(
         c_wcet = c_wcet.max(c_out.cycles);
     }
     Ok((m_wcet, c_wcet))
+}
+
+/// What one interval's M-phase did: its work (cycles), its prefetch
+/// outcomes and the rounds it used.
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    pub(crate) work: f64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) rounds: u32,
+}
+
+/// Per-LLC-set round bookkeeping for [`prefetch_rounds`], allocated once
+/// per run: `missed[s]` is the stamp of the last round in which set `s`
+/// missed. Every round takes a fresh, larger stamp, so nothing is ever
+/// cleared between rounds or intervals.
+pub(crate) struct SetRounds {
+    missed: Vec<u32>,
+    stamp: u32,
+}
+
+impl SetRounds {
+    pub(crate) fn new(llc: &Cache) -> Self {
+        SetRounds {
+            missed: vec![0; llc.config().sets()],
+            stamp: 0,
+        }
+    }
+}
+
+/// Stages `footprint` into `llc` by prefetch rounds per `strategy`,
+/// walking only what a round can change — the one round loop of the timed
+/// run, the profiling pass and
+/// [`RunCapture::replay_for`](crate::RunCapture::replay_for).
+///
+/// Round 1 walks every line and reports it to `sink` (op-issue timestamps
+/// from `start`, as the executor emits them). Later rounds run unobserved,
+/// and a line is walked only when its LLC set missed in the round before.
+///
+/// **Why a set that missed nothing may be credited.** If set `s` had no
+/// miss in round `k`, nothing was filled into or evicted from it during
+/// that round, so it still holds every footprint line it maps, and round
+/// `k + 1` over `s` is a pure hit pass: the same way sequence, all hits.
+/// Repeating that pass changes no state any policy reads later. Random,
+/// biased-random and FIFO ignore hits. Replaying an all-hit way sequence
+/// leaves LRU's relative stamp order, PLRU's tree bits, NMRU's MRU way
+/// and SRRIP's RRPVs as the same sequence left them in round `k`; only
+/// the replacer's clock differs, and no victim choice reads an absolute
+/// stamp. Misses happen only in walked sets, in issue order, so victim
+/// draws consume the RNG in the same order. A credited line adds the hit
+/// cost in its issue position, so the round's cycle sum is the walked
+/// sum bit for bit, and its hit is settled through
+/// [`Cache::credit_repeated_hits`]. A fixed repetition whose round
+/// missed nothing at all credits every remaining round whole.
+///
+/// Callers uphold the gates: the footprint is staged into the LLC with
+/// no L1 in front (L1 churn would make rounds diverge), and no sink
+/// observes rounds after the first. The adaptive strategy stops on the
+/// miss count alone, which crediting preserves.
+pub(crate) fn prefetch_rounds<I, S>(
+    llc: &mut Cache,
+    footprint: I,
+    strategy: PrefetchStrategy,
+    (pf_hit, pf_miss): (f64, f64),
+    start: f64,
+    sets: &mut SetRounds,
+    sink: &mut S,
+) -> Staged
+where
+    I: Iterator<Item = LineAddr> + Clone,
+    S: TraceSink,
+{
+    let max_rounds = strategy.max_rounds();
+    let mut staged = Staged::default();
+    while staged.rounds < max_rounds {
+        let prev = sets.stamp;
+        sets.stamp += 1;
+        let first = staged.rounds == 0;
+        let mut cycles = 0.0f64;
+        let mut hits = 0u64;
+        let mut misses = 0u64;
+        let mut credited = 0u64;
+        for line in footprint.clone() {
+            let set = llc.set_of(line);
+            let hit = if first {
+                sink.on_op_issue(start + cycles);
+                llc.access_traced(line, AccessKind::Prefetch, Phase::MPhase, sink)
+                    .hit
+            } else if sets.missed[set] >= prev {
+                // Missed in the previous round (a miss earlier in this
+                // round may already have restamped it to the current one).
+                llc.access(line, AccessKind::Prefetch, Phase::MPhase).hit
+            } else {
+                credited += 1;
+                true
+            };
+            if hit {
+                hits += 1;
+                cycles += pf_hit;
+            } else {
+                misses += 1;
+                cycles += pf_miss;
+                sets.missed[set] = sets.stamp;
+            }
+        }
+        llc.credit_repeated_hits(Phase::MPhase, credited);
+        staged.work += cycles;
+        staged.hits += hits;
+        staged.misses += misses;
+        staged.rounds += 1;
+        if strategy.adaptive() {
+            if staged.rounds > 1 && misses == 0 {
+                break;
+            }
+        } else if misses == 0 {
+            // Every set is settled: each remaining round is this same
+            // all-hit pass, credited with the same repeated adds.
+            let remaining = max_rounds - staged.rounds;
+            for _ in 0..remaining {
+                staged.work += cycles;
+                staged.hits += hits;
+            }
+            llc.credit_repeated_hits(Phase::MPhase, u64::from(remaining) * hits);
+            staged.rounds = max_rounds;
+        }
+    }
+    staged
+}
+
+/// One interval's M-phase under `store`, starting at schedule time
+/// `start`: [`prefetch_rounds`] when its gates hold, otherwise every
+/// round walked through the SM executor (SPM staging, an L1 in front of
+/// the LLC, or a sink that records every round).
+///
+/// A fixed repetition re-runs one identical input pass, so a sink that
+/// opted into deduplicated delivery observes round 1 only and the repeats
+/// run unobserved — they carry no information the first round didn't
+/// (outcomes are not part of a sequence capture).
+fn run_m_phase<S: TraceSink>(
+    platform: &mut Platform,
+    iv: &IntervalSpec,
+    store: &LocalStore,
+    m_cont: Contention,
+    start: f64,
+    sets: &mut SetRounds,
+    sink: &mut S,
+) -> Result<Staged, ExecError> {
+    let strategy = match store {
+        LocalStore::Llc { prefetch } => *prefetch,
+        LocalStore::Spm { .. } => PrefetchStrategy::Repeated { r: 1 },
+    };
+    let dedup = S::DEDUP_M_ROUNDS && !strategy.adaptive();
+    if matches!(store, LocalStore::Llc { .. })
+        && (!S::RECORDS || dedup)
+        && platform.mem.l1().is_none()
+    {
+        let cost = (
+            platform.cost.prefetch_cost(true, m_cont),
+            platform.cost.prefetch_cost(false, m_cont),
+        );
+        let footprint = iv.footprint.iter().copied();
+        let llc = platform.mem.llc_mut();
+        return Ok(prefetch_rounds(
+            llc, footprint, strategy, cost, start, sets, sink,
+        ));
+    }
+    let m_pass = store.m_phase_pass(iv);
+    let mut staged = Staged::default();
+    while staged.rounds < strategy.max_rounds() {
+        let mut ex = SmExecutor::new(&mut platform.mem, &platform.cost);
+        let at = start + staged.work;
+        let out = if staged.rounds == 0 || !dedup {
+            ex.run_traced(&m_pass, Phase::MPhase, m_cont, at, sink)?
+        } else {
+            ex.run_traced(&m_pass, Phase::MPhase, m_cont, at, &mut NullSink)?
+        };
+        staged.work += out.cycles;
+        staged.hits += out.prefetch_hits;
+        staged.misses += out.prefetch_misses;
+        staged.rounds += 1;
+        if strategy.adaptive() && staged.rounds > 1 && out.prefetch_misses == 0 {
+            break;
+        }
+    }
+    Ok(staged)
 }
 
 #[cfg(test)]
@@ -752,7 +860,7 @@ mod tests {
         let stream = LocalStore::baseline(&toy_intervals()[0]);
         let mut counter = 0;
         let noisy = inject_noise(
-            &stream,
+            stream.clone(),
             NoiseModel {
                 lines: 8,
                 every: 16,
@@ -767,7 +875,7 @@ mod tests {
         // Noise lines rotate within the configured working set.
         let mut counter2 = 8;
         let again = inject_noise(
-            &stream,
+            stream.clone(),
             NoiseModel {
                 lines: 8,
                 every: 16,
@@ -781,7 +889,7 @@ mod tests {
     fn noise_off_is_identity() {
         let stream = LocalStore::baseline(&toy_intervals()[0]);
         let mut counter = 0;
-        let same = inject_noise(&stream, NoiseModel::off(), &mut counter);
+        let same = inject_noise(stream.clone(), NoiseModel::off(), &mut counter);
         assert_eq!(same, stream);
         assert_eq!(counter, 0);
     }

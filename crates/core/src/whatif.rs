@@ -24,9 +24,11 @@
 //!   adds into the interval's M-phase work, fresh accumulators per C-phase,
 //!   intervals folded in order. Per-op costs come from the captured
 //!   [`CostModel`](prem_gpusim::CostModel) under the captured contention,
-//!   i.e. the same pure functions the live executor charges. Rounds after
-//!   a zero-miss M-round are credited, not walked, by the same repeated
-//!   adds as the live executor's all-hit shortcut.
+//!   i.e. the same pure functions the live executor charges. M-rounds go
+//!   through the live executor's own round helper: a round walks only the
+//!   lines whose LLC set missed in the round before and credits the rest
+//!   as hits (per op, in issue order), and every round after one that
+//!   missed nothing is credited whole — all on the sibling's trajectory.
 //! * **Budgets** — the profiling pass and the timed run reset and reseed
 //!   identically and feed identical op sequences, so their cache
 //!   trajectories coincide; one captured walk therefore yields both the
@@ -46,14 +48,17 @@ use std::ops::Range;
 
 use prem_gpusim::{ExecError, InterferenceEngine, PlatformConfig, Scenario};
 use prem_memsim::{
-    AccessKind, AccessOutcome, BusWindow, Cache, Contention, HitLevel, LineAddr, Phase, Policy,
-    TraceSink,
+    AccessKind, AccessOutcome, BusWindow, Cache, Contention, HitLevel, LineAddr, NullSink, Phase,
+    Policy, TraceSink,
 };
 
 use crate::budget::BudgetPolicy;
-use crate::exec::{run_baseline_traced, run_prem_traced, BaselineRun, NoiseModel, PremRun};
+use crate::exec::{
+    prefetch_rounds, run_baseline_traced, run_prem_traced, BaselineRun, NoiseModel, PremRun,
+    SetRounds,
+};
 use crate::interval::IntervalSpec;
-use crate::local_store::LocalStore;
+use crate::local_store::{LocalStore, PrefetchStrategy};
 use crate::metrics::Breakdown;
 use crate::plan::{Executed, RunOutput, RunWork};
 use crate::sync::PhaseTiming;
@@ -109,7 +114,7 @@ enum Entry {
 /// every round would store the same entries `r` times. The executor
 /// delivers round 1 only; [`RunCapture::replay_for`] walks the recorded
 /// round [`RunCapture::rounds`] times to reproduce the full sequence,
-/// crediting the rounds after a zero-miss one as the live executor does.
+/// crediting settled sets and rounds exactly as the live executor does.
 #[derive(Debug, Default)]
 struct WhatIfSink {
     entries: Vec<Entry>,
@@ -348,7 +353,13 @@ impl RunCapture {
             }
             CaptureMode::Prem => {
                 let segments = self.prem_segments();
-                let rounds = self.rounds.max(1) as usize;
+                // The capture stores one M round (the sink deduplicates the
+                // fixed repetition); the live executor's round helper runs
+                // it for `rounds` rounds over the mirror, so repeats hit or
+                // miss per the *sibling's* trajectory and are credited
+                // exactly where a live run of the sibling credits them.
+                let strategy = PrefetchStrategy::Repeated { r: self.rounds };
+                let mut sets = SetRounds::new(&llc);
                 // Walk: per-interval (M-work, C-live, C-isolated, C DRAM
                 // fills). The isolated accumulator reproduces the
                 // profiling pass (identical trajectory, isolated DRAM
@@ -358,57 +369,26 @@ impl RunCapture {
                 let mut prefetch_misses = 0u64;
                 for (m_range, c_range) in segments {
                     llc.begin_interval();
-                    // The capture stores one M round (the sink deduplicates
-                    // the fixed repetition); walking it `rounds` times feeds
-                    // the mirror the exact live access sequence — repeats
-                    // hit or miss per the *sibling's* trajectory, so rounds
-                    // flow through the mirror cache until one misses
-                    // nothing.
-                    let m_entries = &self.entries[m_range];
-                    let mut m_work = 0.0f64;
-                    let mut round = 0;
-                    while round < rounds {
-                        let mut cycles = 0.0f64;
-                        let mut hits = 0u64;
-                        let mut misses = 0u64;
-                        for e in m_entries {
-                            match *e {
-                                Entry::Access { line, kind, phase } => {
-                                    let out = llc.access(line, kind, phase);
-                                    if out.hit {
-                                        hits += 1;
-                                        cycles += pf_hit;
-                                    } else {
-                                        misses += 1;
-                                        cycles += pf_miss;
-                                    }
-                                }
-                                Entry::Compute { n } => cycles += cost.alu_cost(n),
-                                Entry::Interval | Entry::MBegin | Entry::CBegin => {
-                                    unreachable!("marker inside an M-phase segment")
-                                }
-                            }
-                        }
-                        m_work += cycles;
-                        prefetch_hits += hits;
-                        prefetch_misses += misses;
-                        round += 1;
-                        // The live executor's all-hit shortcut, applied to
-                        // the sibling's own trajectory: a zero-miss round
-                        // leaves contents, RNG and (up to clock values)
-                        // replacement state unchanged, so every remaining
-                        // round is the same pure hit pass. Credit them with
-                        // the repeated f64 adds the live path uses.
-                        if misses == 0 && round < rounds {
-                            let remaining = rounds - round;
-                            for _ in 0..remaining {
-                                m_work += cycles;
-                                prefetch_hits += hits;
-                            }
-                            llc.credit_repeated_hits(Phase::MPhase, remaining as u64 * hits);
-                            break;
-                        }
-                    }
+                    let footprint = self.entries[m_range].iter().map(|e| match *e {
+                        Entry::Access {
+                            line,
+                            kind: AccessKind::Prefetch,
+                            phase: Phase::MPhase,
+                        } => line,
+                        _ => unreachable!("an LLC M-phase captures prefetches only"),
+                    });
+                    let m = prefetch_rounds(
+                        &mut llc,
+                        footprint,
+                        strategy,
+                        (pf_hit, pf_miss),
+                        0.0,
+                        &mut sets,
+                        &mut NullSink,
+                    );
+                    prefetch_hits += m.hits;
+                    prefetch_misses += m.misses;
+                    let m_work = m.work;
                     let mut c_live = 0.0f64;
                     let mut c_iso = 0.0f64;
                     let mut c_dram = 0u64;

@@ -70,6 +70,13 @@ const THRASH_BASE_LINE: u64 = 0x3000_0000;
 /// Line-address stride between two thrashers' working sets.
 const THRASH_REGION_STRIDE: u64 = 0x10_0000;
 
+/// Schedule times (`cycle + offset`, in cycles) below which a contention
+/// window is exact: at these magnitudes every rounding in the window
+/// arithmetic and in [`InterferenceEngine::contention_at`] is below
+/// 2^-11 cycles, far inside the one cycle a window stops short of an
+/// edge. At and beyond it (about 18 minutes at 1 GHz) windows are empty.
+const WINDOW_LIMIT: f64 = (1u64 << 40) as f64;
+
 impl CorunnerProfile {
     /// Short stable name used in tables, CSV cells and seed keys.
     pub fn name(&self) -> &'static str {
@@ -117,23 +124,57 @@ impl CorunnerProfile {
         matches!(self, CorunnerProfile::CacheThrash)
     }
 
-    /// Demand at `cycle`, given this actor's burst phase `offset`.
-    fn demand_at(&self, cycle: f64, offset: f64) -> f64 {
-        match self {
+    /// A bursty actor's place in its period at `cycle`, given its burst
+    /// phase `offset`: `(phase, on, period)`, bursting while
+    /// `phase < on`. `None` for the other profiles.
+    fn burst_phase(&self, cycle: f64, offset: f64) -> Option<(f64, f64, f64)> {
+        match *self {
             CorunnerProfile::Bursty {
                 duty,
                 period_cycles,
-            } => {
-                let duty = duty.clamp(0.0, 1.0);
-                let phase = (cycle + offset).rem_euclid(*period_cycles);
-                if phase < duty * period_cycles {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            _ => self.peak_demand(),
+            } => Some((
+                (cycle + offset).rem_euclid(period_cycles),
+                duty.clamp(0.0, 1.0) * period_cycles,
+                period_cycles,
+            )),
+            _ => None,
         }
+    }
+
+    /// Demand at `cycle`, given this actor's burst phase `offset`.
+    fn demand_at(&self, cycle: f64, offset: f64) -> f64 {
+        match self.burst_phase(cycle, offset) {
+            Some((phase, on, _)) if phase < on => 1.0,
+            Some(_) => 0.0,
+            None => self.peak_demand(),
+        }
+    }
+
+    /// How many cycles past `cycle` this actor's demand provably stays
+    /// what it is at `cycle`: one cycle short of its next on/off edge,
+    /// 0 near an edge or outside `[0, WINDOW_LIMIT)`, `None` for
+    /// constant demand.
+    ///
+    /// Exactness: `demand_at` reads `phase = fmod(cycle + offset,
+    /// period)`, and `fmod` is exact, so the actor keeps its state for
+    /// every `t` whose rounded `t + offset` stays below the edge. The
+    /// window's own roundings and that of `t + offset` are each below
+    /// 2^-11 cycles under the limit, and the window ends a whole cycle
+    /// early.
+    fn steady_for(&self, cycle: f64, offset: f64) -> Option<f64> {
+        if !self.is_time_varying() {
+            return None;
+        }
+        if !(0.0..WINDOW_LIMIT).contains(&(cycle + offset)) {
+            return Some(0.0);
+        }
+        let (phase, on, period) = self.burst_phase(cycle, offset)?;
+        let edge = if phase < on {
+            on - phase
+        } else {
+            period - phase
+        };
+        Some((edge.min(WINDOW_LIMIT) - 1.0).max(0.0))
     }
 
     /// Validates profile parameters.
@@ -250,6 +291,24 @@ impl InterferenceEngine {
     /// Bus contention felt by the victim at `cycle`.
     pub fn contention_at(&self, cycle: f64) -> Contention {
         Contention::from_demand(self.demand_at(cycle))
+    }
+
+    /// The contention at `cycle` ([`InterferenceEngine::contention_at`]),
+    /// plus a cycle `until ≥ cycle` before which no actor toggles:
+    /// `contention_at(t)` returns the same value for every `t` in
+    /// `[cycle, until)`. Each bursty actor's window ends one cycle short
+    /// of its next edge; the window is empty (`until == cycle`) near an
+    /// edge and at or beyond 2^40 cycles, and unbounded for a mix without
+    /// time-varying actors. Lets a per-op coster re-evaluate contention
+    /// once per window instead of once per op.
+    pub fn contention_until(&self, cycle: f64) -> (Contention, f64) {
+        let until = self
+            .profiles
+            .iter()
+            .zip(&self.offsets)
+            .filter_map(|(p, &off)| p.steady_for(cycle, off))
+            .fold(f64::INFINITY, |until, d| until.min(cycle + d));
+        (self.contention_at(cycle), until)
     }
 
     /// The mix's constant contention, if no actor is time-varying. The

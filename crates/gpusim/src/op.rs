@@ -118,6 +118,7 @@ impl OpStream {
     }
 
     /// Appends one op.
+    #[inline]
     pub fn push(&mut self, op: Op) -> &mut Self {
         self.ops.push(op);
         self

@@ -210,43 +210,75 @@ impl Coster for DualCoster {
     }
 }
 
-/// Time-varying coster: evaluates the interference engine's contention at
-/// each memory op's issue time, exactly as the event-driven path always
-/// has. Compute ops never consulted contention (their cost ignores it),
-/// so skipping the engine query for them is observationally identical —
-/// [`InterferenceEngine::contention_at`] is a pure function of time.
+/// Time-varying coster: charges each memory op the contention the
+/// interference engine reports at the op's issue time, read through
+/// windows. [`InterferenceEngine::contention_until`] names a cycle before
+/// which no actor toggles; ops issued inside that window reuse one
+/// [`CostTable`], and the table is rebuilt only when a re-evaluation
+/// returns a different contention. The table's entries come from the same
+/// [`CostModel`] calls a per-op evaluation makes, so costs are bit-exact.
+/// Compute ops never consulted contention (their cost ignores it), so
+/// they never re-evaluate.
 struct VaryingCoster<'a> {
     cost: &'a CostModel,
     engine: &'a InterferenceEngine,
     start_cycle: f64,
+    contention: Contention,
+    /// End of the window over which `contention` holds.
+    until: f64,
+    table: ConstCoster,
 }
 
-impl VaryingCoster<'_> {
+impl<'a> VaryingCoster<'a> {
+    fn new(cost: &'a CostModel, engine: &'a InterferenceEngine, start_cycle: f64) -> Self {
+        let (contention, until) = engine.contention_until(start_cycle);
+        VaryingCoster {
+            cost,
+            engine,
+            start_cycle,
+            contention,
+            until,
+            table: ConstCoster {
+                t: CostTable::new(cost, contention),
+            },
+        }
+    }
+
+    /// The cost table for an op issued `elapsed` cycles into the stream.
     #[inline]
-    fn at(&self, elapsed: f64) -> Contention {
-        self.engine.contention_at(self.start_cycle + elapsed)
+    fn at(&mut self, elapsed: f64) -> &mut ConstCoster {
+        let cycle = self.start_cycle + elapsed;
+        if cycle >= self.until {
+            let (contention, until) = self.engine.contention_until(cycle);
+            if contention != self.contention {
+                self.contention = contention;
+                self.table.t = CostTable::new(self.cost, contention);
+            }
+            self.until = until;
+        }
+        &mut self.table
     }
 }
 
 impl Coster for VaryingCoster<'_> {
     #[inline]
     fn access(&mut self, level: HitLevel, elapsed: f64) -> f64 {
-        self.cost.access_cost(level, self.at(elapsed))
+        self.at(elapsed).access(level, elapsed)
     }
 
     #[inline]
     fn prefetch(&mut self, hit: bool, elapsed: f64) -> f64 {
-        self.cost.prefetch_cost(hit, self.at(elapsed))
+        self.at(elapsed).prefetch(hit, elapsed)
     }
 
     #[inline]
     fn copy(&mut self, elapsed: f64) -> f64 {
-        self.cost.issue_cycles + self.cost.copy_line_cost(self.at(elapsed))
+        self.at(elapsed).copy(elapsed)
     }
 
     #[inline]
     fn alu(&mut self, n: u64) -> f64 {
-        self.cost.alu_cost(n)
+        self.table.alu(n)
     }
 }
 
@@ -375,11 +407,7 @@ impl<'a> SmExecutor<'a> {
         match engine.static_contention() {
             Some(contention) => self.run_traced(stream, phase, contention, start_cycle, sink),
             None => {
-                let mut coster = VaryingCoster {
-                    cost: self.cost,
-                    engine,
-                    start_cycle,
-                };
+                let mut coster = VaryingCoster::new(self.cost, engine, start_cycle);
                 self.run_inner(stream, phase, &mut coster, start_cycle, sink)
             }
         }

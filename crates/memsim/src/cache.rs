@@ -297,27 +297,40 @@ impl Cache {
 
     /// The single tag-scan used by every lookup ([`Cache::access`],
     /// [`Cache::way_of`], [`Cache::contains`] and the invalid-way probe):
-    /// finds the lowest way in the set at `base` whose tag equals `raw`.
+    /// finds the lowest way of `set_tags` (one set's tag lane) whose tag
+    /// equals `raw`.
     ///
-    /// For the small associativities this simulator models (≤ 64 ways) the
-    /// scan is branch-light: fold the per-way compares into a bitmask and
-    /// take the lowest set bit, so the loop body carries no data-dependent
-    /// branch for the predictor to miss on.
+    /// The set is scanned in fixed 4-wide chunks plus a remainder: each
+    /// chunk folds four compares into a bitmask with no bounds checks and
+    /// no data-dependent branch inside it, and the first chunk holding a
+    /// match yields its lowest set bit. One path serves every
+    /// associativity — 1 to 3 ways are all remainder, 4 and 8 are whole
+    /// chunks, 6 and 16 mix both — with no branch on a particular count.
     #[inline(always)]
-    fn find_way(tags: &[u64], base: usize, ways: usize, raw: u64) -> Option<usize> {
-        if ways <= 64 {
-            let mut mask = 0u64;
-            for w in 0..ways {
-                mask |= u64::from(tags[base + w] == raw) << w;
+    fn find_way(set_tags: &[u64], raw: u64) -> Option<usize> {
+        let mut chunks = set_tags.chunks_exact(4);
+        let mut base = 0;
+        for c in &mut chunks {
+            let mask = u32::from(c[0] == raw)
+                | u32::from(c[1] == raw) << 1
+                | u32::from(c[2] == raw) << 2
+                | u32::from(c[3] == raw) << 3;
+            if mask != 0 {
+                return Some(base + mask.trailing_zeros() as usize);
             }
-            if mask == 0 {
-                None
-            } else {
-                Some(mask.trailing_zeros() as usize)
-            }
-        } else {
-            (0..ways).find(|&w| tags[base + w] == raw)
+            base += 4;
         }
+        chunks
+            .remainder()
+            .iter()
+            .position(|&t| t == raw)
+            .map(|w| base + w)
+    }
+
+    /// The tag lane of the set starting at slot `base`.
+    #[inline(always)]
+    fn set_tags(&self, base: usize) -> &[u64] {
+        &self.tags[base..base + self.cfg.ways]
     }
 
     /// The way holding `line`, if resident. Does not perturb any state.
@@ -326,8 +339,7 @@ impl Cache {
         if raw == EMPTY_TAG {
             return None;
         }
-        let base = self.set_of(line) * self.cfg.ways;
-        Self::find_way(&self.tags, base, self.cfg.ways, raw)
+        Self::find_way(self.set_tags(self.set_of(line) * self.cfg.ways), raw)
     }
 
     /// Whether `line` is resident. Does not perturb any state.
@@ -347,6 +359,7 @@ impl Cache {
     ///
     /// Panics on the reserved sentinel address `u64::MAX`, the tag that
     /// marks an empty slot; no modeled address space reaches it.
+    #[inline]
     pub fn access(&mut self, line: LineAddr, kind: AccessKind, phase: Phase) -> AccessOutcome {
         let raw = line.raw();
         assert_ne!(
@@ -355,10 +368,8 @@ impl Cache {
         );
         let set = self.set_of(line);
         let base = set * self.cfg.ways;
-        let counts = self.stats.phase_mut(phase);
-
-        if let Some(way) = Self::find_way(&self.tags, base, self.cfg.ways, raw) {
-            counts.hits += 1;
+        if let Some(way) = Self::find_way(self.set_tags(base), raw) {
+            self.stats.phase_mut(phase).hits += 1;
             if kind == AccessKind::Write {
                 self.meta[base + way] |= meta::DIRTY;
             }
@@ -370,9 +381,9 @@ impl Cache {
             };
         }
 
-        counts.misses += 1;
+        self.stats.phase_mut(phase).misses += 1;
         // Prefer an invalid way; otherwise ask the policy for a victim.
-        let (way, evicted) = match Self::find_way(&self.tags, base, self.cfg.ways, EMPTY_TAG) {
+        let (way, evicted) = match Self::find_way(self.set_tags(base), EMPTY_TAG) {
             Some(w) => (w, None),
             None => {
                 let w = self.replacer.victim(set, &mut self.rng);
@@ -443,13 +454,13 @@ impl Cache {
     /// Credits `hits` additional hit accesses to `phase` without touching
     /// contents, replacement state or the RNG.
     ///
-    /// This is the statistics half of the executor's all-hit shortcut: once
-    /// a prefetch round completes with zero misses, every further identical
-    /// round is provably a pure hit pass whose only statistical effect is
-    /// `hits += ops` in the round's phase — the executor accounts those
-    /// rounds analytically and settles the ledger here. Callers are
-    /// responsible for the proof obligation (the credited accesses must be
-    /// guaranteed hits that would change no other observable state).
+    /// This is the statistics half of the executor's prefetch-round
+    /// crediting: a round's prefetches into an LLC set that missed nothing
+    /// in the round before are provably hits whose only statistical effect
+    /// is `hits += ops` in the round's phase — the executor accounts them
+    /// analytically and settles the ledger here. Callers are responsible
+    /// for the proof obligation (the credited accesses must be guaranteed
+    /// hits that would change no other observable state).
     pub fn credit_repeated_hits(&mut self, phase: Phase, hits: u64) {
         self.stats.phase_mut(phase).hits += hits;
     }

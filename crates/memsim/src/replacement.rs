@@ -159,6 +159,9 @@ pub struct Replacer {
     mru: Vec<u8>,
     /// SRRIP: 2-bit re-reference prediction value per (set, way).
     rrpv: Vec<u8>,
+    /// Biased random: the sum of the victim weights (0 for other
+    /// policies), summed once here instead of on every miss.
+    weight_total: u64,
 }
 
 impl Replacer {
@@ -171,6 +174,10 @@ impl Replacer {
         policy
             .validate(ways)
             .expect("invalid policy/way combination");
+        let weight_total = match &policy {
+            Policy::BiasedRandom { weights } => weights.iter().map(|&w| u64::from(w)).sum(),
+            _ => 0,
+        };
         Replacer {
             policy,
             ways,
@@ -179,6 +186,7 @@ impl Replacer {
             plru_bits: vec![0; sets],
             mru: vec![0; sets],
             rrpv: vec![3; sets * ways],
+            weight_total,
         }
     }
 
@@ -234,7 +242,7 @@ impl Replacer {
             }
             Policy::PseudoLru => self.plru_victim(set),
             Policy::Random => rng.below(self.ways as u64) as usize,
-            Policy::BiasedRandom { weights } => rng.pick_weighted(weights),
+            Policy::BiasedRandom { weights } => rng.pick_weighted_of(weights, self.weight_total),
             Policy::Nmru => {
                 if self.ways == 1 {
                     0

@@ -98,6 +98,14 @@ impl Rng {
     pub fn pick_weighted(&mut self, weights: &[u32]) -> usize {
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
         assert!(total > 0, "weights must not sum to zero");
+        self.pick_weighted_of(weights, total)
+    }
+
+    /// [`Rng::pick_weighted`] with the weight sum `total` supplied by a
+    /// caller that computed it once (the biased-random replacer draws on
+    /// every miss). Same draw: `below(total)`, then the same scan.
+    #[inline]
+    pub(crate) fn pick_weighted_of(&mut self, weights: &[u32], total: u64) -> usize {
         let mut x = self.below(total);
         for (i, &w) in weights.iter().enumerate() {
             let w = w as u64;

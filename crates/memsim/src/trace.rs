@@ -29,12 +29,14 @@ use crate::stats::Phase;
 pub trait TraceSink {
     /// Whether this sink observes individual events. Defaults to `true`;
     /// only [`NullSink`] overrides it to `false`, which licenses executors
-    /// to take *event-invisible* shortcuts — accounting provably identical
-    /// work (e.g. repeated all-hit prefetch rounds) analytically instead
-    /// of simulating it op by op. Recording sinks must leave this `true`
-    /// so captures stay complete: a replayed trace needs every access the
-    /// run logically performed, not just the ones the live run bothered
-    /// to simulate.
+    /// to take *event-invisible* shortcuts — accounting provably
+    /// identical work analytically instead of simulating it op by op. The
+    /// PREM executor credits, as hits, the prefetches of a round whose
+    /// LLC set missed nothing in the round before (and every round after
+    /// one that missed nothing at all). Recording sinks must leave this
+    /// `true` so captures stay complete: a replayed trace needs every
+    /// access the run logically performed, not just the ones the live run
+    /// bothered to simulate.
     const RECORDS: bool = true;
 
     /// Whether the sink accepts *deduplicated* delivery of repeated
@@ -44,7 +46,7 @@ pub trait TraceSink {
     /// is storing the same bytes `r` times. A sink that sets this opts in
     /// to observing only the **first** round of a fixed repetition; the
     /// executor runs the repeats unobserved (which also licenses its
-    /// all-hit round shortcut on them). Only set this when every consumer
+    /// per-set round crediting on them). Only set this when every consumer
     /// of the recorded stream knows the round count and reconstructs the
     /// repeats itself; event-faithful sinks (trace capture) must leave it
     /// `false`.

@@ -187,7 +187,10 @@ fn event_strategy() -> impl Strategy<Value = Event> {
 fn cache_geometry() -> impl Strategy<Value = (usize, usize, usize)> {
     (
         1u32..=5,
-        prop::sample::select(vec![1usize, 2, 3, 4, 8]),
+        // Every shape of the chunked way scan: remainder only (1-3), whole
+        // 4-wide chunks (4, 8, 16, the widest preset) and chunks plus a
+        // remainder (6).
+        prop::sample::select(vec![1usize, 2, 3, 4, 6, 8, 16]),
         prop::sample::select(vec![32usize, 64, 128]),
     )
         .prop_map(|(s, w, l)| ((1usize << s) * w * l, w, l))

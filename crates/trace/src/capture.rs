@@ -162,36 +162,71 @@ pub fn capture_llc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prem_core::run_prem;
+    use prem_core::{run_prem, LocalStore, PrefetchStrategy};
     use prem_gpusim::PlatformConfig;
+    use prem_harness::MatrixPolicy;
     use prem_kernels::Bicg;
     use prem_memsim::KIB;
 
     #[test]
     fn capture_is_invisible_to_the_run() {
-        let kernel = Bicg::new(128, 128);
-        let intervals = kernel.intervals(32 * KIB).expect("tiling");
-        let cfg = PremConfig::llc_tamed().with_seed(7);
-        let mut p1 = PlatformConfig::tx1().build();
-        let plain = run_prem(&mut p1, &intervals, &cfg, Scenario::Isolation).expect("plain");
-        let mut p2 = PlatformConfig::tx1().build();
-        let (captured, trace) =
-            capture_prem(&mut p2, &intervals, &cfg, Scenario::Isolation, "bicg").expect("capture");
-        assert_eq!(plain, captured, "capture perturbed the simulation");
-        assert!(!trace.events.is_empty());
-        // Every interval boundary and both phases of each interval appear.
-        let intervals_seen = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::IntervalBegin))
-            .count();
-        assert_eq!(intervals_seen, captured.intervals);
-        let phases = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::PhaseBegin { .. }))
-            .count();
-        assert_eq!(phases, 2 * captured.intervals);
+        // `run_prem` credits the prefetch rounds of settled LLC sets
+        // instead of walking them; the capture sink observes every round,
+        // so the capturing run walks them all. The two must agree on the
+        // whole `PremRun` for every what-if policy, fixed repetitions
+        // around the paper's R = 8 and the adaptive strategy, at one T
+        // whose rounds converge and one whose footprint overflows sets.
+        let kernel = Bicg::new(256, 256);
+        let strategies = [
+            PrefetchStrategy::Repeated { r: 1 },
+            PrefetchStrategy::Repeated { r: 2 },
+            PrefetchStrategy::Repeated { r: 8 },
+            PrefetchStrategy::Repeated { r: 16 },
+            PrefetchStrategy::UntilResident { max_rounds: 16 },
+        ];
+        for (t, converges) in [(32 * KIB, true), (224 * KIB, false)] {
+            let intervals = kernel.intervals(t).expect("tiling");
+            for policy in MatrixPolicy::what_if_axis() {
+                let platform = PlatformConfig::tx1().llc_policy(policy.instantiate(4));
+                for prefetch in strategies {
+                    let cfg = PremConfig::llc_tamed()
+                        .with_seed(7)
+                        .with_store(LocalStore::Llc { prefetch });
+                    let plain =
+                        run_prem(&mut platform.build(), &intervals, &cfg, Scenario::Isolation)
+                            .expect("plain");
+                    let (captured, trace) = capture_prem(
+                        &mut platform.build(),
+                        &intervals,
+                        &cfg,
+                        Scenario::Isolation,
+                        "bicg",
+                    )
+                    .expect("capture");
+                    let what = format!("T={t} {policy:?} {prefetch:?}");
+                    assert_eq!(plain, captured, "{what}: capture perturbed the simulation");
+                    // The two footprints take the branches they are named
+                    // for: the adaptive strategy settles early, or never.
+                    if prefetch.adaptive() {
+                        assert_eq!(captured.max_rounds_used < 16, converges, "{what}");
+                    }
+                    // Every interval boundary and both phases of each
+                    // interval appear.
+                    let intervals_seen = trace
+                        .events
+                        .iter()
+                        .filter(|e| matches!(e, TraceEvent::IntervalBegin))
+                        .count();
+                    assert_eq!(intervals_seen, captured.intervals, "{what}");
+                    let phases = trace
+                        .events
+                        .iter()
+                        .filter(|e| matches!(e, TraceEvent::PhaseBegin { .. }))
+                        .count();
+                    assert_eq!(phases, 2 * captured.intervals, "{what}");
+                }
+            }
+        }
     }
 
     #[test]
