@@ -25,9 +25,10 @@
 //! LLC grid points) and executes the unique frontier on the work-claiming
 //! pool at *run* granularity — so a parallel run is no longer bounded by
 //! the largest single artifact. The unique frontier is further partitioned
-//! into **derivation families** (requests differing only in LLC
-//! policy/seed): one representative per family executes live with what-if
-//! capture on and every sibling's output is derived by replay,
+//! into **derivation families** (replay-eligible requests differing only
+//! in LLC policy, seed and scenario): one representative per family
+//! executes live with what-if capture on and every sibling's output is
+//! derived from its capture,
 //! bit-identical by the plan-replay equivalence suite (`--no-replay` opts
 //! out). A per-invocation plan summary (unique runs, duplicates elided,
 //! cache hits, replays, families) is printed to stderr; CI asserts the
@@ -356,8 +357,8 @@ fn listing() -> String {
          explicitly), --list (this listing)\n\
          cache: on by default at results/.runcache (see CACHING.md); \
          `cache {stats,verify,gc}` introspects it\n\
-         replay: policy/seed siblings derive from one captured live run \
-         per derivation family (bit-identical outputs)\n\
+         replay: policy, seed and scenario siblings derive from one \
+         captured live run per derivation family (bit-identical outputs)\n\
          executor flags (shared with bench_matrix and serve):\n",
     );
     out.push_str(EXEC_FLAGS_HELP);

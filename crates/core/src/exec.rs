@@ -610,7 +610,7 @@ impl SetRounds {
 /// Stages `footprint` into `llc` by prefetch rounds per `strategy`,
 /// walking only what a round can change — the one round loop of the timed
 /// run, the profiling pass and
-/// [`RunCapture::replay_for`](crate::RunCapture::replay_for).
+/// [`RunCapture::walk`](crate::RunCapture::walk).
 ///
 /// Round 1 walks every line and reports it to `sink` (op-issue timestamps
 /// from `start`, as the executor emits them). Later rounds run unobserved,

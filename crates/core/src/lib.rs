@@ -28,8 +28,9 @@
 //!   run-plan layer (`prem-harness::plan`) executes canonical requests
 //!   through: one [`execute_run`], whose [`RunOptions`] pick the profile
 //!   source and what-if capture, plus [`profile_run`].
-//! * [`whatif`] — replay-backed derivation of LLC policy/seed siblings
-//!   from one captured run ([`RunCapture`]).
+//! * [`whatif`] — replay-backed derivation of LLC policy, seed and
+//!   scenario siblings from one captured run ([`RunCapture`]): one walk
+//!   per [`Trajectory`] class, priced per member.
 //! * [`codec`] — versioned, bit-exact binary serialization of executed
 //!   [`RunOutput`]s, the payload format of the persistent run store
 //!   (`prem-harness::store`).
@@ -78,4 +79,4 @@ pub use metrics::{sensitivity, speedup, Breakdown};
 pub use plan::{execute_run, profile_run, Executed, RunOptions, RunOutput, RunWork};
 pub use sync::{PhaseTiming, SyncConfig};
 pub use tiling::{check_tiling, rows_per_interval, TilingError};
-pub use whatif::{replay_eligible, RunCapture};
+pub use whatif::{replay_eligible, RunCapture, Trajectory};

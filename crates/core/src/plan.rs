@@ -130,9 +130,10 @@ pub struct RunOptions {
     /// profiles inline or fused into the timed run. The output is
     /// bit-identical either way. Baseline work ignores it.
     pub profiled: Option<(f64, f64)>,
-    /// Record a [`RunCapture`] of the timed run, from which every LLC
-    /// policy/seed sibling's output can be derived by replay. The output
-    /// is bit-identical either way — capture is an observer.
+    /// Record a [`RunCapture`] of the timed run, from which every
+    /// replay-eligible LLC policy, seed or scenario sibling's output can be
+    /// derived. The output is bit-identical either way — capture is an
+    /// observer.
     pub capture: bool,
 }
 

@@ -22,13 +22,17 @@
 //!   ([`crate::pool::parallel_map`]) at *run* granularity — a plan of 300
 //!   runs load-balances across workers instead of serializing behind the
 //!   largest figure;
-//! * **derives** what-if siblings instead of executing them: the
-//!   replay-eligible frontier partitions into *derivation families* (equal
-//!   [`RunRequest::base_key`] — every coordinate but the LLC policy and
-//!   seed), one representative per family executes live with capture on,
-//!   and the siblings replay its captured LLC input stream — bit-identical
-//!   to live execution by contract, proven by the plan-replay equivalence
-//!   suite (`crates/harness/tests/plan_replay.rs`);
+//! * **derives** what-if and scenario siblings instead of executing them:
+//!   the replay-eligible frontier partitions into *derivation families*
+//!   (equal [`RunRequest::base_key`] — every coordinate but the LLC
+//!   policy, seed and scenario), one representative per family executes
+//!   live with capture on, each trajectory class of the family (the LLC
+//!   policy, plus the seed when the policy draws from the RNG) walks the
+//!   captured LLC input stream at most once — the representative's own
+//!   class not at all — and every sibling is priced from its class's
+//!   trajectory under its own contention; bit-identical to live execution
+//!   by contract, proven by the plan-replay equivalence suite
+//!   (`crates/harness/tests/plan_replay.rs`);
 //! * **caches** outputs in a sharded in-memory map addressed by the full
 //!   canonical key (the fingerprint selects the shard; the key string
 //!   guarantees distinct requests can never alias a cache slot).
@@ -152,19 +156,37 @@ impl RunRequest<'_> {
             .policy
             .map(|p| p.name())
             .unwrap_or("template-policy");
-        self.key_with(policy, &self.seed.to_string())
+        // A mix folds a digest of its profile list in, so same-named-but-
+        // different mixes cannot alias.
+        let scenario = match &self.scenario {
+            MatrixScenario::Preset(s) => scenario_name(*s).to_string(),
+            MatrixScenario::Mix(m) => format!(
+                "{}#{:016x}",
+                m.name,
+                fingerprint(&format!("{:?}", m.profiles))
+            ),
+        };
+        self.key_slots(
+            self.platform_digest(),
+            policy,
+            &self.seed.to_string(),
+            &scenario,
+        )
     }
 
-    /// The derivation **base key**: [`RunRequest::key`] with the two
-    /// replay-invariant axes — the LLC policy override and the seed —
-    /// wildcarded. Requests sharing a base key agree on every other
-    /// coordinate (kernel, platform template digest, scenario, work, T,
-    /// noise), so their resolved platforms differ at most in LLC
-    /// policy/seed and any one of them can derive the others by replay
-    /// (when [`RunRequest::replay_eligible`]). Distinct base keys never
-    /// share a family; equal base keys with unequal keys are siblings.
+    /// The derivation **base key**: [`RunRequest::key`] with the three
+    /// replay-invariant axes — the LLC policy override, the seed and the
+    /// scenario — wildcarded. Requests sharing a base key agree on every
+    /// other coordinate (kernel, platform template digest, work, T,
+    /// noise), so their resolved platforms differ at most in LLC policy,
+    /// seed and co-runner list, and any replay-eligible one of them can
+    /// derive the other eligible ones (see [`RunRequest::replay_eligible`]):
+    /// the M-phase runs token-held and an eligible mix never pollutes the
+    /// LLC, so the scenario changes what a C-phase miss costs, never which
+    /// accesses miss. Distinct base keys never share a family; equal base
+    /// keys with unequal keys are siblings.
     pub fn base_key(&self) -> String {
-        self.key_with("*", "*")
+        self.key_slots(self.platform_digest(), "*", "*", "*")
     }
 
     /// The **profile key**: [`RunRequest::key`] with exactly the scenario
@@ -177,6 +199,17 @@ impl RunRequest<'_> {
     /// injected into the profiled C stream, so none of them may be
     /// wildcarded (the profile-memo proptest pins this boundary).
     pub fn profile_key(&self) -> Option<String> {
+        self.profile_key_in(self.platform_digest())
+    }
+
+    /// [`RunRequest::profile_key`] given the request's
+    /// [`RunRequest::platform_digest`] — which every member of a
+    /// derivation family shares (it is part of the base key), so the
+    /// executor digests the template once per family, not once per
+    /// member. A digest Debug-formats the whole platform config; paid
+    /// per derived member, it cut `bench_matrix`'s what-if column
+    /// live/replay ratio from ~1.55x to ~1.38x.
+    fn profile_key_in(&self, digest: u64) -> Option<String> {
         if matches!(self.work, RunWork::Baseline) {
             return None;
         }
@@ -185,35 +218,26 @@ impl RunRequest<'_> {
             .policy
             .map(|p| p.name())
             .unwrap_or("template-policy");
-        Some(self.key_slots(policy, &self.seed.to_string(), "*"))
+        Some(self.key_slots(digest, policy, &self.seed.to_string(), "*"))
     }
 
-    /// [`RunRequest::key`] with explicit policy and seed slot contents —
-    /// the shared skeleton of the canonical key and the base key. The
-    /// scenario folds a digest of a mix's profile list in, so same-named-
-    /// but-different mixes can alias neither keys nor base keys.
-    fn key_with(&self, policy: &str, seed: &str) -> String {
-        let scenario = match &self.scenario {
-            MatrixScenario::Preset(s) => scenario_name(*s).to_string(),
-            MatrixScenario::Mix(m) => format!(
-                "{}#{:016x}",
-                m.name,
-                fingerprint(&format!("{:?}", m.profiles))
-            ),
-        };
-        self.key_slots(policy, seed, &scenario)
+    /// The digest of the platform template's full configuration that
+    /// every key carries next to the template name, so a renamed or
+    /// hand-modified template can never alias another.
+    fn platform_digest(&self) -> u64 {
+        fingerprint(&format!("{:?}", self.platform.config))
     }
 
     /// The canonical key skeleton with every wildcardable slot explicit —
     /// the single format string behind [`RunRequest::key`],
     /// [`RunRequest::base_key`] and [`RunRequest::profile_key`].
-    fn key_slots(&self, policy: &str, seed: &str, scenario: &str) -> String {
+    fn key_slots(&self, digest: u64, policy: &str, seed: &str, scenario: &str) -> String {
         format!(
             "{}({})|{}#{:016x}|{}|{}|{}|t{}|s{}|n{}x{}",
             self.kernel.name(),
             self.kernel.dims(),
             self.platform.name,
-            fingerprint(&format!("{:?}", self.platform.config)),
+            digest,
             policy,
             scenario,
             self.work.key(),
@@ -352,7 +376,9 @@ impl RunRequest<'_> {
 
     /// Whether this request may participate in a derivation family: its
     /// resolved run satisfies [`prem_core::replay_eligible`], i.e. the LLC
-    /// input sequence is invariant in the LLC policy/seed axes.
+    /// input sequence is invariant in the LLC policy/seed axes and its
+    /// co-runner mix has constant contention and never pollutes the LLC,
+    /// so it can be priced from any eligible scenario sibling's trajectory.
     pub fn replay_eligible(&self) -> bool {
         prem_core::replay_eligible(
             &self.resolved_platform(),
@@ -363,8 +389,9 @@ impl RunRequest<'_> {
 
     /// [`RunRequest::execute`] with what-if capture on: returns the
     /// (bit-identical) live output plus a [`RunCapture`] from which every
-    /// sibling request — same [`RunRequest::base_key`], different LLC
-    /// policy/seed — derives its output via [`RunRequest::replay_from`].
+    /// replay-eligible sibling request — same [`RunRequest::base_key`],
+    /// different LLC policy, seed or scenario — derives its output via
+    /// [`RunRequest::replay_from`].
     ///
     /// # Panics
     ///
@@ -386,10 +413,15 @@ impl RunRequest<'_> {
     /// # Panics
     ///
     /// Panics (in [`RunCapture::replay_for`]) when `capture` was not taken
-    /// from a sibling, i.e. this request's resolved platform differs from
-    /// the representative's beyond the LLC policy/seed axes.
+    /// from a sibling — this request's resolved platform differs from the
+    /// representative's beyond the LLC policy, seed and co-runner axes —
+    /// or when this request is not [`RunRequest::replay_eligible`].
     pub fn replay_from(&self, capture: &RunCapture) -> RunOutput {
-        capture.replay_for(&self.resolved_platform(), self.seed)
+        capture.replay_for(
+            &self.resolved_platform(),
+            self.seed,
+            self.resolved_scenario(),
+        )
     }
 }
 
@@ -427,7 +459,7 @@ const SHARDS: usize = 16;
 
 /// One schedulable piece of a plan's frontier: a plain live run, or a
 /// whole derivation family (representative live with capture on, every
-/// sibling replayed from it) — indices into the frontier/family tables
+/// sibling derived from it) — indices into the frontier/family tables
 /// of one [`PlanExecutor::execute_metered`] call.
 enum Unit {
     Live(usize),
@@ -487,10 +519,10 @@ pub struct PlanSummary {
     /// ([`PlanExecutor::with_store`]); always zero on a store-less
     /// executor.
     pub disk_hits: usize,
-    /// Requests satisfied by replaying a family representative's capture
-    /// instead of executing the simulator (bit-identical by contract).
+    /// Requests derived from a family representative's capture instead
+    /// of executing the simulator (bit-identical by contract).
     pub replayed: usize,
-    /// Derivation families with at least one replayed sibling (a family of
+    /// Derivation families with at least one derived sibling (a family of
     /// one is just a live run and is not counted).
     pub families: usize,
     /// Profiling passes served from the profile memo: executed units whose
@@ -716,9 +748,11 @@ impl PlanExecutor {
 
     /// [`PlanExecutor::execute`] with metrics: expansion/dedup and pool
     /// spans (`plan.expand_ns`, `plan.execute_ns`, per-unit
-    /// `plan.unit_ns`, per-member `plan.live_ns`/`plan.replay_ns`), the
-    /// tier counters (`plan.live_runs`, `plan.memory_hits`,
-    /// `plan.disk_hits`, `plan.replayed`, …), family fan-out
+    /// `plan.unit_ns`, per-member `plan.live_ns`/`plan.replay_ns` — a
+    /// derived member's sample is its pricing plus the trajectory walk it
+    /// triggered, if any), the tier counters (`plan.live_runs`,
+    /// `plan.memory_hits`, `plan.disk_hits`, `plan.replayed`,
+    /// `plan.replay_walks`, …), family fan-out
     /// (`plan.family_fanout`) and pool shape gauges (`plan.pool_units`,
     /// `plan.pool_workers`, `plan.pool_utilization_permille`) land in
     /// `metrics`. Counters are added even when zero, so a fully warm run
@@ -756,10 +790,11 @@ impl PlanExecutor {
             }
         }
         // Partition the eligible frontier into derivation families by base
-        // key, in first-occurrence order. The first member of a family of
-        // ≥2 is the representative: it executes live with capture on; the
-        // siblings are derived from its capture. Everything else (replay
-        // disabled, ineligible, or a family of one) executes plain live.
+        // key, in first-occurrence order: policy, seed and scenario
+        // siblings together. The first member of a family of ≥2 is the
+        // representative: it executes live with capture on; the siblings
+        // are derived from its capture. Everything else (replay disabled,
+        // ineligible, or a family of one) executes plain live.
         let mut families: Vec<Vec<usize>> = Vec::new();
         if self.replay {
             let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -835,9 +870,16 @@ impl PlanExecutor {
         // sharer is a hit), so the summary is deterministic at any worker
         // count even though the passes themselves race in the pool — the
         // `OnceLock` cell keeps the first pair stored per key.
+        //
+        // Derived members get their key's cell too, after the units,
+        // counted as neither a hit nor a miss (no pass is charged or
+        // saved for them), and fill it with the WCETs their trajectory
+        // yields: a later ineligible scenario sibling of the key (a bursty
+        // or cache-thrashing mix) then finds the pair memoized.
+        let mut derived_cells: Vec<Option<ProfileCell>> = vec![None; frontier.len()];
         let profile_cells: Vec<Option<ProfileCell>> = if self.profile_memo {
             let mut memo = self.profiles.lock().expect("profile memo poisoned");
-            units
+            let cells = units
                 .iter()
                 .map(|unit| match memo.entry(unit_req(unit).profile_key()?) {
                     Entry::Occupied(e) => {
@@ -849,7 +891,17 @@ impl PlanExecutor {
                         Some(v.insert(ProfileCell::default()).clone())
                     }
                 })
-                .collect()
+                .collect();
+            for members in &families {
+                let digest = frontier[members[0]].1.platform_digest();
+                for &i in &members[1..] {
+                    derived_cells[i] = frontier[i]
+                        .1
+                        .profile_key_in(digest)
+                        .map(|key| memo.entry(key).or_default().clone());
+                }
+            }
+            cells
         } else {
             units.iter().map(|_| None).collect()
         };
@@ -864,7 +916,14 @@ impl PlanExecutor {
         let unit_outputs = parallel_map(workers, &tasks, |(unit, cell, pin)| {
             let unit_start = metrics.enabled().then(Instant::now);
             pin.hold(unit_req(unit));
-            let outs = self.run_unit(unit, cell.as_ref(), &frontier, &families, metrics);
+            let outs = self.run_unit(
+                unit,
+                cell.as_ref(),
+                &derived_cells,
+                &frontier,
+                &families,
+                metrics,
+            );
             pin.release();
             if let Some(start) = unit_start {
                 let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -892,8 +951,12 @@ impl PlanExecutor {
         summary.replayed = frontier.len() - units.len();
         summary.families = families.len();
         let mut outputs: Vec<Option<RunOutput>> = (0..frontier.len()).map(|_| None).collect();
-        for (i, output) in unit_outputs.into_iter().flatten() {
-            outputs[i] = Some(output);
+        let mut replay_walks = 0;
+        for (outs, walks) in unit_outputs {
+            replay_walks += walks;
+            for (i, output) in outs {
+                outputs[i] = Some(output);
+            }
         }
         let outputs: Vec<RunOutput> = outputs
             .into_iter()
@@ -936,6 +999,7 @@ impl PlanExecutor {
         metrics.add("plan.memory_hits", summary.hits as u64);
         metrics.add("plan.disk_hits", summary.disk_hits as u64);
         metrics.add("plan.replayed", summary.replayed as u64);
+        metrics.add("plan.replay_walks", replay_walks as u64);
         metrics.add("plan.families", summary.families as u64);
         metrics.add("plan.profile_hits", summary.profile_hits as u64);
         metrics.add("plan.profile_misses", summary.profile_misses as u64);
@@ -944,20 +1008,22 @@ impl PlanExecutor {
 
     /// Executes one scheduled unit — a plain live run, or a whole
     /// derivation family (representative live with capture, siblings
-    /// replayed) — returning `(frontier index, output)` pairs. The caller
-    /// pins the unit's tiled stream.
+    /// derived) — returning `(frontier index, output)` pairs and the number
+    /// of trajectory walks it made. The caller pins the unit's tiled
+    /// stream.
     fn run_unit<M: MetricsSink>(
         &self,
         unit: &Unit,
         cell: Option<&ProfileCell>,
+        derived_cells: &[Option<ProfileCell>],
         frontier: &[(String, &RunRequest<'_>)],
         families: &[Vec<usize>],
         metrics: &M,
-    ) -> Vec<(usize, RunOutput)> {
+    ) -> (Vec<(usize, RunOutput)>, usize) {
         match *unit {
             Unit::Live(i) => {
                 let _live = Span::start(metrics, "plan.live_ns");
-                vec![(i, run_through(frontier[i].1, cell, false).output)]
+                (vec![(i, run_through(frontier[i].1, cell, false).output)], 0)
             }
             Unit::Family(f) => {
                 let members = &families[f];
@@ -968,36 +1034,44 @@ impl PlanExecutor {
                 let capture = rep.capture.expect("capture was requested");
                 let mut outs = Vec::with_capacity(members.len());
                 outs.push((members[0], rep.output));
-                // Siblings resolving to an RNG-free LLC policy coalesce: a
-                // deterministic policy's victim choices cannot depend on
-                // the cache seed ([`prem_memsim::Policy::seed_sensitive`]),
-                // so one replay serves that policy's whole seed axis and
-                // the remaining seeds receive bit-identical clones.
-                let mut class_slot: HashMap<(&str, Option<u64>), usize> = HashMap::new();
-                for &i in &members[1..] {
-                    let req = frontier[i].1;
-                    let policy = req
-                        .platform
-                        .policy
-                        .map(|p| p.name())
-                        .unwrap_or("template-policy");
-                    let seed_axis = req
-                        .resolved_platform()
-                        .llc
-                        .policy_ref()
-                        .seed_sensitive()
-                        .then_some(req.seed);
-                    let output = match class_slot.get(&(policy, seed_axis)) {
-                        Some(&slot) => outs[slot].1.clone(),
-                        None => {
-                            class_slot.insert((policy, seed_axis), outs.len());
-                            let _replay = Span::start(metrics, "plan.replay_ns");
-                            req.replay_from(&capture)
+                // Siblings derive one trajectory class at a time, classes
+                // in first-occurrence order: the class's first member walks
+                // the capture — unless the class is the representative's,
+                // whose trajectory came with the capture — every member of
+                // the class is priced from that trajectory, and the
+                // trajectory drops. Each derived member leaves one
+                // `plan.replay_ns` sample: its pricing, plus the walk when
+                // it triggered one.
+                let mut pending: Vec<(usize, PlatformConfig)> = members[1..]
+                    .iter()
+                    .map(|&i| (i, frontier[i].1.resolved_platform()))
+                    .collect();
+                let mut walks = 0;
+                while let Some((first, cfg)) = pending.first() {
+                    let seed = frontier[*first].1.seed;
+                    let mut span = Some(Span::start(metrics, "plan.replay_ns"));
+                    let walked =
+                        (!capture.trajectory().serves(cfg, seed)).then(|| capture.walk(cfg, seed));
+                    walks += usize::from(walked.is_some());
+                    let trajectory = walked.as_ref().unwrap_or(capture.trajectory());
+                    pending.retain(|(i, cfg)| {
+                        let req = frontier[*i].1;
+                        if !trajectory.serves(cfg, req.seed) {
+                            return true;
                         }
-                    };
-                    outs.push((i, output));
+                        let _replay = span
+                            .take()
+                            .unwrap_or_else(|| Span::start(metrics, "plan.replay_ns"));
+                        let derived =
+                            capture.price(trajectory, cfg, req.seed, req.resolved_scenario());
+                        if let (Some(cell), Some(w)) = (&derived_cells[*i], derived.wcets) {
+                            let _ = cell.set(w);
+                        }
+                        outs.push((*i, derived.output));
+                        false
+                    });
                 }
-                outs
+                (outs, walks)
             }
         }
     }
@@ -1224,6 +1298,54 @@ mod tests {
         agg += &s2;
         assert_eq!(agg.requested, 6);
         assert_eq!(agg.replayed, s1.replayed * 2);
+    }
+
+    #[test]
+    fn derived_members_backfill_the_profile_memo() {
+        use crate::spec::CorunnerMix;
+        use prem_gpusim::CorunnerProfile;
+        // A seed × scenario column is one family: seed 11's isolation run
+        // is the live representative, seed 23's runs are derived only.
+        // Their profile key is charged to no unit, yet its cell must hold
+        // exactly what a profiling pass reports, so a later bursty sibling
+        // of seed 23 (ineligible, so it executes live) is a profile hit
+        // and still matches a direct execution.
+        let k = Bicg::new(96, 96);
+        let mut column = Vec::new();
+        for seed in [11, 23] {
+            for preset in [Scenario::Isolation, Scenario::Interference] {
+                let mut r = req(&k, RunWork::PremLlc { r: 8 }, 160 * KIB, seed);
+                r.scenario = MatrixScenario::Preset(preset);
+                column.push(r);
+            }
+        }
+        let exec = PlanExecutor::new();
+        let s = exec.execute(&column, 2);
+        assert_eq!((s.executed, s.replayed), (1, 3));
+        assert_eq!(
+            (s.profile_misses, s.profile_hits),
+            (1, 0),
+            "derived members count as neither hits nor misses"
+        );
+        let mut bursty = req(&k, RunWork::PremLlc { r: 8 }, 160 * KIB, 23);
+        bursty.scenario = MatrixScenario::Mix(CorunnerMix::uniform(
+            1,
+            CorunnerProfile::Bursty {
+                duty: 0.5,
+                period_cycles: 80_000.0,
+            },
+        ));
+        assert!(!bursty.replay_eligible());
+        let key = bursty.profile_key().expect("PREM work profiles");
+        let backfilled = exec.profiles.lock().expect("memo")[&key].get().copied();
+        assert_eq!(
+            backfilled,
+            bursty.profile(),
+            "the derived class filled the cell"
+        );
+        let s = exec.execute(std::slice::from_ref(&bursty), 1);
+        assert_eq!((s.executed, s.profile_hits, s.profile_misses), (1, 1, 0));
+        assert_eq!(exec.output(&bursty), bursty.execute());
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //!   from the quick-suite coordinate space (proptest over the axes);
 //! * **base-key injectivity** — two requests share a base key exactly
 //!   when they agree on every coordinate other than the LLC policy
-//!   override and the seed;
+//!   override, the seed and the scenario (the full key still separates
+//!   scenarios);
 //! * **family locality** — a derivation family can never span kernels,
-//!   platform templates, scenarios, work modes, interval sizes or noise
-//!   models, at any plan composition;
+//!   platform templates, work modes, interval sizes or noise models, at
+//!   any plan composition;
+//! * **one walk per trajectory class** — a family walks the capture once
+//!   per (policy, seed-if-random) class outside the representative's own
+//!   and prices every scenario sibling from it;
 //! * **worker independence** — replayed plans render byte-identical
 //!   outputs at any worker count, like every other plan.
 
@@ -17,9 +21,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use prem_core::{NoiseModel, RunWork};
-use prem_gpusim::Scenario;
+use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_harness::{
-    MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
+    CorunnerMix, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
 };
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::KIB;
@@ -27,15 +31,28 @@ use prem_trace::testutil::plan_outputs_replay_vs_live;
 
 /// The coordinate space the proptests draw plans from: a policy override
 /// (`None` = template policy), work mode, interval size, seed and
-/// scenario, on one of two kernel identities.
+/// scenario ([`scenario`]), on one of two kernel identities.
 #[derive(Clone, Debug)]
 struct Coord {
     policy: Option<MatrixPolicy>,
     work: RunWork,
     t_kib: usize,
     seed: u64,
-    iso: bool,
+    scenario_pick: usize,
     small_kernel: bool,
+}
+
+/// The scenario axis: both presets, the empty mix, two constant-contention
+/// mixes (all replay-eligible) and the ineligible cache-thrashing mix.
+fn scenario(pick: usize) -> MatrixScenario {
+    match pick {
+        0 => MatrixScenario::Preset(Scenario::Isolation),
+        1 => MatrixScenario::Preset(Scenario::Interference),
+        2 => MatrixScenario::Mix(CorunnerMix::uniform(0, CorunnerProfile::Membomb)),
+        3 => MatrixScenario::Mix(CorunnerMix::uniform(2, CorunnerProfile::Membomb)),
+        4 => MatrixScenario::Mix(CorunnerMix::uniform(1, CorunnerProfile::Stream)),
+        _ => MatrixScenario::Mix(CorunnerMix::uniform(1, CorunnerProfile::CacheThrash)),
+    }
 }
 
 fn coord() -> impl Strategy<Value = Coord> {
@@ -56,17 +73,19 @@ fn coord() -> impl Strategy<Value = Coord> {
         ]),
         prop::sample::select(vec![32usize, 160]),
         prop::sample::select(vec![11u64, 23, 47]),
-        any::<bool>(),
+        0usize..6,
         any::<bool>(),
     )
-        .prop_map(|(policy, work, t_kib, seed, iso, small_kernel)| Coord {
-            policy,
-            work,
-            t_kib,
-            seed,
-            iso,
-            small_kernel,
-        })
+        .prop_map(
+            |(policy, work, t_kib, seed, scenario_pick, small_kernel)| Coord {
+                policy,
+                work,
+                t_kib,
+                seed,
+                scenario_pick,
+                small_kernel,
+            },
+        )
 }
 
 fn build<'k>(c: &Coord, small: &'k dyn Kernel, large: &'k dyn Kernel) -> RunRequest<'k> {
@@ -80,11 +99,7 @@ fn build<'k>(c: &Coord, small: &'k dyn Kernel, large: &'k dyn Kernel) -> RunRequ
         work: c.work,
         t_bytes: c.t_kib * KIB,
         seed: c.seed,
-        scenario: MatrixScenario::Preset(if c.iso {
-            Scenario::Isolation
-        } else {
-            Scenario::Interference
-        }),
+        scenario: scenario(c.scenario_pick),
         noise: NoiseModel::tx1(),
     }
 }
@@ -112,11 +127,12 @@ proptest! {
     }
 
     /// Base keys are injective over every non-derivable coordinate: two
-    /// requests share a base key exactly when they agree on kernel, work,
-    /// interval size and scenario — the policy override and the seed (the
-    /// derivation axes) never separate base keys.
+    /// requests share a base key exactly when they agree on kernel, work
+    /// and interval size — the policy override, the seed and the scenario
+    /// (the derivation axes) never separate base keys, while the full key
+    /// separates all three.
     #[test]
-    fn base_key_wildcards_exactly_the_policy_and_seed_axes(
+    fn base_key_wildcards_exactly_the_policy_seed_and_scenario_axes(
         a in coord(),
         b in coord(),
     ) {
@@ -126,20 +142,22 @@ proptest! {
         let rb = build(&b, &small, &large);
         let same_base = a.work == b.work
             && a.t_kib == b.t_kib
-            && a.iso == b.iso
             && a.small_kernel == b.small_kernel;
         prop_assert_eq!(ra.base_key() == rb.base_key(), same_base);
         // The full key additionally separates the derivation axes.
-        let same_key = same_base && a.policy == b.policy && a.seed == b.seed;
+        let same_key = same_base
+            && a.policy == b.policy
+            && a.seed == b.seed
+            && a.scenario_pick == b.scenario_pick;
         prop_assert_eq!(ra.key() == rb.key(), same_key);
     }
 
     /// Family locality: group any request set by base key and every group
-    /// is homogeneous in kernel identity, platform template, scenario,
-    /// work and interval size — a derivation family can never reach
-    /// across them, whatever plan composition the consumer submits.
+    /// is homogeneous in kernel identity, platform template, work and
+    /// interval size — a derivation family can never reach across them,
+    /// whatever plan composition the consumer submits.
     #[test]
-    fn families_never_span_kernels_platforms_or_scenarios(
+    fn families_never_span_kernels_platforms_or_work(
         coords in prop::collection::vec(coord(), 2..24),
     ) {
         let small = Bicg::new(96, 96);
@@ -157,7 +175,6 @@ proptest! {
                 prop_assert_eq!(c.small_kernel, first.small_kernel);
                 prop_assert_eq!(c.work, first.work);
                 prop_assert_eq!(c.t_kib, first.t_kib);
-                prop_assert_eq!(c.iso, first.iso);
             }
         }
     }
@@ -246,5 +263,45 @@ fn replayed_plans_are_worker_count_independent() {
                 req.key()
             );
         }
+    }
+}
+
+#[test]
+fn a_seed_by_scenario_column_walks_once_per_seed() {
+    // The fig7 shape: three seeds × Isolation/Interference on otherwise
+    // fixed coordinates is one derivation family. The representative's
+    // live run walks its own seed's trajectory; each other seed walks once
+    // and prices both of its scenarios, the representative's Interference
+    // sibling is priced from the capture alone.
+    use prem_obs::Registry;
+    let k = Bicg::new(96, 96);
+    let mut column = Vec::new();
+    for seed in [11u64, 23, 47] {
+        for preset in [Scenario::Isolation, Scenario::Interference] {
+            column.push(RunRequest {
+                kernel: &k,
+                platform: PlatformSpec::tx1(),
+                work: RunWork::PremLlc { r: 8 },
+                t_bytes: 160 * KIB,
+                seed,
+                scenario: MatrixScenario::Preset(preset),
+                noise: NoiseModel::tx1(),
+            });
+        }
+    }
+    let executor = PlanExecutor::new();
+    let registry = Registry::new();
+    let summary = executor.execute_metered(&column, 2, &registry);
+    assert_eq!((summary.families, summary.executed), (1, 1));
+    assert_eq!(summary.replayed, column.len() - 1);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("plan.replay_walks"), Some(2));
+    assert_eq!(
+        snap.hist("plan.replay_ns").map(|h| h.count()),
+        Some(column.len() as u64 - 1),
+        "one replay sample per derived member"
+    );
+    for req in &column {
+        assert_eq!(executor.output(req), req.execute(), "{}", req.key());
     }
 }

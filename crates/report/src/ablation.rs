@@ -80,8 +80,8 @@ fn policy_point<'k>(
         .map(|s| seed_requests(kernel, harness, &platform, t_bytes, work, s))
 }
 
-/// The runs the policy ablation consumes, as a plan. Per (R, scenario) the
-/// requests differ only in LLC policy and seed: one derivation family.
+/// The runs the policy ablation consumes, as a plan. Per R the requests
+/// differ only in LLC policy, seed and scenario: one derivation family.
 pub fn policy_requests<'k>(
     kernel: &'k dyn Kernel,
     harness: &Harness,

@@ -96,7 +96,10 @@ fn sweep_points(
 }
 
 /// The runs the sweep consumes, as a plan. Every PREM point shares one
-/// profile key, so the plan's profile memo profiles the sweep once.
+/// profile key, so the plan's profile memo profiles the sweep once, and
+/// the bus-only points (constant contention, no LLC pollution) of each
+/// work mode are one derivation family: one live run, whose cache
+/// trajectory every other co-runner count is priced from.
 pub fn interference_requests(
     kernel: &dyn Kernel,
     t: usize,

@@ -11,8 +11,9 @@
 //!
 //! Execution is *budgeted*: requests queue, and each scheduler tick
 //! dispatches at most `budget` **pool units** — the plan layer's unit of
-//! live work, where a derivation family (policy/seed siblings replayed
-//! from one captured run) counts once and a cached request counts zero.
+//! live work, where a derivation family (policy, seed and eligible
+//! scenario siblings derived from one captured run) counts once and a
+//! cached request counts zero.
 //! The selection is free-rider aware:
 //! once a family's representative is charged to the tick, every sibling
 //! in the queue rides along free, and cached requests are always
@@ -342,9 +343,11 @@ impl SweepService {
 
     /// Runs one budgeted tick: selects a batch from the queue head —
     /// charging one unit per live run or new derivation family, zero for
-    /// cached requests and for siblings of a family already charged to
-    /// this tick — executes it through the shared executor, and returns
-    /// the tick's metrics and responses (in dispatch order).
+    /// cached requests and for replay-eligible siblings of a family
+    /// already charged to this tick (same base key: policy, seed and
+    /// scenario siblings alike, so an eligible co-runner sweep of one
+    /// kernel costs one unit) — executes it through the shared executor,
+    /// and returns the tick's metrics and responses (in dispatch order).
     ///
     /// The unit prediction is exact, not approximate: the selection
     /// mirrors the executor's own frontier partition, and the tick
@@ -568,6 +571,25 @@ mod tests {
         assert_eq!(metrics.summary.executed, 1);
         assert_eq!(metrics.summary.replayed, 2);
         assert_eq!(responses.len(), 3);
+        assert_eq!(svc.queue_depth(), 0);
+    }
+
+    #[test]
+    fn an_eligible_corunner_count_sweep_rides_one_unit() {
+        use prem_gpusim::CorunnerProfile;
+        let mut svc = service(1);
+        // Scenario is wildcarded too: isolation and every constant-
+        // contention count of one kernel and seed form one family.
+        let sweep = MatrixScenario::count_sweep(CorunnerProfile::Membomb, 3);
+        for (i, scenario) in sweep.into_iter().enumerate() {
+            let mut req = request(16, 1);
+            req.scenario = scenario;
+            svc.submit(format!("m{i}"), req).unwrap();
+        }
+        let (metrics, responses) = svc.tick();
+        assert_eq!((metrics.dispatched, metrics.units), (4, 1));
+        assert_eq!((metrics.summary.executed, metrics.summary.replayed), (1, 3));
+        assert_eq!(responses.len(), 4);
         assert_eq!(svc.queue_depth(), 0);
     }
 
