@@ -185,14 +185,18 @@ fn main() -> ExitCode {
         "plan:execute|unique frontier",
         t0.elapsed().as_secs_f64() * 1000.0,
     );
-    assert!(first.executed > 0 && first.hits == 0);
+    assert!(first.executed + first.replayed > 0 && first.hits == 0);
     let t0 = Instant::now();
     let resubmit = executor.execute(&requests, 1);
     timed(
         "plan:dedup|resubmission",
         t0.elapsed().as_secs_f64() * 1000.0,
     );
-    assert_eq!(resubmit.executed, 0, "resubmitted plan must be all hits");
+    assert_eq!(
+        (resubmit.executed, resubmit.replayed, resubmit.hits),
+        (0, 0, first.executed + first.replayed),
+        "resubmitted plan must be all hits"
+    );
     let t0 = Instant::now();
     for req in &requests {
         let _ = executor.output(req);
@@ -203,7 +207,7 @@ fn main() -> ExitCode {
     );
     assert_eq!(
         executor.executed_runs(),
-        first.executed,
+        first.executed + first.replayed,
         "cache-hit path must not execute"
     );
 
@@ -219,7 +223,10 @@ fn main() -> ExitCode {
         "obs:off|null-sink execute",
         t0.elapsed().as_secs_f64() * 1000.0,
     );
-    assert_eq!(off_summary.executed, first.executed);
+    assert_eq!(
+        off_summary, first,
+        "obs:off must do the work plan:execute did"
+    );
     let registry = prem_obs::Registry::new();
     let t0 = Instant::now();
     let obs_on = PlanExecutor::new();
@@ -228,7 +235,10 @@ fn main() -> ExitCode {
         "obs:on|registry execute",
         t0.elapsed().as_secs_f64() * 1000.0,
     );
-    assert_eq!(on_summary.executed, first.executed);
+    assert_eq!(
+        on_summary, first,
+        "obs:on must do the work plan:execute did"
+    );
     {
         use prem_obs::MetricsSink as _;
         assert!(
@@ -236,13 +246,18 @@ fn main() -> ExitCode {
             "sink enablement must match what the two entries timed"
         );
     }
-    assert_eq!(
-        registry
-            .snapshot()
-            .counter("plan.live_runs")
-            .expect("metered run records plan.live_runs"),
-        first.executed as u64,
-    );
+    let snap = registry.snapshot();
+    for (counter, count) in [
+        ("plan.live_runs", first.executed),
+        ("plan.replayed", first.replayed),
+        ("plan.families", first.families),
+    ] {
+        assert_eq!(
+            snap.counter(counter),
+            Some(count as u64),
+            "metered run records {counter}"
+        );
+    }
 
     // Persistent run store: `store:cold` executes the same plan through a
     // store-backed executor and appends every output to a scratch store
@@ -260,9 +275,8 @@ fn main() -> ExitCode {
         t0.elapsed().as_secs_f64() * 1000.0,
     );
     assert_eq!(
-        (cold_summary.executed, cold_summary.disk_hits),
-        (first.executed, 0),
-        "cold store run must execute the full unique frontier"
+        cold_summary, first,
+        "cold store run must execute and derive the full unique frontier"
     );
     let t0 = Instant::now();
     let warm =
@@ -272,16 +286,20 @@ fn main() -> ExitCode {
     // The fig35 plan's isolation/interference pairs are derivation
     // families, so its unique requests are the live and the derived ones.
     assert_eq!(
-        (warm_summary.executed, warm_summary.disk_hits),
-        (0, first.executed + first.replayed),
+        (
+            warm_summary.executed,
+            warm_summary.replayed,
+            warm_summary.disk_hits
+        ),
+        (0, 0, first.executed + first.replayed),
         "warm store run must be all disk hits"
     );
     let _ = fs::remove_dir_all(&store_dir);
 
     // Replay-backed derivation (PR 7): a cold 7-policy × 3-seed what-if
     // column, timed three ways. `plan:column|live` executes all 21 runs
-    // live (the `--no-replay` path), `plan:replay|cold` executes one
-    // representative live and derives the 20 siblings from its capture,
+    // live (the `--no-replay` path), `plan:replay|cold` compiles the
+    // family's stream from its tiling and derives all 21 runs from it,
     // `plan:replay|warm` re-renders the column from a fresh store-backed
     // executor (pure disk hits, replayed outputs included). The cold
     // live/replay ratio is the acceptance criterion of the derivation
@@ -321,7 +339,7 @@ fn main() -> ExitCode {
                 replay_summary.replayed,
                 replay_summary.families
             ),
-            (1, column.len() - 1, 1),
+            (0, column.len(), 1),
             "the what-if column is one derivation family"
         );
         replay_exec = exec;
@@ -337,8 +355,8 @@ fn main() -> ExitCode {
     }
     // Replayed outputs are first-class store citizens: persist the column
     // through a store-backed replay executor (untimed — disk cost is the
-    // store's own benchmark), then time a warm re-render where every run,
-    // the 20 derived ones included, is a disk hit.
+    // store's own benchmark), then time a warm re-render where every
+    // derived run is a disk hit.
     let replay_store = scratch_root.join(format!("prem-bench-replay-{}", std::process::id()));
     let _ = fs::remove_dir_all(&replay_store);
     PlanExecutor::new()
@@ -419,24 +437,25 @@ fn main() -> ExitCode {
 
     // `exec:profile-memo|cold` vs `|warm`: an interference-sweep-shaped
     // scenario column — co-runner profiles × counts 0..=6, all siblings
-    // of ONE profile key — executed with memoization off (every cell pays
-    // its own profiling pass) and on (the column charges a single pass).
-    // Since fused self-profiling, constant-contention unpolluted mixes
-    // profile inside their own timed run even with the memo off, so the
-    // column uses mixes the fusion cannot touch — time-varying (bursty)
-    // contention — where the per-cell pass is still real work the memo
-    // elides. Bursty mixes are non-polluting, so the pass and the timed
-    // run stage alike (both walk only the prefetch-round lines whose LLC
-    // set missed in the round before) and, with the timed C-phase reading
-    // contention through windows between burst edges, cost about the
-    // same: the elided pass shows as a ~2x cold/warm gap. A polluting
-    // profile would deflate the ratio instead (its timed run also pays
-    // the pollution fills the pass never sees, dwarfing the pass). R=16
-    // keeps the column
-    // M-phase-heavy: the M-pass costs the same in the profiling pass and
-    // the timed run, so the sweep's co-runner C-phase overhead does not
-    // drown the pass the memo elides. The cold/warm ratio is asserted
-    // hard at ≥1.5×, on top of the baseline total gating both entries.
+    // of ONE profile key — executed with memoization off (every live cell
+    // pays its own profiling pass) and on (the column charges at most a
+    // single pass). Constant-contention unpolluted mixes derive from the
+    // compiled stream, so the column uses mixes derivation cannot touch —
+    // time-varying (bursty) contention — whose cells run live and pay a
+    // real pass the memo elides. Only the count-0 isolation cell is
+    // eligible: it is derived, and on the memoized side it backfills the
+    // key's cell for the bursty cells. Bursty mixes are non-polluting, so
+    // the pass and the timed run stage alike (both walk only the
+    // prefetch-round lines whose LLC set missed in the round before) and,
+    // with the timed C-phase reading contention through windows between
+    // burst edges, cost about the same: the elided pass shows as a ~2x
+    // cold/warm gap. A polluting profile would deflate the ratio instead
+    // (its timed run also pays the pollution fills the pass never sees,
+    // dwarfing the pass). R=16 keeps the column M-phase-heavy: the M-pass
+    // costs the same in the profiling pass and the timed run, so the
+    // sweep's co-runner C-phase overhead does not drown the pass the memo
+    // elides. The cold/warm ratio is asserted hard at ≥1.5×, on top of
+    // the baseline total gating both entries.
     let memo_kernel = Bicg::new(256, 256);
     let mut memo_column: Vec<prem_harness::RunRequest<'_>> = Vec::new();
     for (pi, profile) in [
@@ -480,9 +499,13 @@ fn main() -> ExitCode {
         let cold_summary = exec.execute(&memo_column, 1);
         cold_ms = cold_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
         assert_eq!(
-            (cold_summary.executed, cold_summary.profile_misses),
-            (memo_column.len(), 0),
-            "memo-off column must profile per cell and count nothing"
+            (
+                cold_summary.executed,
+                cold_summary.replayed,
+                cold_summary.profile_misses
+            ),
+            (memo_column.len() - 1, 1, 0),
+            "memo-off column must profile per live cell and count nothing"
         );
     }
     timed("exec:profile-memo|cold 13-cell", cold_ms);
@@ -494,8 +517,8 @@ fn main() -> ExitCode {
         warm_ms = warm_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
         assert_eq!(
             (warm_summary.profile_misses, warm_summary.profile_hits),
-            (1, memo_column.len() - 1),
-            "the scenario column shares one profile key"
+            (1, memo_column.len() - 2),
+            "the scenario column's live cells share one profile key"
         );
     }
     timed("exec:profile-memo|warm 13-cell", warm_ms);

@@ -26,11 +26,10 @@
 //! pool at *run* granularity — so a parallel run is no longer bounded by
 //! the largest single artifact. The unique frontier is further partitioned
 //! into **derivation families** (replay-eligible requests differing only
-//! in LLC policy, seed and scenario): one representative per family
-//! executes live with what-if capture on and every sibling's output is
-//! derived from its capture,
-//! bit-identical by the plan-replay equivalence suite (`--no-replay` opts
-//! out). A per-invocation plan summary (unique runs, duplicates elided,
+//! in LLC policy, seed and scenario): each family's stream is compiled
+//! from its tiling once and every member's output is derived from it,
+//! with no live run, bit-identical by the plan-replay equivalence suite
+//! (`--no-replay` opts out). A per-invocation plan summary (unique runs, duplicates elided,
 //! cache hits, replays, families) is printed to stderr; CI asserts the
 //! elision count is nonzero and, on the quick merged plan,
 //! `replayed > 0`. The renders then run as job-granular pool tasks
@@ -358,7 +357,8 @@ fn listing() -> String {
          cache: on by default at results/.runcache (see CACHING.md); \
          `cache {stats,verify,gc}` introspects it\n\
          replay: policy, seed and scenario siblings derive from one \
-         captured live run per derivation family (bit-identical outputs)\n\
+         stream per derivation family, compiled from its tiling \
+         (bit-identical outputs)\n\
          executor flags (shared with bench_matrix and serve):\n",
     );
     out.push_str(EXEC_FLAGS_HELP);

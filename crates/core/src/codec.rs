@@ -312,7 +312,7 @@ impl RunOutput {
 mod tests {
     use super::*;
     use crate::interval::CAccess;
-    use crate::plan::{execute_run, RunOptions};
+    use crate::plan::execute_run;
     use crate::RunWork;
     use prem_gpusim::{PlatformConfig, Scenario};
     use prem_memsim::LineAddr;
@@ -332,7 +332,7 @@ mod tests {
             7,
             Scenario::Interference,
             crate::NoiseModel::tx1(),
-            RunOptions::default(),
+            None,
         )
         .expect("sample run")
         .output

@@ -16,7 +16,7 @@ use prem_memsim::{
 
 use crate::budget::{BudgetPolicy, Budgets};
 use crate::interval::IntervalSpec;
-use crate::local_store::{LocalStore, PrefetchStrategy};
+use crate::local_store::{demand_ops, LocalStore, PrefetchStrategy};
 use crate::metrics::Breakdown;
 use crate::sync::PhaseTiming;
 
@@ -69,30 +69,51 @@ impl Default for NoiseModel {
 /// laid out by `prem-kernels` (which starts at 0x1000_0000).
 const NOISE_BASE_LINE: u64 = 0x0F00_0000;
 
-/// Injects one unmanaged read after every `noise.every` memory ops of
-/// `stream`, cycling through the noise working set. `counter` persists
-/// across phases so the rotation is continuous. With noise off the stream
-/// is returned as built.
-fn inject_noise(stream: OpStream, noise: NoiseModel, counter: &mut u64) -> OpStream {
-    if !noise.enabled() {
-        return stream;
-    }
-    let mut out = OpStream::with_capacity(stream.len() + stream.len() / noise.every as usize + 1);
+/// Emits interval `iv`'s compute-phase ops under `store` — its
+/// unprotected baseline stream when `store` is `None` — with one
+/// unmanaged read injected after every `noise.every` memory ops, cycling
+/// through the noise working set. `counter` persists across phases so the
+/// rotation is continuous. The one definition of what a C-phase issues:
+/// the live executor runs it ([`demand_stream`]) and
+/// [`CompiledRun::compile`](crate::CompiledRun::compile) packs it.
+pub(crate) fn noisy_demand_ops(
+    store: Option<&LocalStore>,
+    iv: &IntervalSpec,
+    noise: NoiseModel,
+    counter: &mut u64,
+    mut emit: impl FnMut(Op),
+) {
     let mut since = 0u32;
-    for op in &stream {
-        out.push(*op);
-        let is_mem = !matches!(op, Op::Alu(_) | Op::TranslAddr(_));
-        if is_mem {
+    let push = |op: Op| {
+        emit(op);
+        if noise.enabled() && !matches!(op, Op::Alu(_) | Op::TranslAddr(_)) {
             since += 1;
             if since >= noise.every {
                 since = 0;
                 let line = NOISE_BASE_LINE + (*counter % noise.lines as u64);
                 *counter += 1;
-                out.push(Op::CachedLoad(LineAddr::new(line)));
+                emit(Op::CachedLoad(LineAddr::new(line)));
             }
         }
+    };
+    match store {
+        Some(store) => store.c_phase_ops(iv, push),
+        None => demand_ops(iv, push),
     }
-    out
+}
+
+/// [`noisy_demand_ops`] collected into the stream the live executor runs.
+fn demand_stream(
+    store: Option<&LocalStore>,
+    iv: &IntervalSpec,
+    noise: NoiseModel,
+    counter: &mut u64,
+) -> OpStream {
+    let mut stream = OpStream::with_capacity(2 * iv.c_accesses.len() + 2);
+    noisy_demand_ops(store, iv, noise, counter, |op| {
+        stream.push(op);
+    });
+    stream
 }
 
 /// Full configuration of a PREM execution.
@@ -348,7 +369,7 @@ pub fn run_prem_traced<S: TraceSink>(
         // a no-op; otherwise the real C budget bounds the pollution slot.
         let pollute_window = known_budgets.as_ref().map_or(0.0, |b| b.c_cycles);
         engine.pollute_traced(platform.mem.llc_mut(), pollute_window, sink);
-        let c_stream = inject_noise(cfg.store.c_phase(iv), cfg.noise, &mut noise_counter);
+        let c_stream = demand_stream(Some(&cfg.store), iv, cfg.noise, &mut noise_counter);
         let mut ex = SmExecutor::new(&mut platform.mem, &platform.cost);
         let c_out = match fused_c_cont {
             // Fused: one walk prices the live C-phase and, per op in issue
@@ -484,7 +505,7 @@ pub fn run_baseline_traced<S: TraceSink>(
         if let Some(&window) = windows.get(i) {
             engine.pollute_traced(platform.mem.llc_mut(), window, sink);
         }
-        let stream = inject_noise(LocalStore::baseline(iv), noise, &mut noise_counter);
+        let stream = demand_stream(None, iv, noise, &mut noise_counter);
         let out = SmExecutor::new(&mut platform.mem, &platform.cost).run_under_traced(
             &stream,
             Phase::Unphased,
@@ -515,7 +536,7 @@ fn baseline_windows(
     let mut noise_counter = 0u64;
     let mut windows = Vec::with_capacity(intervals.len());
     for iv in intervals {
-        let stream = inject_noise(LocalStore::baseline(iv), noise, &mut noise_counter);
+        let stream = demand_stream(None, iv, noise, &mut noise_counter);
         let out = SmExecutor::new(&mut scratch.mem, &scratch.cost).run(
             &stream,
             Phase::Unphased,
@@ -567,7 +588,7 @@ pub fn profile_phases(
             &mut NullSink,
         )?;
         let m_work = m.work;
-        let c_stream = inject_noise(cfg.store.c_phase(iv), cfg.noise, &mut noise_counter);
+        let c_stream = demand_stream(Some(&cfg.store), iv, cfg.noise, &mut noise_counter);
         let c_out = SmExecutor::new(&mut platform.mem, &platform.cost).run(
             &c_stream,
             Phase::CPhase,
@@ -610,7 +631,7 @@ impl SetRounds {
 /// Stages `footprint` into `llc` by prefetch rounds per `strategy`,
 /// walking only what a round can change — the one round loop of the timed
 /// run, the profiling pass and
-/// [`RunCapture::walk`](crate::RunCapture::walk).
+/// [`CompiledRun::walk`](crate::CompiledRun::walk).
 ///
 /// Round 1 walks every line and reports it to `sink` (op-issue timestamps
 /// from `start`, as the executor emits them). Later rounds run unobserved,
@@ -710,11 +731,6 @@ where
 /// `start`: [`prefetch_rounds`] when its gates hold, otherwise every
 /// round walked through the SM executor (SPM staging, an L1 in front of
 /// the LLC, or a sink that records every round).
-///
-/// A fixed repetition re-runs one identical input pass, so a sink that
-/// opted into deduplicated delivery observes round 1 only and the repeats
-/// run unobserved — they carry no information the first round didn't
-/// (outcomes are not part of a sequence capture).
 fn run_m_phase<S: TraceSink>(
     platform: &mut Platform,
     iv: &IntervalSpec,
@@ -728,11 +744,7 @@ fn run_m_phase<S: TraceSink>(
         LocalStore::Llc { prefetch } => *prefetch,
         LocalStore::Spm { .. } => PrefetchStrategy::Repeated { r: 1 },
     };
-    let dedup = S::DEDUP_M_ROUNDS && !strategy.adaptive();
-    if matches!(store, LocalStore::Llc { .. })
-        && (!S::RECORDS || dedup)
-        && platform.mem.l1().is_none()
-    {
+    if matches!(store, LocalStore::Llc { .. }) && !S::RECORDS && platform.mem.l1().is_none() {
         let cost = (
             platform.cost.prefetch_cost(true, m_cont),
             platform.cost.prefetch_cost(false, m_cont),
@@ -747,12 +759,7 @@ fn run_m_phase<S: TraceSink>(
     let mut staged = Staged::default();
     while staged.rounds < strategy.max_rounds() {
         let mut ex = SmExecutor::new(&mut platform.mem, &platform.cost);
-        let at = start + staged.work;
-        let out = if staged.rounds == 0 || !dedup {
-            ex.run_traced(&m_pass, Phase::MPhase, m_cont, at, sink)?
-        } else {
-            ex.run_traced(&m_pass, Phase::MPhase, m_cont, at, &mut NullSink)?
-        };
+        let out = ex.run_traced(&m_pass, Phase::MPhase, m_cont, start + staged.work, sink)?;
         staged.work += out.cycles;
         staged.hits += out.prefetch_hits;
         staged.misses += out.prefetch_misses;
@@ -857,16 +864,14 @@ mod tests {
 
     #[test]
     fn noise_injection_adds_unmanaged_reads() {
-        let stream = LocalStore::baseline(&toy_intervals()[0]);
+        let iv = &toy_intervals()[0];
+        let stream = demand_stream(None, iv, NoiseModel::off(), &mut 0);
+        let noise = NoiseModel {
+            lines: 8,
+            every: 16,
+        };
         let mut counter = 0;
-        let noisy = inject_noise(
-            stream.clone(),
-            NoiseModel {
-                lines: 8,
-                every: 16,
-            },
-            &mut counter,
-        );
+        let noisy = demand_stream(None, iv, noise, &mut counter);
         assert_eq!(
             noisy.counts().cached_loads,
             stream.counts().cached_loads + 4
@@ -874,23 +879,23 @@ mod tests {
         assert_eq!(counter, 4);
         // Noise lines rotate within the configured working set.
         let mut counter2 = 8;
-        let again = inject_noise(
-            stream.clone(),
-            NoiseModel {
-                lines: 8,
-                every: 16,
-            },
-            &mut counter2,
-        );
+        let again = demand_stream(None, iv, noise, &mut counter2);
         assert_eq!(again.counts().cached_loads, noisy.counts().cached_loads);
     }
 
     #[test]
     fn noise_off_is_identity() {
-        let stream = LocalStore::baseline(&toy_intervals()[0]);
+        let iv = &toy_intervals()[0];
         let mut counter = 0;
-        let same = inject_noise(stream.clone(), NoiseModel::off(), &mut counter);
-        assert_eq!(same, stream);
+        let same = demand_stream(None, iv, NoiseModel::off(), &mut counter);
+        let mut demand = OpStream::new();
+        demand_ops(iv, |op| {
+            demand.push(op);
+        });
+        assert_eq!(same, demand);
+        let store = LocalStore::spm_default();
+        let same = demand_stream(Some(&store), iv, NoiseModel::off(), &mut counter);
+        assert_eq!(same, store.c_phase(iv));
         assert_eq!(counter, 0);
     }
 

@@ -7,7 +7,7 @@
 //! [`LocalStore`](crate::LocalStore) strategy lowers it to concrete op
 //! streams.
 
-use prem_memsim::LineAddr;
+use prem_memsim::{LineAddr, LineSet};
 
 /// One compute-phase line touch.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -58,7 +58,7 @@ impl IntervalSpec {
 
     /// Lines written by the compute phase (deduplicated, stable order).
     pub fn written_lines(&self) -> Vec<LineAddr> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = LineSet::default();
         self.c_accesses
             .iter()
             .filter(|a| a.write)

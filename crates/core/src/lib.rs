@@ -25,12 +25,13 @@
 //! * [`analytic`] — the paper's coin-toss and good-way-capacity models for
 //!   cross-checking the simulator.
 //! * [`plan`] — the `RunRequest → run_prem / run_baseline` bridge the
-//!   run-plan layer (`prem-harness::plan`) executes canonical requests
-//!   through: one [`execute_run`], whose [`RunOptions`] pick the profile
-//!   source and what-if capture, plus [`profile_run`].
+//!   run-plan layer (`prem-harness::plan`) executes live requests
+//!   through: one [`execute_run`], with an optional memoized profile,
+//!   plus [`profile_run`].
 //! * [`whatif`] — replay-backed derivation of LLC policy, seed and
-//!   scenario siblings from one captured run ([`RunCapture`]): one walk
-//!   per [`Trajectory`] class, priced per member.
+//!   scenario family members from a stream compiled from the tiling
+//!   ([`CompiledRun`]): one walk per [`Trajectory`] class, priced per
+//!   member.
 //! * [`codec`] — versioned, bit-exact binary serialization of executed
 //!   [`RunOutput`]s, the payload format of the persistent run store
 //!   (`prem-harness::store`).
@@ -76,7 +77,7 @@ pub use exec::{
 pub use interval::{CAccess, IntervalSpec};
 pub use local_store::{LocalStore, PrefetchStrategy};
 pub use metrics::{sensitivity, speedup, Breakdown};
-pub use plan::{execute_run, profile_run, Executed, RunOptions, RunOutput, RunWork};
+pub use plan::{execute_run, profile_run, Executed, RunOutput, RunWork};
 pub use sync::{PhaseTiming, SyncConfig};
 pub use tiling::{check_tiling, rows_per_interval, TilingError};
-pub use whatif::{replay_eligible, RunCapture, Trajectory};
+pub use whatif::{replay_eligible, CompiledRun, Trajectory};

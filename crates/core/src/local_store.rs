@@ -103,34 +103,40 @@ impl LocalStore {
     /// executor repeats it per the [`PrefetchStrategy`]); for the SPM it is
     /// the full copy-in loop plus copy-out of the interval's written lines.
     pub fn m_phase_pass(&self, interval: &IntervalSpec) -> OpStream {
+        let mut s = OpStream::with_capacity(interval.footprint.len() * 3);
+        self.m_phase_ops(interval, |op| {
+            s.push(op);
+        });
+        s
+    }
+
+    /// Emits one M-phase staging pass of `interval`, op by op in issue
+    /// order — the one definition behind [`LocalStore::m_phase_pass`] and
+    /// the compiled stream of [`CompiledRun`](crate::CompiledRun).
+    pub(crate) fn m_phase_ops(&self, interval: &IntervalSpec, mut emit: impl FnMut(Op)) {
         match self {
             LocalStore::Llc { .. } => {
-                let mut s = OpStream::with_capacity(interval.footprint.len());
                 for &line in &interval.footprint {
-                    s.push(Op::Prefetch(line));
+                    emit(Op::Prefetch(line));
                 }
-                s
             }
             LocalStore::Spm {
                 transl_per_line_copy,
                 ..
             } => {
-                let written = interval.written_lines();
-                let mut s = OpStream::with_capacity(interval.footprint.len() * 3 + written.len());
                 for &line in &interval.footprint {
-                    s.push(Op::DramLoad(line));
-                    s.push(Op::SpmStore(line));
+                    emit(Op::DramLoad(line));
+                    emit(Op::SpmStore(line));
                     if *transl_per_line_copy > 0 {
-                        s.push(Op::TranslAddr(*transl_per_line_copy));
+                        emit(Op::TranslAddr(*transl_per_line_copy));
                     }
                 }
                 // Copy-out of produced data (charged to this interval's
                 // M-phase; the hardware cache does this implicitly through
                 // write-back evictions).
-                for line in written {
-                    s.push(Op::DramStore(line));
+                for line in interval.written_lines() {
+                    emit(Op::DramStore(line));
                 }
-                s
             }
         }
     }
@@ -138,55 +144,55 @@ impl LocalStore {
     /// Builds the compute-phase stream for `interval`.
     pub fn c_phase(&self, interval: &IntervalSpec) -> OpStream {
         let mut s = OpStream::with_capacity(interval.c_accesses.len() + 2);
+        self.c_phase_ops(interval, |op| {
+            s.push(op);
+        });
+        s
+    }
+
+    /// Emits the compute-phase ops of `interval` in issue order (see
+    /// [`LocalStore::m_phase_ops`]).
+    pub(crate) fn c_phase_ops(&self, interval: &IntervalSpec, mut emit: impl FnMut(Op)) {
         match self {
-            LocalStore::Llc { .. } => {
-                for a in &interval.c_accesses {
-                    s.push(if a.write {
-                        Op::CachedStore(a.line)
-                    } else {
-                        Op::CachedLoad(a.line)
-                    });
-                }
-            }
+            LocalStore::Llc { .. } => return demand_ops(interval, emit),
             LocalStore::Spm {
                 transl_per_access, ..
             } => {
                 for a in &interval.c_accesses {
-                    s.push(if a.write {
+                    emit(if a.write {
                         Op::SpmStore(a.line)
                     } else {
                         Op::SpmLoad(a.line)
                     });
                     if *transl_per_access > 0 {
-                        s.push(Op::TranslAddr(*transl_per_access));
+                        emit(Op::TranslAddr(*transl_per_access));
                     }
                 }
             }
         }
-        push_alu(&mut s, interval.alu);
-        s
-    }
-
-    /// Builds the unprotected baseline stream (no PREM): demand accesses
-    /// straight through the cache hierarchy.
-    pub fn baseline(interval: &IntervalSpec) -> OpStream {
-        let mut s = OpStream::with_capacity(interval.c_accesses.len() + 2);
-        for a in &interval.c_accesses {
-            s.push(if a.write {
-                Op::CachedStore(a.line)
-            } else {
-                Op::CachedLoad(a.line)
-            });
-        }
-        push_alu(&mut s, interval.alu);
-        s
+        alu_ops(interval.alu, emit);
     }
 }
 
-fn push_alu(s: &mut OpStream, mut alu: u64) {
+/// Emits `interval`'s compute accesses straight through the cache
+/// hierarchy, then its arithmetic: the LLC C-phase and the baseline
+/// interval alike.
+pub(crate) fn demand_ops(interval: &IntervalSpec, mut emit: impl FnMut(Op)) {
+    for a in &interval.c_accesses {
+        emit(if a.write {
+            Op::CachedStore(a.line)
+        } else {
+            Op::CachedLoad(a.line)
+        });
+    }
+    alu_ops(interval.alu, emit);
+}
+
+/// Emits `alu` warp instructions as `u32`-sized [`Op::Alu`] chunks.
+fn alu_ops(mut alu: u64, mut emit: impl FnMut(Op)) {
     while alu > 0 {
         let chunk = alu.min(u32::MAX as u64) as u32;
-        s.push(Op::Alu(chunk));
+        emit(Op::Alu(chunk));
         alu -= chunk as u64;
     }
 }
@@ -199,6 +205,15 @@ mod tests {
 
     fn l(n: u64) -> LineAddr {
         LineAddr::new(n)
+    }
+
+    /// The unprotected baseline stream of `interval`.
+    fn baseline(interval: &IntervalSpec) -> OpStream {
+        let mut s = OpStream::new();
+        demand_ops(interval, |op| {
+            s.push(op);
+        });
+        s
     }
 
     fn iv() -> IntervalSpec {
@@ -268,7 +283,7 @@ mod tests {
 
     #[test]
     fn baseline_has_no_staging() {
-        let s = LocalStore::baseline(&iv());
+        let s = baseline(&iv());
         let c = s.counts();
         assert_eq!(c.prefetches + c.dram_loads + c.spm_stores, 0);
         assert_eq!(c.cached_loads, 1);
@@ -278,7 +293,7 @@ mod tests {
     #[test]
     fn alu_chunking_handles_large_counts() {
         let big = IntervalSpec::new(vec![], vec![], u32::MAX as u64 + 5);
-        let s = LocalStore::baseline(&big);
+        let s = baseline(&big);
         assert_eq!(s.counts().alu, u32::MAX as u64 + 5);
     }
 }

@@ -20,7 +20,6 @@ use prem_memsim::NullSink;
 use crate::exec::{profile_phases, run_baseline, run_prem_traced, NoiseModel, PremConfig};
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
-use crate::whatif::RunCapture;
 use crate::{BaselineRun, PremRun};
 
 /// Upper bound on the M-phase prefetch rounds of
@@ -121,22 +120,6 @@ impl RunOutput {
     }
 }
 
-/// How [`execute_run`] executes a request. The default is a plain live
-/// run that profiles its own phases.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct RunOptions {
-    /// A memoized `(m_wcet, c_wcet)` from [`profile_run`] (for this request
-    /// or any scenario sibling): `Some` skips the profiling pass, `None`
-    /// profiles inline or fused into the timed run. The output is
-    /// bit-identical either way. Baseline work ignores it.
-    pub profiled: Option<(f64, f64)>,
-    /// Record a [`RunCapture`] of the timed run, from which every
-    /// replay-eligible LLC policy, seed or scenario sibling's output can be
-    /// derived. The output is bit-identical either way — capture is an
-    /// observer.
-    pub capture: bool,
-}
-
 /// What [`execute_run`] returns.
 #[derive(Debug)]
 pub struct Executed {
@@ -146,26 +129,20 @@ pub struct Executed {
     /// pair when one was passed in, otherwise what [`profile_run`] would
     /// report — and `None` for baseline work, which never profiles.
     pub wcets: Option<(f64, f64)>,
-    /// The what-if capture, present exactly when [`RunOptions::capture`]
-    /// was set.
-    pub capture: Option<RunCapture>,
 }
 
-/// Executes one fully-resolved run request: builds `platform_cfg`, derives
-/// the mode's canonical [`PremConfig`] and dispatches to
-/// [`run_prem_traced`] or [`run_baseline`] — the one bridge every plan
-/// layer execution goes through.
+/// Executes one fully-resolved run request live: builds `platform_cfg`,
+/// derives the mode's canonical [`PremConfig`] and dispatches to
+/// [`run_prem_traced`] or [`run_baseline`] — the one bridge every live
+/// plan-layer execution goes through.
 ///
 /// `platform_cfg` must already carry every per-request override (LLC
 /// policy, LLC seed, co-runner mix) — resolution is the plan layer's job;
-/// this bridge only executes. `opts` picks the profile source and whether
-/// to capture; the uncaptured path runs with the no-op sink.
-///
-/// # Panics
-///
-/// Panics when `opts.capture` is set and the request is not
-/// [`replay_eligible`](crate::replay_eligible) — a capture of an
-/// ineligible run would replay wrongly, so callers gate on eligibility.
+/// this bridge only executes. `profiled` is a memoized `(m_wcet, c_wcet)`
+/// from [`profile_run`] (for this request or any scenario sibling):
+/// `Some` skips the profiling pass, `None` profiles inline or fused into
+/// the timed run. The output is bit-identical either way; baseline work
+/// ignores it.
 ///
 /// # Errors
 ///
@@ -178,19 +155,8 @@ pub fn execute_run(
     seed: u64,
     scenario: Scenario,
     noise: NoiseModel,
-    opts: RunOptions,
+    profiled: Option<(f64, f64)>,
 ) -> Result<Executed, ExecError> {
-    if opts.capture {
-        return crate::whatif::execute_captured(
-            platform_cfg,
-            intervals,
-            work,
-            seed,
-            scenario,
-            noise,
-            opts.profiled,
-        );
-    }
     let mut platform = platform_cfg.build();
     let (output, wcets) = match work.prem_config(seed, noise) {
         Some(cfg) => {
@@ -199,7 +165,7 @@ pub fn execute_run(
                 intervals,
                 &cfg,
                 scenario,
-                opts.profiled,
+                profiled,
                 &mut NullSink,
             )?;
             (RunOutput::Prem(run), Some(wcets))
@@ -209,11 +175,7 @@ pub fn execute_run(
             (RunOutput::Baseline(run), None)
         }
     };
-    Ok(Executed {
-        output,
-        wcets,
-        capture: None,
-    })
+    Ok(Executed { output, wcets })
 }
 
 /// Runs only the isolated profiling pass of a request, returning its
@@ -222,8 +184,8 @@ pub fn execute_run(
 /// Returns `Ok(None)` for [`RunWork::Baseline`] (the baseline never
 /// profiles). The result is valid for *every* scenario sibling of the
 /// request (profiling is scenario-independent — see [`profile_phases`]);
-/// feed it back as [`RunOptions::profiled`] under any scenario and the
-/// output is bit-identical to a self-profiling [`execute_run`].
+/// feed it back as [`execute_run`]'s `profiled` under any scenario and
+/// the output is bit-identical to a self-profiling run.
 ///
 /// # Errors
 ///
@@ -249,6 +211,7 @@ mod tests {
     use super::*;
     use crate::exec::run_prem;
     use crate::interval::CAccess;
+    use crate::whatif::CompiledRun;
     use prem_memsim::LineAddr;
 
     fn toy_intervals() -> Vec<IntervalSpec> {
@@ -311,7 +274,7 @@ mod tests {
             7,
             Scenario::Isolation,
             NoiseModel::tx1(),
-            RunOptions::default(),
+            None,
         )
         .unwrap()
         .output
@@ -335,7 +298,7 @@ mod tests {
             7,
             Scenario::Isolation,
             NoiseModel::off(),
-            RunOptions::default(),
+            None,
         )
         .unwrap()
         .output
@@ -363,7 +326,7 @@ mod tests {
             1,
             Scenario::Isolation,
             NoiseModel::off(),
-            RunOptions::default(),
+            None,
         )
         .unwrap()
         .output;
@@ -376,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn every_run_options_combination_is_the_same_run() {
+    fn every_profile_source_and_derivation_is_the_same_run() {
         use prem_gpusim::CorunnerProfile;
         let ivs = toy_intervals();
         let noise = NoiseModel::tx1();
@@ -406,37 +369,26 @@ mod tests {
         for (cfg, scenario, fusable) in scenarios {
             for work in works {
                 let ctx = format!("{work:?}/{scenario:?}/{:?}", cfg.cpu);
-                let run = |opts| execute_run(cfg, &ivs, work, 7, scenario, noise, opts).unwrap();
-                let plain = run(RunOptions::default());
+                let run =
+                    |profiled| execute_run(cfg, &ivs, work, 7, scenario, noise, profiled).unwrap();
+                let plain = run(None);
                 let profiled = profile_run(cfg, &ivs, work, 7, noise).unwrap();
                 assert_eq!(bits(plain.wcets), bits(profiled), "{ctx}: wcets");
                 assert_eq!(profiled.is_none(), work == RunWork::Baseline, "{ctx}");
-                assert!(plain.capture.is_none(), "{ctx}");
+                let memoized = run(profiled);
+                assert_eq!(memoized.output.encode(), plain.output.encode(), "{ctx}");
+                assert_eq!(bits(memoized.wcets), bits(plain.wcets), "{ctx}");
 
+                // Every fixed-stream mode under a fusable mix derives: one
+                // compile, one walk and one price give the live run.
                 let eligible = crate::replay_eligible(cfg, work, scenario);
-                let fixed_llc = matches!(work, RunWork::PremLlc { .. } | RunWork::Baseline);
-                assert_eq!(eligible, fusable && fixed_llc, "{ctx}");
-                let mut variants = vec![RunOptions {
-                    profiled,
-                    capture: false,
-                }];
+                let adaptive = work == RunWork::PremLlcUntilResident;
+                assert_eq!(eligible, fusable && !adaptive, "{ctx}");
                 if eligible {
-                    for profiled in [None, profiled] {
-                        variants.push(RunOptions {
-                            profiled,
-                            capture: true,
-                        });
-                    }
-                }
-                for opts in variants {
-                    let other = run(opts);
-                    assert_eq!(
-                        other.output.encode(),
-                        plain.output.encode(),
-                        "{ctx}: {opts:?} changed the output"
-                    );
-                    assert_eq!(bits(other.wcets), bits(plain.wcets), "{ctx}: {opts:?}");
-                    assert_eq!(other.capture.is_some(), opts.capture, "{ctx}: {opts:?}");
+                    let compiled = CompiledRun::compile(cfg, &ivs, work, noise).unwrap();
+                    let derived = compiled.price(&compiled.walk(cfg, 7), cfg, 7, scenario);
+                    assert_eq!(derived.output.encode(), plain.output.encode(), "{ctx}");
+                    assert_eq!(bits(derived.wcets), bits(plain.wcets), "{ctx}");
                 }
             }
         }

@@ -5,9 +5,10 @@
 //! every compute access must be covered by the interval's staged footprint,
 //! and the footprint must respect the interval size `T`.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
+
+use prem_memsim::LineSet;
 
 use crate::interval::IntervalSpec;
 
@@ -75,7 +76,7 @@ pub fn check_tiling(
     line_bytes: usize,
 ) -> Result<(), TilingError> {
     for (i, iv) in intervals.iter().enumerate() {
-        let mut seen = HashSet::with_capacity(iv.footprint.len());
+        let mut seen = LineSet::with_capacity_and_hasher(iv.footprint.len(), Default::default());
         for &line in &iv.footprint {
             if !seen.insert(line) {
                 return Err(TilingError::DuplicateFootprintLine {

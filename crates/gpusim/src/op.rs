@@ -8,7 +8,7 @@
 //! by the cache, and instruction-count differences between the SPM and cache
 //! code paths (paper Fig 2).
 
-use prem_memsim::LineAddr;
+use prem_memsim::{LineAddr, LineSet};
 
 /// One warp-level micro-operation.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -156,7 +156,7 @@ impl OpStream {
 
     /// The distinct lines touched by memory ops, in first-touch order.
     pub fn touched_lines(&self) -> Vec<LineAddr> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = LineSet::default();
         let mut out = Vec::new();
         for op in &self.ops {
             let line = match op {

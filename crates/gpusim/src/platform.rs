@@ -113,12 +113,20 @@ impl PlatformConfig {
         self
     }
 
-    /// Converts cycles to microseconds at this config's GPU clock — the
-    /// conversion [`Platform::cycles_to_us`] delegates to, available
-    /// without building a platform (the run-plan layer folds cached run
-    /// outputs into µs with only the config at hand).
+    /// Converts cycles to microseconds at this config's GPU clock, as
+    /// [`Platform::cycles_to_us`] does, without building a platform (the
+    /// run-plan layer folds cached run outputs into µs with only the
+    /// config at hand).
     pub fn cycles_to_us(&self, cycles: f64) -> f64 {
-        cycles / (self.clock_ghz * 1000.0)
+        cycles_to_us(self.clock_ghz, cycles)
+    }
+
+    /// Converts microseconds to cycles at this config's GPU clock, as
+    /// [`Platform::us_to_cycles`] does, without building a platform (a
+    /// compiled run prices its token exchanges with only the config at
+    /// hand).
+    pub fn us_to_cycles(&self, us: f64) -> f64 {
+        us_to_cycles(self.clock_ghz, us)
     }
 
     /// Builds the runnable platform.
@@ -150,15 +158,14 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Converts cycles to microseconds at the platform clock (same
-    /// formula as [`PlatformConfig::cycles_to_us`]).
+    /// Converts cycles to microseconds at the platform clock.
     pub fn cycles_to_us(&self, cycles: f64) -> f64 {
-        cycles / (self.clock_ghz * 1000.0)
+        cycles_to_us(self.clock_ghz, cycles)
     }
 
     /// Converts microseconds to cycles at the platform clock.
     pub fn us_to_cycles(&self, us: f64) -> f64 {
-        us * self.clock_ghz * 1000.0
+        us_to_cycles(self.clock_ghz, us)
     }
 
     /// Cold-resets caches and scratchpad and clears statistics.
@@ -171,6 +178,19 @@ impl Platform {
     pub fn reseed(&mut self, seed: u64) {
         self.mem.reseed(seed);
     }
+}
+
+/// Cycles at a `clock_ghz` GPU clock to microseconds: the one formula
+/// behind both config and platform conversions.
+fn cycles_to_us(clock_ghz: f64, cycles: f64) -> f64 {
+    cycles / (clock_ghz * 1000.0)
+}
+
+/// Microseconds to cycles at a `clock_ghz` GPU clock (see
+/// [`cycles_to_us`]). Live and compiled runs convert the token-exchange
+/// costs through it, so their MSG cycles agree to the bit.
+fn us_to_cycles(clock_ghz: f64, us: f64) -> f64 {
+    us * clock_ghz * 1000.0
 }
 
 #[cfg(test)]

@@ -22,28 +22,29 @@
 //!   ([`crate::pool::parallel_map`]) at *run* granularity — a plan of 300
 //!   runs load-balances across workers instead of serializing behind the
 //!   largest figure;
-//! * **derives** what-if and scenario siblings instead of executing them:
-//!   the replay-eligible frontier partitions into *derivation families*
-//!   (equal [`RunRequest::base_key`] — every coordinate but the LLC
-//!   policy, seed and scenario), one representative per family executes
-//!   live with capture on, each trajectory class of the family (the LLC
-//!   policy, plus the seed when the policy draws from the RNG) walks the
-//!   captured LLC input stream at most once — the representative's own
-//!   class not at all — and every sibling is priced from its class's
-//!   trajectory under its own contention; bit-identical to live execution
-//!   by contract, proven by the plan-replay equivalence suite
-//!   (`crates/harness/tests/plan_replay.rs`);
+//! * **derives** every replay-eligible request instead of executing it:
+//!   the eligible frontier partitions into *derivation families* (equal
+//!   [`RunRequest::base_key`] — every coordinate but the LLC policy, seed
+//!   and scenario; a family of one included), each family compiles its
+//!   LLC input stream from the tiling once ([`CompiledRun::compile`]),
+//!   each trajectory class of the family (the LLC policy, plus the seed
+//!   when the policy draws from the RNG) walks it once, and every member
+//!   is priced from its class's trajectory under its own contention;
+//!   bit-identical to live execution by contract, proven by the
+//!   plan-replay equivalence suite (`crates/harness/tests/plan_replay.rs`).
+//!   Only ineligible requests (adaptive prefetching, time-varying or
+//!   polluting co-runner mixes) execute live;
 //! * **caches** outputs in a sharded in-memory map addressed by the full
 //!   canonical key (the fingerprint selects the shard; the key string
 //!   guarantees distinct requests can never alias a cache slot).
 //!
 //! Every simulator execution in this module is a pool unit of a plan (a
-//! lazy [`RunSource::output`] miss is a one-request plan). The request's
+//! lazy [`RunSource::output`] miss is a one-request plan). A live unit's
 //! profile-memo cell (one per [`RunRequest::profile_key`]) either supplies
 //! a memoized `(m_wcet, c_wcet)` or is backfilled with the pair the run
 //! reports, and the request tiles, resolves and runs through the core
 //! bridge [`prem_core::execute_run`]. The public `RunRequest::execute*`
-//! methods are one-line forms of that path with a fixed [`RunOptions`]
+//! methods are one-line forms of that path with a fixed profile source
 //! and no memo.
 //!
 //! Dedup is sound because execution is deterministic in the request: a
@@ -69,8 +70,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use prem_core::{
-    execute_run, profile_run, Executed, IntervalSpec, NoiseModel, RunCapture, RunOptions,
-    RunOutput, RunWork,
+    execute_run, profile_run, CompiledRun, Executed, IntervalSpec, NoiseModel, RunOutput, RunWork,
 };
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_kernels::arena::{tiling_key, TilingKey};
@@ -282,7 +282,7 @@ impl RunRequest<'_> {
     /// configurations are expected to respect kernel and platform limits,
     /// exactly as the pre-plan runners did.
     pub fn execute(&self) -> RunOutput {
-        self.run(RunOptions::default()).output
+        self.run(None).output
     }
 
     /// [`RunRequest::execute`] with an optional memoized profiling result
@@ -294,11 +294,7 @@ impl RunRequest<'_> {
     ///
     /// Exactly as [`RunRequest::execute`].
     pub fn execute_profiled(&self, profiled: Option<(f64, f64)>) -> RunOutput {
-        self.run(RunOptions {
-            profiled,
-            capture: false,
-        })
-        .output
+        self.run(profiled).output
     }
 
     /// Runs only the isolated profiling pass, returning its
@@ -331,15 +327,15 @@ impl RunRequest<'_> {
     ///
     /// Exactly as [`RunRequest::execute`].
     pub fn execute_reporting_profile(&self) -> (RunOutput, Option<(f64, f64)>) {
-        let run = self.run(RunOptions::default());
+        let run = self.run(None);
         (run.output, run.wcets)
     }
 
-    /// The one execution path behind every `execute*` form: tiles, resolves
-    /// and runs the request through [`prem_core::execute_run`] under
-    /// `opts`, panicking on execution errors as documented on
-    /// [`RunRequest::execute`].
-    fn run(&self, opts: RunOptions) -> Executed {
+    /// The one live execution path behind every `execute*` form: tiles,
+    /// resolves and runs the request through [`prem_core::execute_run`]
+    /// with the profile source `profiled`, panicking on execution errors as
+    /// documented on [`RunRequest::execute`].
+    fn run(&self, profiled: Option<(f64, f64)>) -> Executed {
         execute_run(
             &self.resolved_platform(),
             &self.tiled_intervals(),
@@ -347,9 +343,16 @@ impl RunRequest<'_> {
             self.seed,
             self.resolved_scenario(),
             self.noise,
-            opts,
+            profiled,
         )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
+        .unwrap_or_else(|e| self.refused(e))
+    }
+
+    /// Panics with the request's identity and the execution error — what
+    /// every plan-built request that breaks a kernel or platform limit
+    /// gets, live or compiled.
+    fn refused(&self, e: impl fmt::Display) -> ! {
+        panic!("{} ({}): {e}", self.kernel.name(), self.key())
     }
 
     /// The core-level scenario the request executes under (a mix activates
@@ -387,37 +390,49 @@ impl RunRequest<'_> {
         )
     }
 
-    /// [`RunRequest::execute`] with what-if capture on: returns the
-    /// (bit-identical) live output plus a [`RunCapture`] from which every
-    /// replay-eligible sibling request — same [`RunRequest::base_key`],
-    /// different LLC policy, seed or scenario — derives its output via
+    /// Compiles this request's family stream ([`CompiledRun::compile`])
+    /// from its tiling: every replay-eligible request with the same
+    /// [`RunRequest::base_key`] — different LLC policy, seed or scenario —
+    /// derives its output from it via [`RunRequest::replay_from`].
+    /// Panics as [`RunRequest::execute`] does (a compiled SPM tiling
+    /// refuses exactly what a live run does), and when the request's work
+    /// is never replay-eligible.
+    fn compile(&self) -> CompiledRun {
+        CompiledRun::compile(
+            &self.resolved_platform(),
+            &self.tiled_intervals(),
+            self.work,
+            self.noise,
+        )
+        .unwrap_or_else(|e| self.refused(e))
+    }
+
+    /// [`RunRequest::execute`] plus a compile of the request's family
+    /// stream ([`CompiledRun::compile`]): the live output and the stream
+    /// every eligible sibling derives from via
     /// [`RunRequest::replay_from`].
     ///
     /// # Panics
     ///
     /// As [`RunRequest::execute`], plus when the request is not
-    /// [`RunRequest::replay_eligible`].
-    pub fn execute_captured(&self) -> (RunOutput, RunCapture) {
-        let run = self.run(RunOptions {
-            profiled: None,
-            capture: true,
-        });
-        (run.output, run.capture.expect("capture was requested"))
+    /// [`RunRequest::replay_eligible`] under any scenario.
+    pub fn execute_captured(&self) -> (RunOutput, CompiledRun) {
+        (self.execute(), self.compile())
     }
 
-    /// Derives this request's output from a family representative's
-    /// capture instead of executing it. The result is bit-identical to
-    /// [`RunRequest::execute`] — the contract the plan-replay equivalence
-    /// suite proves.
+    /// Derives this request's output from a family member's compiled
+    /// stream — one walk and one price — instead of executing it. The
+    /// result is bit-identical to [`RunRequest::execute`], the contract
+    /// the plan-replay equivalence suite proves.
     ///
     /// # Panics
     ///
-    /// Panics (in [`RunCapture::replay_for`]) when `capture` was not taken
-    /// from a sibling — this request's resolved platform differs from the
-    /// representative's beyond the LLC policy, seed and co-runner axes —
-    /// or when this request is not [`RunRequest::replay_eligible`].
-    pub fn replay_from(&self, capture: &RunCapture) -> RunOutput {
-        capture.replay_for(
+    /// Panics (in [`CompiledRun::replay_for`]) when `compiled` was not
+    /// compiled for a sibling — this request's resolved platform differs
+    /// from the compiled one beyond the LLC policy, seed and co-runner
+    /// axes — or when this request is not [`RunRequest::replay_eligible`].
+    pub fn replay_from(&self, compiled: &CompiledRun) -> RunOutput {
+        compiled.replay_for(
             &self.resolved_platform(),
             self.seed,
             self.resolved_scenario(),
@@ -437,19 +452,18 @@ pub trait RunSource: Sync {
 /// execution whose request has the same [`RunRequest::profile_key`].
 type ProfileCell = Arc<OnceLock<(f64, f64)>>;
 
-/// Executes `req` through its profile-memo cell: a filled cell feeds the
-/// memoized pair in, and an empty one (or none, with memoization off) lets
-/// the executor self-profile — fused into the timed walk for
-/// constant-contention unpolluted mixes, a separate inline pass otherwise —
-/// and is backfilled with the pair the run reports, so every sharer still
-/// gets the memoized pair.
-fn run_through(req: &RunRequest<'_>, cell: Option<&ProfileCell>, capture: bool) -> Executed {
-    let profiled = cell.and_then(|c| c.get().copied());
-    let run = req.run(RunOptions { profiled, capture });
+/// Executes `req` live through its profile-memo cell: a filled cell feeds
+/// the memoized pair in, and an empty one (or none, with memoization off)
+/// lets the executor self-profile — fused into the timed walk for
+/// constant-contention unpolluted mixes (live only with replay off), a
+/// separate inline pass otherwise — and is backfilled with the pair the
+/// run reports, so every sharer still gets the memoized pair.
+fn run_through(req: &RunRequest<'_>, cell: Option<&ProfileCell>) -> RunOutput {
+    let run = req.run(cell.and_then(|c| c.get().copied()));
     if let (Some(cell), Some(w)) = (cell, run.wcets) {
         let _ = cell.set(w);
     }
-    run
+    run.output
 }
 
 /// Shard count of the result cache. A power of two so the fingerprint can
@@ -458,9 +472,9 @@ fn run_through(req: &RunRequest<'_>, cell: Option<&ProfileCell>, capture: bool) 
 const SHARDS: usize = 16;
 
 /// One schedulable piece of a plan's frontier: a plain live run, or a
-/// whole derivation family (representative live with capture on, every
-/// sibling derived from it) — indices into the frontier/family tables
-/// of one [`PlanExecutor::execute_metered`] call.
+/// whole derivation family (compiled once, every member derived) —
+/// indices into the frontier/family tables of one
+/// [`PlanExecutor::execute_metered`] call.
 enum Unit {
     Live(usize),
     Family(usize),
@@ -483,10 +497,12 @@ impl StreamPin {
         }
     }
 
-    /// Pins `req`'s stream unless an earlier unit of the key already did.
-    fn hold(&self, req: &RunRequest<'_>) {
+    /// Pins `req`'s stream unless an earlier unit of the key already did;
+    /// the tiling is one `plan.tile_ns` sample.
+    fn hold<M: MetricsSink>(&self, req: &RunRequest<'_>, metrics: &M) {
         let mut state = self.state.lock().expect("stream pin poisoned");
         if state.0.is_none() {
+            let _tile = Span::start(metrics, "plan.tile_ns");
             state.0 = Some(req.tiled_intervals());
         }
     }
@@ -507,7 +523,8 @@ impl StreamPin {
 pub struct PlanSummary {
     /// Requests submitted.
     pub requested: usize,
-    /// Unique requests actually executed.
+    /// Unique requests executed live: the ineligible ones (and, with
+    /// replay disabled, all of them).
     pub executed: usize,
     /// Duplicates elided within submitted plans (same key submitted more
     /// than once).
@@ -519,18 +536,19 @@ pub struct PlanSummary {
     /// ([`PlanExecutor::with_store`]); always zero on a store-less
     /// executor.
     pub disk_hits: usize,
-    /// Requests derived from a family representative's capture instead
-    /// of executing the simulator (bit-identical by contract).
+    /// Requests derived from their family's compiled stream instead of
+    /// executing the simulator (bit-identical by contract).
     pub replayed: usize,
-    /// Derivation families with at least one derived sibling (a family of
-    /// one is just a live run and is not counted).
+    /// Derivation families compiled: one per distinct base key among the
+    /// replay-eligible frontier, a family of one included.
     pub families: usize,
-    /// Profiling passes served from the profile memo: executed units whose
-    /// `(m_wcet, c_wcet)` another unit (this plan or an earlier one) had
-    /// already computed under the same [`RunRequest::profile_key`].
+    /// Profiling passes served from the profile memo: live units whose
+    /// `(m_wcet, c_wcet)` another unit or a derived member (this plan or
+    /// an earlier one) had already computed under the same
+    /// [`RunRequest::profile_key`].
     pub profile_hits: usize,
-    /// Profiling passes actually charged: one per distinct profile key
-    /// first seen by this call's executed units.
+    /// Profiling passes charged: one per distinct profile key first seen
+    /// by this call's live units.
     pub profile_misses: usize,
 }
 
@@ -748,7 +766,8 @@ impl PlanExecutor {
 
     /// [`PlanExecutor::execute`] with metrics: expansion/dedup and pool
     /// spans (`plan.expand_ns`, `plan.execute_ns`, per-unit
-    /// `plan.unit_ns`, per-member `plan.live_ns`/`plan.replay_ns` — a
+    /// `plan.unit_ns`, per-tiling-key `plan.tile_ns`, per-family
+    /// `plan.compile_ns`, per-member `plan.live_ns`/`plan.replay_ns` — a
     /// derived member's sample is its pricing plus the trajectory walk it
     /// triggered, if any), the tier counters (`plan.live_runs`,
     /// `plan.memory_hits`, `plan.disk_hits`, `plan.replayed`,
@@ -791,29 +810,22 @@ impl PlanExecutor {
         }
         // Partition the eligible frontier into derivation families by base
         // key, in first-occurrence order: policy, seed and scenario
-        // siblings together. The first member of a family of ≥2 is the
-        // representative: it executes live with capture on; the siblings
-        // are derived from its capture. Everything else (replay disabled,
-        // ineligible, or a family of one) executes plain live.
+        // siblings together, and a lone eligible request a family of one.
+        // Every family is compiled and all of its members derived.
+        // Everything else (replay disabled, or ineligible) executes live.
         let mut families: Vec<Vec<usize>> = Vec::new();
+        let mut family_of: Vec<Option<usize>> = vec![None; frontier.len()];
         if self.replay {
-            let mut groups: Vec<Vec<usize>> = Vec::new();
             let mut by_base: HashMap<String, usize> = HashMap::new();
             for (i, (_, req)) in frontier.iter().enumerate() {
                 if req.replay_eligible() {
-                    let g = *by_base.entry(req.base_key()).or_insert_with(|| {
-                        groups.push(Vec::new());
-                        groups.len() - 1
+                    let f = *by_base.entry(req.base_key()).or_insert_with(|| {
+                        families.push(Vec::new());
+                        families.len() - 1
                     });
-                    groups[g].push(i);
+                    families[f].push(i);
+                    family_of[i] = Some(f);
                 }
-            }
-            families.extend(groups.into_iter().filter(|m| m.len() >= 2));
-        }
-        let mut family_of: Vec<Option<usize>> = vec![None; frontier.len()];
-        for (f, members) in families.iter().enumerate() {
-            for &i in members {
-                family_of[i] = Some(f);
             }
         }
         drop(expand);
@@ -821,15 +833,15 @@ impl PlanExecutor {
             metrics.observe("plan.family_fanout", members.len() as u64);
         }
 
-        // Schedule units: a frontier index outside any family is one plain
-        // live run; a family is one unit — its representative executes
-        // live with capture on, every sibling derives from that capture,
-        // and the capture drops with the unit. Families execute as units
-        // so peak capture memory is bounded by the worker count, never the
-        // family count (a paper-scale merged plan forms hundreds of
-        // families; their captures must not be alive simultaneously).
-        // Derivation is deterministic in (capture, request), so outputs
-        // stay independent of the worker count and of scheduling.
+        // Schedule units: a frontier index outside any family is one live
+        // run; a family is one unit — compiled from the tiling, walked and
+        // priced, and its compiled stream drops with the unit. Families
+        // execute as units so peak stream memory is bounded by the worker
+        // count, never the family count (a paper-scale merged plan forms
+        // hundreds of families; their streams must not be alive
+        // simultaneously). Derivation is deterministic in (compiled
+        // stream, request), so outputs stay independent of the worker count
+        // and of scheduling.
         //
         // Units run grouped by tiling key, in first-occurrence order of the
         // keys and in frontier order within a key, and each key's stream is
@@ -847,7 +859,7 @@ impl PlanExecutor {
             let unit = match *family {
                 None => Unit::Live(i),
                 Some(f) if families[f][0] == i => Unit::Family(f),
-                Some(_) => continue, // sibling: produced by its family's unit
+                Some(_) => continue, // member: produced by its family's unit
             };
             let req = unit_req(&unit);
             let g = *by_tiling
@@ -864,37 +876,40 @@ impl PlanExecutor {
             .zip(&pins)
             .flat_map(|(group, pin)| group.into_iter().map(move |unit| (unit, pin)))
             .unzip();
-        // Hand each executed unit its profile-memo cell *now*, on the
-        // expansion thread: hit/miss accounting is decided by the memo's
-        // state at expansion (first unit of a new key is the miss, every
-        // sharer is a hit), so the summary is deterministic at any worker
-        // count even though the passes themselves race in the pool — the
-        // `OnceLock` cell keeps the first pair stored per key.
+        // Hand each live unit its profile-memo cell *now*, on the expansion
+        // thread: hit/miss accounting is decided by the memo's state at
+        // expansion (first unit of a new key is the miss, every sharer is
+        // a hit), so the summary is deterministic at any worker count even
+        // though the passes themselves race in the pool — the `OnceLock`
+        // cell keeps the first pair stored per key.
         //
-        // Derived members get their key's cell too, after the units,
-        // counted as neither a hit nor a miss (no pass is charged or
-        // saved for them), and fill it with the WCETs their trajectory
-        // yields: a later ineligible scenario sibling of the key (a bursty
-        // or cache-thrashing mix) then finds the pair memoized.
+        // Derived members get their key's cell too, after the live units,
+        // counted as neither a hit nor a miss (no pass is charged or saved
+        // for them), and fill it with the WCETs their trajectory yields: a
+        // later ineligible scenario sibling of the key (a bursty or
+        // cache-thrashing mix) then finds the pair memoized.
         let mut derived_cells: Vec<Option<ProfileCell>> = vec![None; frontier.len()];
         let profile_cells: Vec<Option<ProfileCell>> = if self.profile_memo {
             let mut memo = self.profiles.lock().expect("profile memo poisoned");
             let cells = units
                 .iter()
-                .map(|unit| match memo.entry(unit_req(unit).profile_key()?) {
-                    Entry::Occupied(e) => {
-                        summary.profile_hits += 1;
-                        Some(e.get().clone())
-                    }
-                    Entry::Vacant(v) => {
-                        summary.profile_misses += 1;
-                        Some(v.insert(ProfileCell::default()).clone())
+                .map(|unit| {
+                    let Unit::Live(i) = *unit else { return None };
+                    match memo.entry(frontier[i].1.profile_key()?) {
+                        Entry::Occupied(e) => {
+                            summary.profile_hits += 1;
+                            Some(e.get().clone())
+                        }
+                        Entry::Vacant(v) => {
+                            summary.profile_misses += 1;
+                            Some(v.insert(ProfileCell::default()).clone())
+                        }
                     }
                 })
                 .collect();
             for members in &families {
                 let digest = frontier[members[0]].1.platform_digest();
-                for &i in &members[1..] {
+                for &i in members {
                     derived_cells[i] = frontier[i]
                         .1
                         .profile_key_in(digest)
@@ -915,7 +930,7 @@ impl PlanExecutor {
         let pool_start = metrics.enabled().then(Instant::now);
         let unit_outputs = parallel_map(workers, &tasks, |(unit, cell, pin)| {
             let unit_start = metrics.enabled().then(Instant::now);
-            pin.hold(unit_req(unit));
+            pin.hold(unit_req(unit), metrics);
             let outs = self.run_unit(
                 unit,
                 cell.as_ref(),
@@ -947,8 +962,8 @@ impl PlanExecutor {
             }
         }
 
-        summary.executed = units.len();
-        summary.replayed = frontier.len() - units.len();
+        summary.executed = units.len() - families.len();
+        summary.replayed = frontier.len() - summary.executed;
         summary.families = families.len();
         let mut outputs: Vec<Option<RunOutput>> = (0..frontier.len()).map(|_| None).collect();
         let mut replay_walks = 0;
@@ -1007,10 +1022,10 @@ impl PlanExecutor {
     }
 
     /// Executes one scheduled unit — a plain live run, or a whole
-    /// derivation family (representative live with capture, siblings
-    /// derived) — returning `(frontier index, output)` pairs and the number
-    /// of trajectory walks it made. The caller pins the unit's tiled
-    /// stream.
+    /// derivation family (compiled, walked per trajectory class, priced
+    /// per member) — returning `(frontier index, output)` pairs and the
+    /// number of trajectory walks it made. The caller pins the unit's
+    /// tiled stream.
     fn run_unit<M: MetricsSink>(
         &self,
         unit: &Unit,
@@ -1023,37 +1038,30 @@ impl PlanExecutor {
         match *unit {
             Unit::Live(i) => {
                 let _live = Span::start(metrics, "plan.live_ns");
-                (vec![(i, run_through(frontier[i].1, cell, false).output)], 0)
+                (vec![(i, run_through(frontier[i].1, cell))], 0)
             }
             Unit::Family(f) => {
                 let members = &families[f];
-                let rep = {
-                    let _live = Span::start(metrics, "plan.live_ns");
-                    run_through(frontier[members[0]].1, cell, true)
+                let compiled = {
+                    let _compile = Span::start(metrics, "plan.compile_ns");
+                    frontier[members[0]].1.compile()
                 };
-                let capture = rep.capture.expect("capture was requested");
-                let mut outs = Vec::with_capacity(members.len());
-                outs.push((members[0], rep.output));
-                // Siblings derive one trajectory class at a time, classes
-                // in first-occurrence order: the class's first member walks
-                // the capture — unless the class is the representative's,
-                // whose trajectory came with the capture — every member of
-                // the class is priced from that trajectory, and the
-                // trajectory drops. Each derived member leaves one
-                // `plan.replay_ns` sample: its pricing, plus the walk when
-                // it triggered one.
-                let mut pending: Vec<(usize, PlatformConfig)> = members[1..]
+                // Members derive one trajectory class at a time, classes in
+                // first-occurrence order: the class's first member walks
+                // the compiled stream, every member of the class is priced
+                // from that trajectory, and the trajectory drops. Each
+                // member leaves one `plan.replay_ns` sample: its pricing,
+                // plus the walk when it triggered one.
+                let mut pending: Vec<(usize, PlatformConfig)> = members
                     .iter()
                     .map(|&i| (i, frontier[i].1.resolved_platform()))
                     .collect();
+                let mut outs = Vec::with_capacity(members.len());
                 let mut walks = 0;
                 while let Some((first, cfg)) = pending.first() {
-                    let seed = frontier[*first].1.seed;
                     let mut span = Some(Span::start(metrics, "plan.replay_ns"));
-                    let walked =
-                        (!capture.trajectory().serves(cfg, seed)).then(|| capture.walk(cfg, seed));
-                    walks += usize::from(walked.is_some());
-                    let trajectory = walked.as_ref().unwrap_or(capture.trajectory());
+                    let trajectory = compiled.walk(cfg, frontier[*first].1.seed);
+                    walks += 1;
                     pending.retain(|(i, cfg)| {
                         let req = frontier[*i].1;
                         if !trajectory.serves(cfg, req.seed) {
@@ -1063,7 +1071,7 @@ impl PlanExecutor {
                             .take()
                             .unwrap_or_else(|| Span::start(metrics, "plan.replay_ns"));
                         let derived =
-                            capture.price(trajectory, cfg, req.seed, req.resolved_scenario());
+                            compiled.price(&trajectory, cfg, req.seed, req.resolved_scenario());
                         if let (Some(cell), Some(w)) = (&derived_cells[*i], derived.wcets) {
                             let _ = cell.set(w);
                         }
@@ -1092,10 +1100,11 @@ impl PlanExecutor {
         }
     }
 
-    /// Total simulator executions this executor has performed (the
+    /// Requests this executor has simulated — executed live or derived
+    /// from a compiled family — rather than served from a cache tier (the
     /// execution-count probe the dedup tests assert on).
     pub fn executed_runs(&self) -> usize {
-        self.executed.load(Ordering::Relaxed)
+        self.executed.load(Ordering::Relaxed) + self.replayed.load(Ordering::Relaxed)
     }
 
     /// Number of distinct outputs currently cached.
@@ -1200,11 +1209,11 @@ mod tests {
         let exec = PlanExecutor::new();
         // a submitted twice: one elision.
         let s = exec.execute(&[a.clone(), b.clone(), a.clone()], 1);
-        assert_eq!((s.requested, s.executed, s.elided, s.hits), (3, 2, 1, 0));
+        assert_eq!((s.requested, s.replayed, s.elided, s.hits), (3, 2, 1, 0));
         assert_eq!(exec.cached_runs(), 2);
         // Resubmitting is all cache hits, nothing executes.
         let s = exec.execute(&[a.clone(), b.clone()], 1);
-        assert_eq!((s.executed, s.hits), (0, 2));
+        assert_eq!((s.executed + s.replayed, s.hits), (0, 2));
         assert_eq!(exec.executed_runs(), 2);
         // Cached output equals a memo-free execution.
         assert_eq!(exec.output(&a), a.execute());
@@ -1232,10 +1241,10 @@ mod tests {
         let b = req(&k, RunWork::Baseline, 32 * KIB, 11);
         let lazy = req(&k, RunWork::PremSpm, 32 * KIB, 11);
 
-        // Cold process: everything executes live, then lands on disk.
+        // Cold process: everything is derived, then lands on disk.
         let cold = PlanExecutor::new().with_store(RunStore::open(&dir).expect("open"));
         let s = cold.execute(&[a.clone(), b.clone()], 1);
-        assert_eq!((s.executed, s.disk_hits), (2, 0));
+        assert_eq!((s.replayed, s.disk_hits), (2, 0));
         let lazy_out = cold.output(&lazy); // lazy tail persists too
         assert_eq!(
             cold.store().expect("store").stats().expect("stats").records,
@@ -1254,11 +1263,11 @@ mod tests {
         assert_eq!(warm.output(&a), a.execute());
 
         // An invalidating platform tweak changes the key, so only the
-        // tweaked request re-executes.
+        // tweaked request is simulated again.
         let mut tweaked = a.clone();
         tweaked.platform.config.clock_ghz *= 2.0;
         let s = warm.execute(&[tweaked, b.clone()], 1);
-        assert_eq!((s.executed, s.hits, s.disk_hits), (1, 1, 0));
+        assert_eq!((s.executed + s.replayed, s.hits, s.disk_hits), (1, 1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1304,12 +1313,11 @@ mod tests {
     fn derived_members_backfill_the_profile_memo() {
         use crate::spec::CorunnerMix;
         use prem_gpusim::CorunnerProfile;
-        // A seed × scenario column is one family: seed 11's isolation run
-        // is the live representative, seed 23's runs are derived only.
-        // Their profile key is charged to no unit, yet its cell must hold
-        // exactly what a profiling pass reports, so a later bursty sibling
-        // of seed 23 (ineligible, so it executes live) is a profile hit
-        // and still matches a direct execution.
+        // A seed × scenario column is one family, every member derived.
+        // Seed 23's profile key is charged to no unit, yet its cell must
+        // hold exactly what a profiling pass reports, so a later bursty
+        // sibling of seed 23 (ineligible, so it executes live) is a
+        // profile hit and still matches a direct execution.
         let k = Bicg::new(96, 96);
         let mut column = Vec::new();
         for seed in [11, 23] {
@@ -1321,10 +1329,10 @@ mod tests {
         }
         let exec = PlanExecutor::new();
         let s = exec.execute(&column, 2);
-        assert_eq!((s.executed, s.replayed), (1, 3));
+        assert_eq!((s.executed, s.replayed, s.families), (0, 4, 1));
         assert_eq!(
             (s.profile_misses, s.profile_hits),
-            (1, 0),
+            (0, 0),
             "derived members count as neither hits nor misses"
         );
         let mut bursty = req(&k, RunWork::PremLlc { r: 8 }, 160 * KIB, 23);

@@ -9,6 +9,8 @@
 //! * adding a row to one axis does not shift the seeds of existing cells,
 //!   so matrix results stay comparable as the matrix grows.
 
+use prem_memsim::splitmix64;
+
 /// FNV-1a, 64-bit: small, dependency-free, stable across platforms.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -19,17 +21,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// SplitMix64 finalizer: diffuses the structured FNV output so related keys
-/// (e.g. `seed 11` vs `seed 12`) land far apart in seed space.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Derives a cell seed from the cell's canonical key string and the base
-/// seed of its seed-axis coordinate.
+/// seed of its seed-axis coordinate. The SplitMix64 finalizer diffuses the
+/// structured FNV output, so related keys (e.g. `seed 11` vs `seed 12`)
+/// land far apart in seed space.
 pub fn derive_seed(key: &str, base_seed: u64) -> u64 {
     splitmix64(fnv1a(key.as_bytes()) ^ base_seed)
 }

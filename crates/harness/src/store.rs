@@ -693,7 +693,7 @@ impl RunStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prem_core::{execute_run, NoiseModel, RunOptions, RunWork};
+    use prem_core::{execute_run, NoiseModel, RunWork};
     use prem_gpusim::{PlatformConfig, Scenario};
     use prem_kernels::{Bicg, Kernel};
     use prem_memsim::KIB;
@@ -721,7 +721,7 @@ mod tests {
             seed,
             Scenario::Isolation,
             NoiseModel::off(),
-            RunOptions::default(),
+            None,
         )
         .expect("sample run")
         .output

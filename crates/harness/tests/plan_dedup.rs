@@ -137,18 +137,21 @@ fn no_false_sharing_between_distinct_requests() {
     let _arena = arena_lock();
     let executor = PlanExecutor::new();
     let summary = executor.execute(&requests, 2);
-    // All distinct: every request occupies its own slot, satisfied either
-    // live or by replay within its derivation family (both seeds and both
-    // scenarios of the LLC requests form one family, those of the baseline
-    // requests another; SPM is ineligible).
+    // All distinct: every request occupies its own slot, derived within
+    // its derivation family (both seeds and both scenarios of the LLC
+    // requests form one family, those of the baseline requests another,
+    // both SPM seeds a third).
     assert_eq!(
         summary.executed + summary.replayed,
         requests.len(),
         "all requests distinct"
     );
     assert_eq!(summary.elided + summary.hits + summary.disk_hits, 0);
-    assert_eq!(summary.families, 2, "one family per eligible work mode");
-    assert_eq!(summary.replayed, 6, "three siblings per family");
+    assert_eq!(summary.families, 3, "one family per work mode");
+    assert_eq!(
+        summary.executed, 0,
+        "no run executes live to serve a family"
+    );
     // Comparing every slot against a direct execution also proves the
     // replayed outputs bit-identical to live ones.
     for req in &requests {
@@ -161,7 +164,7 @@ fn no_false_sharing_between_distinct_requests() {
     }
     assert_eq!(
         executor.executed_runs(),
-        summary.executed,
+        summary.executed + summary.replayed,
         "verification must be served from cache"
     );
 }
@@ -197,10 +200,11 @@ fn merged_two_figure_plan_executes_each_shared_request_exactly_once() {
     assert_eq!(summary.requested, separate);
     assert_eq!(summary.elided, 2, "the two shared requests are elided");
     // The R=8/32 KiB isolation and interference runs are scenario
-    // siblings: one executes, the other is derived from its capture.
+    // siblings of one family; the other four unique requests are families
+    // of one. Every request is derived.
     assert_eq!(summary.executed + summary.replayed, separate - 2);
-    assert_eq!((summary.replayed, summary.families), (1, 1));
-    assert_eq!(executor.executed_runs(), summary.executed);
+    assert_eq!((summary.replayed, summary.families), (6, 5));
+    assert_eq!(executor.executed_runs(), summary.replayed);
     assert!(
         summary.executed + summary.replayed < separate,
         "merged plan must satisfy strictly fewer runs than the per-figure sum"
@@ -212,7 +216,7 @@ fn merged_two_figure_plan_executes_each_shared_request_exactly_once() {
     }
     assert_eq!(
         executor.executed_runs(),
-        summary.executed,
+        summary.replayed,
         "post-plan rendering must not execute anything"
     );
 }
@@ -258,8 +262,9 @@ fn plan_tiles_each_kernel_t_key_once() {
         tilings: AtomicUsize::new(0),
     };
     // K = 3 (kernel, T) keys, interleaved in the plan so units of one key
-    // are never adjacent in frontier order: live runs (SPM, baseline,
-    // scenario pairs) and what-if families at every T.
+    // are never adjacent in frontier order: live runs (adaptive
+    // prefetching) and families (LLC scenario pairs, baseline, SPM, an
+    // LRU what-if) at every T.
     let ts = [16 * KIB, 24 * KIB, 32 * KIB];
     let mut requests = Vec::new();
     for seed in [11, 23] {
@@ -269,6 +274,13 @@ fn plan_tiles_each_kernel_t_key_once() {
                 requests.push(request(&kernel, RunWork::Baseline, t, seed, iso));
                 if iso {
                     requests.push(request(&kernel, RunWork::PremSpm, t, seed, true));
+                    requests.push(request(
+                        &kernel,
+                        RunWork::PremLlcUntilResident,
+                        t,
+                        seed,
+                        true,
+                    ));
                 }
             }
         }
@@ -285,7 +297,10 @@ fn plan_tiles_each_kernel_t_key_once() {
         kernel.tilings.store(0, Ordering::Relaxed);
         let executor = PlanExecutor::new();
         let summary = executor.execute(&requests, workers);
-        assert!(summary.families > 0 && summary.executed > ts.len());
+        assert_eq!(
+            (summary.families, summary.executed),
+            (4 * ts.len(), 2 * ts.len())
+        );
         if workers == 1 {
             assert_eq!(
                 kernel.tilings.load(Ordering::Relaxed),

@@ -10,9 +10,10 @@
 //! * **family locality** — a derivation family can never span kernels,
 //!   platform templates, work modes, interval sizes or noise models, at
 //!   any plan composition;
-//! * **one walk per trajectory class** — a family walks the capture once
-//!   per (policy, seed-if-random) class outside the representative's own
-//!   and prices every scenario sibling from it;
+//! * **one walk per trajectory class** — a family compiles its stream
+//!   once, walks it once per (policy, seed-if-random) class and prices
+//!   every scenario sibling from it, with no live run — SPM staging
+//!   included;
 //! * **worker independence** — replayed plans render byte-identical
 //!   outputs at any worker count, like every other plan.
 
@@ -183,9 +184,9 @@ proptest! {
 #[test]
 fn one_family_column_is_replay_satisfied_and_matches_direct() {
     // The flagship shape: a full policy × seed column on otherwise-fixed
-    // coordinates is exactly one derivation family — one live
-    // representative, every other member derived — and every derived
-    // output equals a direct execution of that exact request.
+    // coordinates is exactly one derivation family — compiled once, every
+    // member derived, nothing live — and every derived output equals a
+    // direct execution of that exact request.
     let k = Bicg::new(96, 96);
     let seeds = [11u64, 23, 47];
     let mut column = Vec::new();
@@ -205,8 +206,8 @@ fn one_family_column_is_replay_satisfied_and_matches_direct() {
     let executor = PlanExecutor::new();
     let summary = executor.execute(&column, 2);
     assert_eq!(summary.families, 1);
-    assert_eq!(summary.executed, 1, "one live representative");
-    assert_eq!(summary.replayed, column.len() - 1);
+    assert_eq!(summary.executed, 0, "no live representative");
+    assert_eq!(summary.replayed, column.len());
     for req in &column {
         assert_eq!(
             executor.output(req),
@@ -217,7 +218,7 @@ fn one_family_column_is_replay_satisfied_and_matches_direct() {
     }
     assert_eq!(
         executor.executed_runs(),
-        1,
+        column.len(),
         "verification must be served from cache"
     );
 }
@@ -266,42 +267,61 @@ fn replayed_plans_are_worker_count_independent() {
     }
 }
 
-#[test]
-fn a_seed_by_scenario_column_walks_once_per_seed() {
-    // The fig7 shape: three seeds × Isolation/Interference on otherwise
-    // fixed coordinates is one derivation family. The representative's
-    // live run walks its own seed's trajectory; each other seed walks once
-    // and prices both of its scenarios, the representative's Interference
-    // sibling is priced from the capture alone.
-    use prem_obs::Registry;
-    let k = Bicg::new(96, 96);
+/// Three seeds × Isolation/Interference of `work` on otherwise fixed
+/// coordinates: the fig6/fig7 shape, one derivation family.
+fn seed_by_scenario_column(
+    kernel: &dyn Kernel,
+    work: RunWork,
+    t_kib: usize,
+) -> Vec<RunRequest<'_>> {
     let mut column = Vec::new();
     for seed in [11u64, 23, 47] {
         for preset in [Scenario::Isolation, Scenario::Interference] {
             column.push(RunRequest {
-                kernel: &k,
+                kernel,
                 platform: PlatformSpec::tx1(),
-                work: RunWork::PremLlc { r: 8 },
-                t_bytes: 160 * KIB,
+                work,
+                t_bytes: t_kib * KIB,
                 seed,
                 scenario: MatrixScenario::Preset(preset),
                 noise: NoiseModel::tx1(),
             });
         }
     }
-    let executor = PlanExecutor::new();
-    let registry = Registry::new();
-    let summary = executor.execute_metered(&column, 2, &registry);
-    assert_eq!((summary.families, summary.executed), (1, 1));
-    assert_eq!(summary.replayed, column.len() - 1);
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("plan.replay_walks"), Some(2));
-    assert_eq!(
-        snap.hist("plan.replay_ns").map(|h| h.count()),
-        Some(column.len() as u64 - 1),
-        "one replay sample per derived member"
-    );
-    for req in &column {
-        assert_eq!(executor.output(req), req.execute(), "{}", req.key());
+    column
+}
+
+#[test]
+fn a_seed_by_scenario_column_walks_once_per_seed() {
+    // The fig7 (LLC) and fig6 (SPM) shapes: three seeds ×
+    // Isolation/Interference on otherwise fixed coordinates is one
+    // derivation family. Nothing runs live: the family compiles once,
+    // each seed (the TX1's biased-random policy draws from the RNG) walks
+    // once, and both of its scenarios are priced from that walk.
+    use prem_obs::Registry;
+    let k = Bicg::new(96, 96);
+    for (work, t_kib) in [(RunWork::PremLlc { r: 8 }, 160), (RunWork::PremSpm, 48)] {
+        let column = seed_by_scenario_column(&k, work, t_kib);
+        let executor = PlanExecutor::new();
+        let registry = Registry::new();
+        let summary = executor.execute_metered(&column, 2, &registry);
+        assert_eq!((summary.families, summary.executed), (1, 0), "{work:?}");
+        assert_eq!(summary.replayed, column.len(), "{work:?}");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("plan.replay_walks"), Some(3), "{work:?}");
+        assert_eq!(snap.counter("plan.live_runs"), Some(0), "{work:?}");
+        assert_eq!(
+            snap.hist("plan.compile_ns").map(|h| h.count()),
+            Some(1),
+            "{work:?}: one compile per family"
+        );
+        assert_eq!(
+            snap.hist("plan.replay_ns").map(|h| h.count()),
+            Some(column.len() as u64),
+            "{work:?}: one replay sample per derived member"
+        );
+        for req in &column {
+            assert_eq!(executor.output(req), req.execute(), "{}", req.key());
+        }
     }
 }

@@ -1,9 +1,7 @@
 //! Builder for one PREM interval's footprint and compute-access stream.
 
-use std::collections::HashSet;
-
 use prem_core::{CAccess, IntervalSpec};
-use prem_memsim::LineAddr;
+use prem_memsim::{LineAddr, LineSet};
 
 use crate::data::ArrayDesc;
 
@@ -12,7 +10,7 @@ use crate::data::ArrayDesc;
 #[derive(Clone, Debug, Default)]
 pub struct IntervalBuilder {
     footprint: Vec<LineAddr>,
-    staged: HashSet<LineAddr>,
+    staged: LineSet,
     c_accesses: Vec<CAccess>,
     alu: u64,
 }

@@ -5,7 +5,9 @@
 //! in [`LineAddr`] values; [`Addr`] exists for byte-accurate address
 //! arithmetic when laying out data sets.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One kibibyte in bytes.
 pub const KIB: usize = 1024;
@@ -104,6 +106,47 @@ impl From<u64> for LineAddr {
     }
 }
 
+/// A set of line addresses hashed by [`LineHasher`]: every line set in
+/// the simulator (staged footprints, scratchpad residency, coverage
+/// checks) is membership-only, so a fixed mixer over the raw line number
+/// replaces SipHash without moving an output byte.
+pub type LineSet = HashSet<LineAddr, BuildHasherDefault<LineHasher>>;
+
+/// The [`LineSet`] hasher: the SplitMix64 finalizer over one raw line
+/// number. Lines are dense integers, so a full avalanche mix is all a
+/// hash table needs; nothing here faces adversarial keys.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached by non-`u64` keys; folds them through the same mix.
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = splitmix64(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The SplitMix64 finalizer: a full avalanche mix of one `u64`, shared by
+/// [`LineHasher`] and the run-plan layer's seed and key fingerprints.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Iterator over the lines covering the byte range `[start, start + len)`.
 ///
 /// ```
@@ -155,6 +198,22 @@ mod tests {
     fn lines_covering_empty() {
         let v: Vec<_> = lines_covering(Addr::new(0), 0, 128).collect();
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn line_set_is_a_plain_membership_set() {
+        let mut set = LineSet::default();
+        assert!(set.insert(LineAddr::new(7)));
+        assert!(!set.insert(LineAddr::new(7)));
+        assert!(set.insert(LineAddr::new(8)));
+        assert!(set.contains(&LineAddr::new(8)) && !set.contains(&LineAddr::new(9)));
+        // Neighboring lines land far apart.
+        let hash = |n| {
+            let mut h = LineHasher::default();
+            h.write_u64(n);
+            h.finish()
+        };
+        assert_ne!(hash(0) >> 57, hash(1) >> 57);
     }
 
     #[test]

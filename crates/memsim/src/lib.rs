@@ -45,7 +45,7 @@ mod spm;
 mod stats;
 pub mod trace;
 
-pub use addr::{lines_covering, Addr, LineAddr, KIB, MIB};
+pub use addr::{lines_covering, splitmix64, Addr, LineAddr, LineHasher, LineSet, KIB, MIB};
 pub use cache::{AccessKind, AccessOutcome, Cache, CacheConfig, Evicted};
 pub use dram::{BusWindow, Contention, DramConfig, DramStats, CALIBRATED_DEMAND};
 pub use hierarchy::{HitLevel, MemSystem};

@@ -6,11 +6,10 @@
 //! instructions — Fig 2 of the paper), and data never disappears until the
 //! interval releases it. Capacity on the TX1 is 2 × 48 KiB.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use crate::addr::{LineAddr, KIB};
+use crate::addr::{LineAddr, LineSet, KIB};
 
 /// Error staging data into the scratchpad.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,7 +122,7 @@ pub struct SpmStats {
 #[derive(Clone, Debug)]
 pub struct Spm {
     cfg: SpmConfig,
-    resident: HashSet<LineAddr>,
+    resident: LineSet,
     stats: SpmStats,
 }
 
@@ -132,7 +131,7 @@ impl Spm {
     pub fn new(cfg: SpmConfig) -> Self {
         Spm {
             cfg,
-            resident: HashSet::new(),
+            resident: LineSet::default(),
             stats: SpmStats::default(),
         }
     }
@@ -151,19 +150,20 @@ impl Spm {
     ///
     /// [`SpmError::CapacityExceeded`] when the scratchpad is full.
     pub fn stage(&mut self, line: LineAddr) -> Result<bool, SpmError> {
+        let requested = (self.resident.len() + 1) * self.cfg.line_bytes;
+        // With room for one more line, one probe both checks and stages.
+        if requested <= self.cfg.capacity_bytes {
+            let staged = self.resident.insert(line);
+            self.stats.staged_lines += u64::from(staged);
+            return Ok(staged);
+        }
         if self.resident.contains(&line) {
             return Ok(false);
         }
-        let requested = (self.resident.len() + 1) * self.cfg.line_bytes;
-        if requested > self.cfg.capacity_bytes {
-            return Err(SpmError::CapacityExceeded {
-                capacity_bytes: self.cfg.capacity_bytes,
-                requested_bytes: requested,
-            });
-        }
-        self.resident.insert(line);
-        self.stats.staged_lines += 1;
-        Ok(true)
+        Err(SpmError::CapacityExceeded {
+            capacity_bytes: self.cfg.capacity_bytes,
+            requested_bytes: requested,
+        })
     }
 
     /// Serves a compute-phase access to `line`.

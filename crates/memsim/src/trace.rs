@@ -39,19 +39,6 @@ pub trait TraceSink {
     /// bothered to simulate.
     const RECORDS: bool = true;
 
-    /// Whether the sink accepts *deduplicated* delivery of repeated
-    /// M-phase passes. Fixed-repetition PREM staging runs the same input
-    /// op sequence every round, and outcomes are not part of the hook
-    /// payload a sequence-capturing sink stores — so recording each round
-    /// is storing the same bytes `r` times. A sink that sets this opts in
-    /// to observing only the **first** round of a fixed repetition; the
-    /// executor runs the repeats unobserved (which also licenses its
-    /// per-set round crediting on them). Only set this when every consumer
-    /// of the recorded stream knows the round count and reconstructs the
-    /// repeats itself; event-faithful sinks (trace capture) must leave it
-    /// `false`.
-    const DEDUP_M_ROUNDS: bool = false;
-
     /// One access on the cached path completed with `outcome`. Misses
     /// imply a fill of `line` into `outcome.way`; a displaced victim, if
     /// any, rides along in `outcome.evicted` with owner/alive/dirty

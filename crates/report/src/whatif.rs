@@ -4,12 +4,12 @@
 //!
 //! This artifact is the plan layer's flagship **derivation family**: its
 //! requests differ only in LLC policy and seed, so a replay-enabled
-//! [`PlanExecutor`](prem_harness::PlanExecutor) executes *one* of the 21
-//! runs live and derives the other 20 from that run's capture
-//! ([`prem_core::RunCapture`]) — which is why the sweep always uses the
-//! full seed set, `quick` mode included: the artifact doubles as the CI
-//! probe that replay actually engaged (`replayed > 0` on the quick merged
-//! plan).
+//! [`PlanExecutor`](prem_harness::PlanExecutor) executes none of the 21
+//! runs live: it compiles the family's stream from the tiling once
+//! ([`prem_core::CompiledRun`]) and derives all 21 from it — which is why
+//! the sweep always uses the full seed set, `quick` mode included: the
+//! artifact doubles as the CI probe that replay actually engaged
+//! (`replayed > 0` on the quick merged plan).
 
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::Scenario;
@@ -184,8 +184,8 @@ mod tests {
         let executor = PlanExecutor::new();
         let summary = executor.execute(&whatif_requests(&k), 2);
         assert_eq!(summary.families, 1);
-        assert_eq!(summary.executed, 1, "one live representative");
-        assert_eq!(summary.replayed, 7 * DEFAULT_SEEDS.len() - 1);
+        assert_eq!(summary.executed, 0, "no run executes live");
+        assert_eq!(summary.replayed, 7 * DEFAULT_SEEDS.len());
         let live = PlanExecutor::new().without_replay();
         assert_eq!(whatif_with(&k, &executor), whatif_with(&k, &live));
     }

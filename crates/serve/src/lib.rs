@@ -11,12 +11,13 @@
 //!
 //! Execution is *budgeted*: requests queue, and each scheduler tick
 //! dispatches at most `budget` **pool units** — the plan layer's unit of
-//! live work, where a derivation family (policy, seed and eligible
-//! scenario siblings derived from one captured run) counts once and a
-//! cached request counts zero.
+//! simulation work, where a live run counts once, a derivation family
+//! (policy, seed and eligible scenario siblings derived from one stream
+//! compiled from their tiling) counts once and a cached request counts
+//! zero.
 //! The selection is free-rider aware:
-//! once a family's representative is charged to the tick, every sibling
-//! in the queue rides along free, and cached requests are always
+//! once a family is charged to the tick, every other member in the
+//! queue rides along free, and cached requests are always
 //! admitted, so a tick's *dispatch count* can far exceed its unit
 //! budget while its *live simulation cost* never does. Per tick the
 //! service surfaces queue depth, wait and execution-latency counters
@@ -351,8 +352,9 @@ impl SweepService {
     ///
     /// The unit prediction is exact, not approximate: the selection
     /// mirrors the executor's own frontier partition, and the tick
-    /// asserts `summary.executed ≤ units` after the fact, so a scheduling
-    /// bug fails loudly instead of silently overspending.
+    /// asserts that its live runs and compiled families fit the charged
+    /// units after the fact, so a scheduling bug fails loudly instead of
+    /// silently overspending.
     pub fn tick(&mut self) -> (TickMetrics, Vec<Response>) {
         let t0 = Instant::now();
         self.tick += 1;
@@ -361,20 +363,20 @@ impl SweepService {
         let mut selected: Vec<Job> = Vec::new();
         let mut units = 0usize;
         // Keys already admitted this tick (an identical key re-dispatches
-        // free: the executor elides it) and base keys with a *live*
-        // member charged this tick (an eligible sibling replays free).
+        // free: the executor elides it) and base keys of the families
+        // charged this tick (an eligible sibling derives free).
         let mut keys: HashSet<String> = HashSet::new();
-        let mut live_families: HashSet<String> = HashSet::new();
+        let mut families: HashSet<String> = HashSet::new();
         let mut rest: VecDeque<Job> = VecDeque::new();
         for job in std::mem::take(&mut self.pending) {
             let free = keys.contains(&job.key)
-                || (job.replay_eligible && live_families.contains(&job.base_key))
+                || (job.replay_eligible && families.contains(&job.base_key))
                 || self.executor.cached(&job.key);
             if free || units < self.config.budget {
                 if !free {
                     units += 1;
                     if job.replay_eligible {
-                        live_families.insert(job.base_key.clone());
+                        families.insert(job.base_key.clone());
                     }
                 }
                 keys.insert(job.key.clone());
@@ -390,9 +392,10 @@ impl SweepService {
             .executor
             .execute_metered(&requests, self.config.workers, &self.metrics);
         assert!(
-            summary.executed <= units,
-            "tick scheduled {units} units but the executor ran {} live",
-            summary.executed
+            summary.executed + summary.families <= units,
+            "tick scheduled {units} units but the executor ran {} live and compiled {} families",
+            summary.executed,
+            summary.families
         );
         let responses: Vec<Response> = selected
             .iter()
@@ -549,17 +552,17 @@ mod tests {
         let mut unit_counts = Vec::new();
         let agg = svc.drain(|m, _| {
             assert!(m.units <= 2, "tick {} used {} units", m.tick, m.units);
-            assert_eq!(m.summary.executed, m.units);
+            assert_eq!(m.summary.executed + m.summary.families, m.units);
             unit_counts.push(m.units);
         });
         assert_eq!(unit_counts, vec![2, 2, 1]);
         assert_eq!(agg.requested, 5);
-        assert_eq!(agg.executed, 5);
+        assert_eq!((agg.executed, agg.families, agg.replayed), (0, 5, 5));
         assert_eq!(svc.queue_depth(), 0);
     }
 
     #[test]
-    fn family_siblings_ride_the_representative_for_one_unit() {
+    fn family_members_share_one_unit() {
         let mut svc = service(1);
         // Same base key (seed is wildcarded): one family, three members.
         for seed in [1, 2, 3] {
@@ -568,8 +571,8 @@ mod tests {
         let (metrics, responses) = svc.tick();
         assert_eq!(metrics.dispatched, 3);
         assert_eq!(metrics.units, 1);
-        assert_eq!(metrics.summary.executed, 1);
-        assert_eq!(metrics.summary.replayed, 2);
+        assert_eq!(metrics.summary.executed, 0);
+        assert_eq!(metrics.summary.replayed, 3);
         assert_eq!(responses.len(), 3);
         assert_eq!(svc.queue_depth(), 0);
     }
@@ -588,7 +591,7 @@ mod tests {
         }
         let (metrics, responses) = svc.tick();
         assert_eq!((metrics.dispatched, metrics.units), (4, 1));
-        assert_eq!((metrics.summary.executed, metrics.summary.replayed), (1, 3));
+        assert_eq!((metrics.summary.executed, metrics.summary.replayed), (0, 4));
         assert_eq!(responses.len(), 4);
         assert_eq!(svc.queue_depth(), 0);
     }
@@ -636,18 +639,18 @@ mod tests {
     #[test]
     fn registry_snapshot_tracks_service_and_plan_series() {
         let mut svc = service(1);
-        // One derivation family, two members: one live run, one replay.
+        // One derivation family, two members, both derived.
         svc.submit("a", request(16, 1)).unwrap();
         svc.submit("b", request(16, 2)).unwrap();
         let agg = svc.drain(|_, _| {});
-        assert_eq!((agg.executed, agg.replayed), (1, 1));
+        assert_eq!((agg.executed, agg.replayed), (0, 2));
         let snap = svc.metrics().snapshot();
         assert_eq!(snap.counter("serve.ticks"), Some(1));
         assert_eq!(snap.counter("serve.submitted"), Some(2));
         assert_eq!(snap.counter("serve.dispatched"), Some(2));
         assert_eq!(snap.counter("plan.requested"), Some(2));
-        assert_eq!(snap.counter("plan.live_runs"), Some(1));
-        assert_eq!(snap.counter("plan.replayed"), Some(1));
+        assert_eq!(snap.counter("plan.live_runs"), Some(0));
+        assert_eq!(snap.counter("plan.replayed"), Some(2));
         assert_eq!(snap.gauge("serve.queue_depth"), Some(0));
         assert!(snap.hist("serve.tick_ns").is_some_and(|h| h.count() == 1));
         assert!(snap.hist("plan.execute_ns").is_some());

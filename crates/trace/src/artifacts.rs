@@ -138,15 +138,15 @@ pub fn timelines_text(trace: &Trace) -> String {
 /// once and analyze, then run the policy × seed what-if grid through the
 /// plan layer **twice** — once on a replay-disabled executor (every
 /// what-if a live run), once on a replay-enabled one (the grid is one
-/// derivation family: one representative live with capture, every
-/// sibling derived from it) — validating that every derived
+/// derivation family: its stream compiled once from the tiling, every
+/// member derived from it) — validating that every derived
 /// [`RunOutput`](prem_core::RunOutput) equals its live run and measuring
 /// what derivation saves.
 ///
-/// The representative's capture serves the whole grid because the LLC
-/// access stream is policy- and seed-independent (fixed prefetch
-/// repetition): only victim selection varies, and that is exactly what
-/// replay re-derives.
+/// One compiled stream serves the whole grid because the LLC access
+/// stream is policy- and seed-independent (fixed prefetch repetition):
+/// only victim selection varies, and that is exactly what replay
+/// re-derives.
 ///
 /// Both sides run on one worker: a derivation family is one pool unit,
 /// so more workers would speed up the live side only.
@@ -186,8 +186,8 @@ pub fn trace_artifacts(kernel: &dyn Kernel, t: usize, r: u32, seed: u64) -> Trac
     let derived = replay_exec.execute(&grid, 1);
     let replay_ms = t0.elapsed().as_secs_f64() * 1000.0;
     assert_eq!(
-        (derived.executed, derived.replayed),
-        (1, grid.len() - 1),
+        (derived.executed, derived.replayed, derived.families),
+        (0, grid.len(), 1),
         "the what-if grid must form one derivation family"
     );
 

@@ -26,7 +26,7 @@
 //! * **The `figures -- trace` artifacts** — [`trace_artifacts`] renders the
 //!   analyses of one capture and runs the policy × seed what-if grid
 //!   through the plan layer (`prem_harness::PlanExecutor`), which derives
-//!   20 of the 21 runs from one captured representative and is checked
+//!   all 21 runs from one stream compiled from the tiling and is checked
 //!   against live re-execution.
 //!
 //! ```

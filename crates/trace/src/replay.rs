@@ -16,7 +16,8 @@
 //! [`Policy`] over the same stream can be replayed too
 //! ([`replay_with_policy`]). Policy × seed what-if grids over whole runs
 //! are the plan layer's job: `prem_harness::PlanExecutor` derives them
-//! from one captured representative (see [`crate::trace_artifacts`]).
+//! from one stream compiled from the tiling (see
+//! [`crate::trace_artifacts`]).
 
 use prem_memsim::{Cache, CacheConfig, CacheStats, Policy};
 

@@ -26,6 +26,7 @@
 //! artifact families still executed outside the plan layer; they pin the
 //! policy/bias ablations and the sweep across their move onto it.
 
+use prem_core::RunWork;
 use prem_gpusim::Scenario;
 use prem_harness::{default_workers, run_matrix, MatrixSpec, PlanExecutor, RunRequest, RunStore};
 use prem_kernels::{suite_small, Bicg};
@@ -183,9 +184,9 @@ fn merged_plan_regenerates_fig3_fig6_fig7_byte_identical_to_pre_plan_goldens() {
 #[test]
 fn replay_derived_outputs_persist_and_reload_like_live_ones() {
     // The derivation × persistence cross-check: a cold store-backed
-    // executor satisfies the what-if column with one live run plus
-    // replays and appends *every* output — derived ones included — to the
-    // disk store. A fresh executor on the reopened store (≈ a second
+    // executor satisfies the what-if column with one compiled family and
+    // no live run, and appends *every* derived output to the disk
+    // store. A fresh executor on the reopened store (≈ a second
     // process) must then serve the whole column from disk, executing and
     // replaying nothing, and render the exact artifact the cold pass
     // rendered.
@@ -197,8 +198,11 @@ fn replay_derived_outputs_persist_and_reload_like_live_ones() {
     let cold = PlanExecutor::new().with_store(RunStore::open(&dir).expect("open store"));
     let summary = cold.execute(&column, default_workers());
     assert_eq!(summary.families, 1, "the column is one derivation family");
-    assert_eq!(summary.executed, 1, "one live representative");
-    assert_eq!(summary.replayed, column.len() - 1);
+    assert_eq!(
+        summary.executed, 0,
+        "no run executes live to serve a family"
+    );
+    assert_eq!(summary.replayed, column.len());
     let cold_render = whatif_with(&bicg, &cold);
 
     let warm = PlanExecutor::new().with_store(RunStore::open(&dir).expect("reopen store"));
@@ -241,7 +245,10 @@ fn warm_disk_cache_renders_fig3_and_fig7_byte_identical_to_goldens() {
 
     let cold = PlanExecutor::new().with_store(RunStore::open(&dir).expect("open store"));
     let summary = cold.execute(&merged, default_workers());
-    assert!(summary.executed > 0, "cold store cannot satisfy the plan");
+    assert!(
+        summary.executed + summary.replayed > 0,
+        "cold store cannot satisfy the plan"
+    );
     assert_eq!(summary.disk_hits, 0, "cold store produced disk hits");
 
     let warm = PlanExecutor::new().with_store(RunStore::open(&dir).expect("reopen store"));
@@ -285,6 +292,11 @@ fn metered_execution_renders_goldens_byte_identical_to_metrics_off() {
         let mut merged: Vec<RunRequest<'_>> = fig3_requests(&bicg, &harness);
         merged.extend(fig7_requests(&suite, &harness, 8));
         merged.extend(whatif_requests(&bicg));
+        // Adaptive prefetching is never replay-eligible: this request
+        // runs live, so the live span is pinned too.
+        let mut until = llc_request(&bicg, 160 * KIB, 8, 11, Scenario::Isolation);
+        until.work = RunWork::PremLlcUntilResident;
+        merged.push(until);
         merged
     };
 
@@ -322,10 +334,16 @@ fn metered_execution_renders_goldens_byte_identical_to_metrics_off() {
         snap.counter("plan.live_runs"),
         Some(on_summary.executed as u64)
     );
+    // Each live run leaves one live sample, each family one compile
+    // sample and each derived member one replay sample.
+    let samples = |name| snap.hist(name).map_or(0, |h| h.count());
     assert!(
-        snap.hist("plan.live_ns").is_some_and(|h| h.count() > 0),
-        "live executions must leave latency samples"
+        on_summary.executed > 0 && on_summary.replayed > 0,
+        "the plan must execute live and derive: {on_summary:?}"
     );
+    assert_eq!(samples("plan.live_ns"), on_summary.executed as u64);
+    assert_eq!(samples("plan.compile_ns"), on_summary.families as u64);
+    assert_eq!(samples("plan.replay_ns"), on_summary.replayed as u64);
 }
 
 #[test]
