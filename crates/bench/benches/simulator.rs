@@ -1,13 +1,14 @@
 //! Microbenchmarks of the simulator itself: cache access throughput per
 //! replacement policy, prefetch passes, PREM executor end-to-end (isolated
-//! and under bursty co-runners), and kernel tiling generation.
+//! and under bursty co-runners), one trajectory walk of a compiled stream,
+//! and kernel tiling generation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use prem_core::{run_prem, PremConfig};
+use prem_core::{run_prem, CompiledRun, NoiseModel, PremConfig, RunWork};
 use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
-use prem_kernels::{Bicg, Kernel};
+use prem_kernels::{case_study_bicg, Bicg, Kernel};
 use prem_memsim::{AccessKind, Cache, CacheConfig, LineAddr, Phase, Policy, KIB};
 
 fn bench_cache_policies(c: &mut Criterion) {
@@ -142,6 +143,33 @@ fn bench_prem_executor(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_walk(c: &mut Criterion) {
+    // One trajectory walk of the case-study bicg's compiled R = 8 stream:
+    // under the vendor's biased-random policy the later prefetch rounds
+    // run event-driven and simulate only their misses; LRU reads hits, so
+    // its walk stays on the per-set loop.
+    let kernel = case_study_bicg();
+    let intervals = kernel.intervals(160 * KIB).expect("tiling");
+    let cfg = PlatformConfig::tx1();
+    let compiled = CompiledRun::compile(
+        &cfg,
+        &intervals,
+        RunWork::PremLlc { r: 8 },
+        NoiseModel::tx1(),
+    )
+    .expect("compile");
+    let mut g = c.benchmark_group("walk");
+    g.sample_size(10);
+    for (name, policy) in [
+        ("bicg_r8_biased_random", Policy::nvidia_tegra()),
+        ("bicg_r8_lru", Policy::Lru),
+    ] {
+        let member = cfg.clone().llc_policy(policy);
+        g.bench_function(name, |b| b.iter(|| black_box(compiled.walk(&member, 11))));
+    }
+    g.finish();
+}
+
 fn bench_tiling(c: &mut Criterion) {
     let kernel = Bicg::new(1024, 1024);
     c.bench_function("bicg_tiling_160k", |b| {
@@ -153,6 +181,6 @@ criterion_group! {
     name = simulator;
     config = Criterion::default().sample_size(10);
     targets = bench_cache_policies, bench_index_hash, bench_packed_hot_path,
-              bench_prem_executor, bench_tiling
+              bench_prem_executor, bench_walk, bench_tiling
 }
 criterion_main!(simulator);

@@ -11,7 +11,8 @@
 
 use prem_gpusim::{ExecError, InterferenceEngine, Op, OpStream, Platform, Scenario, SmExecutor};
 use prem_memsim::{
-    AccessKind, BusWindow, Cache, CacheStats, Contention, LineAddr, NullSink, Phase, TraceSink,
+    AccessKind, BusWindow, Cache, CacheStats, Contention, LineAddr, LineSet, NullSink, Phase,
+    TraceSink,
 };
 
 use crate::budget::{BudgetPolicy, Budgets};
@@ -338,7 +339,7 @@ pub fn run_prem_traced<S: TraceSink>(
     let mut c_wcet_obs = 0.0f64;
     let mut interval_timings = Vec::with_capacity(intervals.len());
     let mut bus = BusWindow::default();
-    let mut set_rounds = SetRounds::new(platform.mem.llc());
+    let mut rounds = Rounds::new(platform.mem.llc());
     // Global schedule clock: what bursty co-runners' duty windows are
     // phased against.
     let mut now = 0.0f64;
@@ -351,7 +352,7 @@ pub fn run_prem_traced<S: TraceSink>(
         // blocked, so the phase runs isolated and unpolluted) ---
         now += switch_cycles;
         sink.on_phase(Phase::MPhase, now);
-        let m = run_m_phase(platform, iv, &cfg.store, m_cont, now, &mut set_rounds, sink)?;
+        let m = run_m_phase(platform, iv, &cfg.store, m_cont, now, &mut rounds, sink)?;
         prefetch_hits += m.hits;
         prefetch_misses += m.misses;
         let m_work = m.work;
@@ -575,7 +576,7 @@ pub fn profile_phases(
     let mut m_wcet = 0.0f64;
     let mut c_wcet = 0.0f64;
     let mut noise_counter = 0u64;
-    let mut set_rounds = SetRounds::new(platform.mem.llc());
+    let mut rounds = Rounds::new(platform.mem.llc());
     for iv in intervals {
         platform.mem.begin_interval();
         let m = run_m_phase(
@@ -584,7 +585,7 @@ pub fn profile_phases(
             &cfg.store,
             m_cont,
             0.0,
-            &mut set_rounds,
+            &mut rounds,
             &mut NullSink,
         )?;
         let m_work = m.work;
@@ -601,43 +602,144 @@ pub fn profile_phases(
 }
 
 /// What one interval's M-phase did: its work (cycles), its prefetch
-/// outcomes and the rounds it used.
+/// outcomes, the prefetches [`prefetch_rounds`] simulated (the rest it
+/// credited as hits without touching the cache) and the rounds it used.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     pub(crate) work: f64,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
+    pub(crate) walked: u64,
     pub(crate) rounds: u32,
 }
 
-/// Per-LLC-set round bookkeeping for [`prefetch_rounds`], allocated once
-/// per run: `missed[s]` is the stamp of the last round in which set `s`
-/// missed. Every round takes a fresh, larger stamp, so nothing is ever
-/// cleared between rounds or intervals.
-pub(crate) struct SetRounds {
-    missed: Vec<u32>,
-    stamp: u32,
+/// One interval's staging pass as [`prefetch_rounds`] takes it.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Footprint<'a> {
+    pub(crate) lines: &'a [LineAddr],
+    /// Whether `lines` lists no line twice: decided once per compiled
+    /// stream ([`CompiledRun::compile`](crate::CompiledRun::compile)) or
+    /// live interval ([`repeats_no_line`]), never per walk.
+    pub(crate) distinct: bool,
 }
 
-impl SetRounds {
+/// Whether `lines` lists no line twice, with `seen` as reused scratch.
+pub(crate) fn repeats_no_line(lines: &[LineAddr], seen: &mut LineSet) -> bool {
+    seen.clear();
+    lines.iter().all(|&line| seen.insert(line))
+}
+
+/// Round bookkeeping for [`prefetch_rounds`], allocated once per run or
+/// walk and reused by every interval and round of it.
+pub(crate) struct Rounds {
+    /// Whether the LLC policy ignores hits
+    /// ([`Policy::hit_oblivious`](prem_memsim::Policy::hit_oblivious)):
+    /// the event loop's condition on the cache side.
+    oblivious: bool,
+    ways: usize,
+    /// Per-set loop: `missed[s]` is the stamp of the last round in which
+    /// set `s` missed. Every round takes a fresh, larger stamp, so nothing
+    /// is ever cleared between rounds or intervals.
+    missed: Vec<u32>,
+    stamp: u32,
+    /// Event loop: per LLC slot, one plus the footprint position the slot
+    /// last served in the current interval (0: none). Cleared per
+    /// interval.
+    served: Vec<u32>,
+    /// Event loop: the footprint positions due in this round and in the
+    /// next one, one bit each.
+    now: Vec<u64>,
+    next: Vec<u64>,
+    /// The live executor's repeat check ([`repeats_no_line`]).
+    seen: LineSet,
+}
+
+impl Rounds {
     pub(crate) fn new(llc: &Cache) -> Self {
-        SetRounds {
-            missed: vec![0; llc.config().sets()],
+        let cfg = llc.config();
+        Rounds {
+            oblivious: cfg.policy_ref().hit_oblivious(),
+            ways: cfg.ways(),
+            missed: vec![0; cfg.sets()],
             stamp: 0,
+            served: vec![0; cfg.sets() * cfg.ways()],
+            now: Vec::new(),
+            next: Vec::new(),
+            seen: LineSet::default(),
+        }
+    }
+
+    /// Whether `footprint`'s rounds after the first run event-driven
+    /// under `strategy`.
+    pub(crate) fn events(&self, footprint: Footprint<'_>, strategy: PrefetchStrategy) -> bool {
+        self.oblivious && footprint.distinct && strategy.max_rounds() > 1
+    }
+
+    /// Position `p` was just served from LLC slot `slot`, and a miss there
+    /// displaced whatever the slot served before: an earlier footprint
+    /// line of this interval is due again, later in this round when it
+    /// lies ahead of `p` and in the next round when it lies behind.
+    #[inline(always)]
+    fn serve(&mut self, slot: usize, p: usize, missed: bool) {
+        if missed {
+            if let Some(q) = (self.served[slot] as usize).checked_sub(1) {
+                let due = if q > p { &mut self.now } else { &mut self.next };
+                due[q / 64] |= 1 << (q % 64);
+            }
+        }
+        self.served[slot] = p as u32 + 1;
+    }
+}
+
+/// One prefetch round's outcome.
+#[derive(Default)]
+struct Round {
+    cycles: f64,
+    hits: u64,
+    misses: u64,
+    walked: u64,
+}
+
+impl Round {
+    /// Adds one prefetch's outcome and cost, in issue order.
+    #[inline(always)]
+    fn tally(&mut self, hit: bool, (pf_hit, pf_miss): (f64, f64)) {
+        if hit {
+            self.hits += 1;
+            self.cycles += pf_hit;
+        } else {
+            self.misses += 1;
+            self.cycles += pf_miss;
         }
     }
 }
 
 /// Stages `footprint` into `llc` by prefetch rounds per `strategy`,
-/// walking only what a round can change — the one round loop of the timed
-/// run, the profiling pass and
+/// simulating only what a round can change — the one round loop of the
+/// timed run, the profiling pass and
 /// [`CompiledRun::walk`](crate::CompiledRun::walk).
 ///
 /// Round 1 walks every line and reports it to `sink` (op-issue timestamps
-/// from `start`, as the executor emits them). Later rounds run unobserved,
-/// and a line is walked only when its LLC set missed in the round before.
+/// from `start`, as the executor emits them). Later rounds run unobserved
+/// and simulate only accesses that can miss; every other prefetch is
+/// credited as a hit. They take one of two loops.
 ///
-/// **Why a set that missed nothing may be credited.** If set `s` had no
+/// **Event loop** — when the policy ignores hits
+/// ([`Policy::hit_oblivious`](prem_memsim::Policy::hit_oblivious):
+/// random, biased-random, FIFO) and the
+/// footprint repeats no line. Each LLC slot records the footprint
+/// position it last served in this interval. A miss that displaces a
+/// recorded line makes that line's position due: later in the same round
+/// when it lies ahead, in the next round when it lies behind. Only due
+/// positions are accessed, in issue order. Every footprint line is
+/// resident from its round-1 issue on until a miss displaces it, and
+/// every miss is one of these accesses, so a due position is exactly a
+/// line that is gone when it issues: everything else is a hit. Skipping
+/// a hit of an oblivious policy changes no later fill, eviction or RNG
+/// draw, so the accesses that are made see today's cache.
+///
+/// **Per-set loop** — every other policy or footprint. A line is walked
+/// only when its LLC set missed in the round before. If set `s` had no
 /// miss in round `k`, nothing was filled into or evicted from it during
 /// that round, so it still holds every footprint line it maps, and round
 /// `k + 1` over `s` is a pure hit pass: the same way sequence, all hits.
@@ -647,84 +749,172 @@ impl SetRounds {
 /// and SRRIP's RRPVs as the same sequence left them in round `k`; only
 /// the replacer's clock differs, and no victim choice reads an absolute
 /// stamp. Misses happen only in walked sets, in issue order, so victim
-/// draws consume the RNG in the same order. A credited line adds the hit
-/// cost in its issue position, so the round's cycle sum is the walked
-/// sum bit for bit, and its hit is settled through
-/// [`Cache::credit_repeated_hits`]. A fixed repetition whose round
-/// missed nothing at all credits every remaining round whole.
+/// draws consume the RNG in the same order. A footprint that lists a
+/// line twice stays here: its second position hits only while the first
+/// one keeps the line, which no slot record tracks.
+///
+/// Both loops add a credited line's hit cost in its issue position, so
+/// the round's cycle sum is the walked sum bit for bit, and settle its
+/// hit through [`Cache::credit_repeated_hits`]. A fixed repetition whose
+/// round missed nothing at all credits every remaining round whole.
 ///
 /// Callers uphold the gates: the footprint is staged into the LLC with
 /// no L1 in front (L1 churn would make rounds diverge), and no sink
 /// observes rounds after the first. The adaptive strategy stops on the
 /// miss count alone, which crediting preserves.
-pub(crate) fn prefetch_rounds<I, S>(
+pub(crate) fn prefetch_rounds<S: TraceSink>(
     llc: &mut Cache,
-    footprint: I,
+    footprint: Footprint<'_>,
     strategy: PrefetchStrategy,
-    (pf_hit, pf_miss): (f64, f64),
+    costs: (f64, f64),
     start: f64,
-    sets: &mut SetRounds,
+    rounds: &mut Rounds,
     sink: &mut S,
-) -> Staged
-where
-    I: Iterator<Item = LineAddr> + Clone,
-    S: TraceSink,
-{
+) -> Staged {
+    let lines = footprint.lines;
+    let events = rounds.events(footprint, strategy);
+    if events {
+        let words = lines.len().div_ceil(64);
+        if rounds.next.len() < words {
+            rounds.now.resize(words, 0);
+            rounds.next.resize(words, 0);
+        }
+        // Rounds swap the two sets, so either one may still hold an
+        // earlier interval's positions.
+        rounds.now[..words].fill(0);
+        rounds.next[..words].fill(0);
+        rounds.served.fill(0);
+    }
     let max_rounds = strategy.max_rounds();
     let mut staged = Staged::default();
     while staged.rounds < max_rounds {
-        let prev = sets.stamp;
-        sets.stamp += 1;
-        let first = staged.rounds == 0;
-        let mut cycles = 0.0f64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut credited = 0u64;
-        for line in footprint.clone() {
-            let set = llc.set_of(line);
-            let hit = if first {
-                sink.on_op_issue(start + cycles);
-                llc.access_traced(line, AccessKind::Prefetch, Phase::MPhase, sink)
-                    .hit
-            } else if sets.missed[set] >= prev {
-                // Missed in the previous round (a miss earlier in this
-                // round may already have restamped it to the current one).
-                llc.access(line, AccessKind::Prefetch, Phase::MPhase).hit
-            } else {
-                credited += 1;
-                true
-            };
-            if hit {
-                hits += 1;
-                cycles += pf_hit;
-            } else {
-                misses += 1;
-                cycles += pf_miss;
-                sets.missed[set] = sets.stamp;
-            }
-        }
+        let round = if staged.rounds == 0 {
+            first_round(llc, lines, events, costs, start, rounds, sink)
+        } else if events {
+            event_round(llc, lines, costs, rounds)
+        } else {
+            set_round(llc, lines, costs, rounds)
+        };
+        let credited = round.hits + round.misses - round.walked;
         llc.credit_repeated_hits(Phase::MPhase, credited);
-        staged.work += cycles;
-        staged.hits += hits;
-        staged.misses += misses;
+        staged.work += round.cycles;
+        staged.hits += round.hits;
+        staged.misses += round.misses;
+        staged.walked += round.walked;
         staged.rounds += 1;
         if strategy.adaptive() {
-            if staged.rounds > 1 && misses == 0 {
+            if staged.rounds > 1 && round.misses == 0 {
                 break;
             }
-        } else if misses == 0 {
+        } else if round.misses == 0 {
             // Every set is settled: each remaining round is this same
             // all-hit pass, credited with the same repeated adds.
             let remaining = max_rounds - staged.rounds;
             for _ in 0..remaining {
-                staged.work += cycles;
-                staged.hits += hits;
+                staged.work += round.cycles;
+                staged.hits += round.hits;
             }
-            llc.credit_repeated_hits(Phase::MPhase, u64::from(remaining) * hits);
+            llc.credit_repeated_hits(Phase::MPhase, u64::from(remaining) * round.hits);
             staged.rounds = max_rounds;
         }
     }
     staged
+}
+
+/// Round 1 of either loop: walks every line in issue order, reports it
+/// to `sink`, and records what the later rounds of its loop read — the
+/// position each slot served (`events`) or the sets that missed.
+#[inline(always)]
+fn first_round<S: TraceSink>(
+    llc: &mut Cache,
+    lines: &[LineAddr],
+    events: bool,
+    costs: (f64, f64),
+    start: f64,
+    rounds: &mut Rounds,
+    sink: &mut S,
+) -> Round {
+    rounds.stamp += 1;
+    let mut round = Round::default();
+    for (p, &line) in lines.iter().enumerate() {
+        sink.on_op_issue(start + round.cycles);
+        let out = llc.access_traced(line, AccessKind::Prefetch, Phase::MPhase, sink);
+        let set = llc.set_of(line);
+        if events {
+            rounds.serve(set * rounds.ways + out.way, p, !out.hit);
+        } else if !out.hit {
+            rounds.missed[set] = rounds.stamp;
+        }
+        round.tally(out.hit, costs);
+    }
+    round.walked = lines.len() as u64;
+    round
+}
+
+/// A round of the per-set loop: walks the lines whose set missed in the
+/// round before, in issue order, and credits every other one as a hit.
+#[inline(always)]
+fn set_round(llc: &mut Cache, lines: &[LineAddr], costs: (f64, f64), rounds: &mut Rounds) -> Round {
+    let prev = rounds.stamp;
+    rounds.stamp += 1;
+    let mut round = Round::default();
+    for &line in lines {
+        let set = llc.set_of(line);
+        // Missed in the previous round (a miss earlier in this round may
+        // already have restamped it to the current one).
+        let hit = if rounds.missed[set] >= prev {
+            round.walked += 1;
+            llc.access(line, AccessKind::Prefetch, Phase::MPhase).hit
+        } else {
+            true
+        };
+        if !hit {
+            rounds.missed[set] = rounds.stamp;
+        }
+        round.tally(hit, costs);
+    }
+    round
+}
+
+/// A round of the event loop: accesses exactly the due positions, in
+/// issue order, and prices every other one as a hit in its place.
+#[inline(always)]
+fn event_round(
+    llc: &mut Cache,
+    lines: &[LineAddr],
+    costs: (f64, f64),
+    rounds: &mut Rounds,
+) -> Round {
+    // The round before drained `now`, so `next` starts this one empty.
+    std::mem::swap(&mut rounds.now, &mut rounds.next);
+    let mut round = Round::default();
+    // The first position not priced yet.
+    let mut priced = 0;
+    let mut word = 0;
+    while word < lines.len().div_ceil(64) {
+        // Re-read on every pass: a miss may make a position ahead due.
+        let bits = rounds.now[word];
+        if bits == 0 {
+            word += 1;
+            continue;
+        }
+        rounds.now[word] = bits & (bits - 1);
+        let p = word * 64 + bits.trailing_zeros() as usize;
+        for _ in priced..p {
+            round.cycles += costs.0;
+        }
+        let line = lines[p];
+        let out = llc.access(line, AccessKind::Prefetch, Phase::MPhase);
+        round.walked += 1;
+        rounds.serve(llc.set_of(line) * rounds.ways + out.way, p, !out.hit);
+        round.tally(out.hit, costs);
+        priced = p + 1;
+    }
+    for _ in priced..lines.len() {
+        round.cycles += costs.0;
+    }
+    round.hits = lines.len() as u64 - round.misses;
+    round
 }
 
 /// One interval's M-phase under `store`, starting at schedule time
@@ -737,7 +927,7 @@ fn run_m_phase<S: TraceSink>(
     store: &LocalStore,
     m_cont: Contention,
     start: f64,
-    sets: &mut SetRounds,
+    rounds: &mut Rounds,
     sink: &mut S,
 ) -> Result<Staged, ExecError> {
     let strategy = match store {
@@ -749,10 +939,17 @@ fn run_m_phase<S: TraceSink>(
             platform.cost.prefetch_cost(true, m_cont),
             platform.cost.prefetch_cost(false, m_cont),
         );
-        let footprint = iv.footprint.iter().copied();
+        let mut footprint = Footprint {
+            lines: &iv.footprint,
+            distinct: true,
+        };
+        // Only an interval the event loop could take pays the check.
+        if rounds.events(footprint, strategy) {
+            footprint.distinct = repeats_no_line(footprint.lines, &mut rounds.seen);
+        }
         let llc = platform.mem.llc_mut();
         return Ok(prefetch_rounds(
-            llc, footprint, strategy, cost, start, sets, sink,
+            llc, footprint, strategy, cost, start, rounds, sink,
         ));
     }
     let m_pass = store.m_phase_pass(iv);
@@ -960,6 +1157,153 @@ mod tests {
             tamed.cpmr,
             naive.cpmr
         );
+    }
+
+    /// One interval's [`Staged`] outcome, its work as bits.
+    type StagedBits = (u64, u64, u64, u32);
+
+    /// Stages every interval of `ivs` into a fresh LLC of `policy`, with
+    /// each interval's compute phase (reads, every third access a write,
+    /// and a few unmanaged lines) run in between, offering the event loop
+    /// when `events` holds and forcing the per-set loop otherwise. Returns
+    /// each interval's `(work bits, hits, misses, rounds)`, the prefetches
+    /// simulated and the cache left behind.
+    fn stage_all(
+        policy: &prem_memsim::Policy,
+        seed: u64,
+        ivs: &[IntervalSpec],
+        strategy: PrefetchStrategy,
+        events: bool,
+    ) -> (Vec<StagedBits>, u64, Cache) {
+        let cfg = prem_memsim::CacheConfig::new(32 * 1024, 4, 128)
+            .policy(policy.clone())
+            .index_hash(true);
+        let mut llc = Cache::new(cfg);
+        llc.reseed(seed);
+        let mut rounds = Rounds::new(&llc);
+        let mut walked = 0;
+        let mut staged = Vec::new();
+        for (i, iv) in ivs.iter().enumerate() {
+            llc.begin_interval();
+            let footprint = Footprint {
+                lines: &iv.footprint,
+                distinct: events && repeats_no_line(&iv.footprint, &mut rounds.seen),
+            };
+            let m = prefetch_rounds(
+                &mut llc,
+                footprint,
+                strategy,
+                (3.0, 7.0),
+                0.0,
+                &mut rounds,
+                &mut NullSink,
+            );
+            staged.push((m.work.to_bits(), m.hits, m.misses, m.rounds));
+            walked += m.walked;
+            for (k, a) in iv.c_accesses.iter().enumerate() {
+                let kind = if a.write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                llc.access(a.line, kind, Phase::CPhase);
+                if k % 16 == 0 {
+                    let noise = LineAddr::new(NOISE_BASE_LINE + (i * 7 + k) as u64 % 40);
+                    llc.access(noise, AccessKind::Read, Phase::CPhase);
+                }
+            }
+        }
+        (staged, walked, llc)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Each round loop is the other's oracle: on repeat-free
+        /// footprints that overflow sets and carry lines from one interval
+        /// to the next, the event loop stages exactly what the per-set
+        /// loop stages — the same work bits, prefetch outcomes, rounds,
+        /// `CacheStats`, contents and RNG position — while simulating no
+        /// more prefetches.
+        #[test]
+        fn the_event_loop_stages_like_the_per_set_loop(
+            shape in proptest::collection::vec((0u64..600, 1u64..400, 0usize..3), 1..6),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let ivs: Vec<IntervalSpec> = shape
+                .iter()
+                .map(|&(base, len, stride)| {
+                    let stride = [1, 3, 64][stride];
+                    let lines: Vec<_> =
+                        (0..len).map(|j| LineAddr::new(base + j * stride)).collect();
+                    let accesses = lines
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &l)| {
+                            if k % 3 == 0 {
+                                CAccess::write(l)
+                            } else {
+                                CAccess::read(l)
+                            }
+                        })
+                        .collect();
+                    IntervalSpec::new(lines, accesses, 0)
+                })
+                .collect();
+            let policies = [
+                prem_memsim::Policy::Random,
+                prem_memsim::Policy::nvidia_tegra(),
+                prem_memsim::Policy::BiasedRandom { weights: vec![1, 1, 9, 1] },
+                prem_memsim::Policy::BiasedRandom { weights: vec![0, 1, 1, 1] },
+                prem_memsim::Policy::Fifo,
+            ];
+            let strategies = [
+                PrefetchStrategy::Repeated { r: 1 },
+                PrefetchStrategy::Repeated { r: 2 },
+                PrefetchStrategy::Repeated { r: 8 },
+                PrefetchStrategy::UntilResident { max_rounds: 16 },
+            ];
+            for policy in &policies {
+                proptest::prop_assert!(policy.hit_oblivious());
+                for strategy in strategies {
+                    let (event, event_walked, mut event_llc) =
+                        stage_all(policy, seed, &ivs, strategy, true);
+                    let (per_set, set_walked, mut set_llc) =
+                        stage_all(policy, seed, &ivs, strategy, false);
+                    proptest::prop_assert_eq!(&event, &per_set);
+                    proptest::prop_assert!(event_walked <= set_walked);
+                    proptest::prop_assert_eq!(event_llc.stats(), set_llc.stats());
+                    // Same contents, replacement state and RNG position:
+                    // a sweep over twice the capacity fares alike.
+                    for l in 0..512u64 {
+                        let line = LineAddr::new(l * 5);
+                        proptest::prop_assert_eq!(
+                            event_llc.access(line, AccessKind::Read, Phase::CPhase),
+                            set_llc.access(line, AccessKind::Read, Phase::CPhase)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_event_loop_simulates_only_misses() {
+        // 320 distinct lines staged into a cold 256-line cache: round 1
+        // misses every line and every later round misses some. The event
+        // loop simulates nothing but misses; the per-set loop also walks
+        // the hits that share a set with a miss.
+        let lines = (0..320).map(LineAddr::new).collect();
+        let ivs = [IntervalSpec::new(lines, vec![], 0)];
+        let r8 = PrefetchStrategy::Repeated { r: 8 };
+        let policy = prem_memsim::Policy::nvidia_tegra();
+        let (event, event_walked, _) = stage_all(&policy, 7, &ivs, r8, true);
+        let (per_set, set_walked, _) = stage_all(&policy, 7, &ivs, r8, false);
+        assert_eq!(event, per_set);
+        let (_, hits, misses, _) = event[0];
+        assert_eq!(hits + misses, 8 * 320);
+        assert_eq!(event_walked, misses);
+        assert!(event_walked < set_walked, "{event_walked} vs {set_walked}");
     }
 
     #[test]

@@ -33,7 +33,11 @@ impl CAccess {
 /// Store-agnostic description of one PREM interval.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntervalSpec {
-    /// Unique lines the M-phase must stage (inputs and outputs).
+    /// Lines the M-phase stages (inputs and outputs), in issue order.
+    /// Tilings list each line once, but [`IntervalSpec::new`] accepts a
+    /// line listed twice: the scratchpad copies it again without using
+    /// more capacity, and the executor's LLC prefetch rounds then take
+    /// their per-set loop.
     pub footprint: Vec<LineAddr>,
     /// Ordered compute-phase line touches.
     pub c_accesses: Vec<CAccess>,

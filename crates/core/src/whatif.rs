@@ -54,9 +54,11 @@
 //!   baseline interval), in issue order, intervals folded in order.
 //!   Per-op costs are the same [`CostModel`] functions the live executor
 //!   charges, under the member's contention. M-rounds go through the live
-//!   executor's own round helper: a round walks only the lines whose LLC
-//!   set missed in the round before and credits the rest as hits (per op,
-//!   in issue order), and every round after one that missed nothing is
+//!   executor's own round helper: a round simulates only the prefetches
+//!   that can miss (exactly its misses, for a hit-oblivious policy and a
+//!   footprint that repeats no line; otherwise the lines whose LLC set
+//!   missed in the round before) and credits the rest as hits (per op, in
+//!   issue order), and every round after one that missed nothing is
 //!   credited whole.
 //! * **Budgets** — the profiling pass and the timed run reset and reseed
 //!   identically and feed identical op sequences, so their cache
@@ -79,12 +81,15 @@ use std::ops::Range;
 
 use prem_gpusim::{CostModel, ExecError, InterferenceEngine, Op, PlatformConfig, Scenario};
 use prem_memsim::{
-    AccessKind, BusWindow, Cache, CacheStats, Contention, HitLevel, LineAddr, NullSink, Phase,
-    Policy, Spm, SpmError,
+    AccessKind, BusWindow, Cache, CacheStats, Contention, HitLevel, LineAddr, LineSet, NullSink,
+    Phase, Policy, Spm, SpmError,
 };
 
 use crate::budget::BudgetPolicy;
-use crate::exec::{noisy_demand_ops, prefetch_rounds, BaselineRun, NoiseModel, PremRun, SetRounds};
+use crate::exec::{
+    noisy_demand_ops, prefetch_rounds, repeats_no_line, BaselineRun, Footprint, NoiseModel,
+    PremRun, Rounds,
+};
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
 use crate::metrics::Breakdown;
@@ -221,6 +226,8 @@ pub struct Trajectory {
     llc: CacheStats,
     prefetch_hits: u64,
     prefetch_misses: u64,
+    /// Prefetches the walk simulated; the other ones it credited as hits.
+    prefetch_walked: u64,
 }
 
 impl Trajectory {
@@ -229,6 +236,14 @@ impl Trajectory {
     /// when the policy draws from the RNG.
     pub fn serves(&self, cfg: &PlatformConfig, seed: u64) -> bool {
         *cfg.llc.policy_ref() == self.policy && self.seed.is_none_or(|s| s == seed)
+    }
+
+    /// The walk's M-phase prefetches as `(simulated, credited)`: how many
+    /// went through the mirror cache and how many were counted as hits
+    /// without it. Their sum is every prefetch the run issues.
+    pub fn prefetch_work(&self) -> (u64, u64) {
+        let issued = self.prefetch_hits + self.prefetch_misses;
+        (self.prefetch_walked, issued - self.prefetch_walked)
     }
 }
 
@@ -341,6 +356,10 @@ pub struct CompiledRun {
     entries: Vec<Entry>,
     /// Per interval: its `footprints` range and its `entries` range.
     segments: Vec<(Range<usize>, Range<usize>)>,
+    /// Per interval: whether its footprint lists no line twice, which
+    /// lets hit-oblivious classes take the event loop (checked only for
+    /// LLC-PREM with more than one round; `false` elsewhere).
+    distinct: Vec<bool>,
     /// Cache accesses among `entries`: the hit bits a walk records.
     accesses: usize,
     /// SPM-PREM: per-interval M-phase work. The token-held copy loop
@@ -421,6 +440,13 @@ impl CompiledRun {
             entries.reserve_exact(len);
         }
         let mut segments = Vec::with_capacity(intervals.len());
+        let rounds = match store {
+            Some(LocalStore::Llc { prefetch }) => prefetch.max_rounds(),
+            Some(LocalStore::Spm { .. }) => 1,
+            None => 0,
+        };
+        let mut distinct = Vec::with_capacity(intervals.len());
+        let mut seen = LineSet::default();
         let mut spm_m_work = Vec::new();
         let mut accesses = 0;
         let mut counter = 0u64;
@@ -464,6 +490,7 @@ impl CompiledRun {
             if let Some(e) = fault {
                 return Err(e.into());
             }
+            distinct.push(rounds > 1 && repeats_no_line(&footprints[m_start..], &mut seen));
             segments.push((m_start..footprints.len(), c_start..entries.len()));
         }
         // The stream lives on through every walk: return an SPM stream's
@@ -475,13 +502,10 @@ impl CompiledRun {
             footprints,
             entries,
             segments,
+            distinct,
             accesses,
             spm_m_work,
-            rounds: match store {
-                Some(LocalStore::Llc { prefetch }) => prefetch.max_rounds(),
-                Some(LocalStore::Spm { .. }) => 1,
-                None => 0,
-            },
+            rounds,
             msg_cycles: cfg.us_to_cycles(cfg.cpu.sync.msg_us),
             switch_cycles: cfg.us_to_cycles(cfg.cpu.sync.switch_cost_us()),
             budget: prem.map_or_else(BudgetPolicy::fair, |p| p.budget),
@@ -514,6 +538,7 @@ impl CompiledRun {
             llc: CacheStats::default(),
             prefetch_hits: 0,
             prefetch_misses: 0,
+            prefetch_walked: 0,
         };
         let c_phase = if self.work == RunWork::Baseline {
             Phase::Unphased
@@ -532,7 +557,7 @@ impl CompiledRun {
         // *this* class's trajectory and are credited exactly where a live
         // run of the class credits them.
         let strategy = PrefetchStrategy::Repeated { r: self.rounds };
-        let mut sets = SetRounds::new(&llc);
+        let mut rounds = Rounds::new(&llc);
         for (i, (m_range, c_range)) in self.segments.iter().enumerate() {
             match self.work {
                 // The live baseline never calls `begin_interval`.
@@ -543,19 +568,23 @@ impl CompiledRun {
                 }
                 RunWork::PremLlc { .. } | RunWork::PremLlcUntilResident => {
                     llc.begin_interval();
-                    let footprint = self.footprints[m_range.clone()].iter().copied();
+                    let footprint = Footprint {
+                        lines: &self.footprints[m_range.clone()],
+                        distinct: self.distinct[i],
+                    };
                     let m = prefetch_rounds(
                         &mut llc,
                         footprint,
                         strategy,
                         pf_cost,
                         0.0,
-                        &mut sets,
+                        &mut rounds,
                         &mut NullSink,
                     );
                     trajectory.m_work.push(m.work);
                     trajectory.prefetch_hits += m.hits;
                     trajectory.prefetch_misses += m.misses;
+                    trajectory.prefetch_walked += m.walked;
                 }
             }
             let (c_iso, c_dram) =
@@ -918,6 +947,73 @@ mod tests {
                             }
                             _ => {}
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A sink that records nothing but says it does, so the executor
+    /// walks every prefetch round instead of crediting any.
+    struct Recording;
+
+    impl prem_memsim::TraceSink for Recording {}
+
+    #[test]
+    fn crediting_rounds_is_invisible_to_the_run() {
+        // `run_prem` simulates only the prefetches that can miss (the
+        // event loop for hit-oblivious policies and repeat-free
+        // footprints, the per-set loop otherwise); a recording run walks
+        // every round of every interval. The toys repeat lines (writing),
+        // overflow sets (overflowing) and carry lines from one interval to
+        // the next (converging), with writes and unmanaged reads in their
+        // compute phases.
+        let mut seen = LineSet::default();
+        let toys = [
+            ("converging", converging_intervals(), true),
+            ("overflowing", overflowing_intervals(), true),
+            ("writing", writing_intervals(), false),
+        ];
+        let policies = [
+            Policy::Random,
+            Policy::nvidia_like(4),
+            Policy::BiasedRandom {
+                weights: vec![1, 1, 9, 1],
+            },
+            Policy::Fifo,
+            Policy::Lru,
+        ];
+        let strategies = [
+            PrefetchStrategy::Repeated { r: 1 },
+            PrefetchStrategy::Repeated { r: 2 },
+            PrefetchStrategy::Repeated { r: 8 },
+            PrefetchStrategy::UntilResident { max_rounds: 16 },
+        ];
+        for (toy, ivs, distinct) in &toys {
+            let repeat_free = ivs
+                .iter()
+                .all(|iv| repeats_no_line(&iv.footprint, &mut seen));
+            assert_eq!(repeat_free, *distinct, "{toy}");
+            for policy in &policies {
+                for seed in [11u64, 23] {
+                    let mut platform = small_platform(policy.clone(), seed).build();
+                    for prefetch in strategies {
+                        let cfg = crate::PremConfig::llc_tamed()
+                            .with_seed(seed)
+                            .with_store(LocalStore::Llc { prefetch })
+                            .with_noise(NoiseModel::tx1());
+                        let plain =
+                            crate::run_prem(&mut platform, ivs, &cfg, Scenario::Isolation).unwrap();
+                        let (recorded, _) = crate::run_prem_traced(
+                            &mut platform,
+                            ivs,
+                            &cfg,
+                            Scenario::Isolation,
+                            None,
+                            &mut Recording,
+                        )
+                        .unwrap();
+                        assert_eq!(plain, recorded, "{toy} {policy:?} seed {seed} {prefetch:?}");
                     }
                 }
             }

@@ -771,8 +771,10 @@ impl PlanExecutor {
     /// derived member's sample is its pricing plus the trajectory walk it
     /// triggered, if any), the tier counters (`plan.live_runs`,
     /// `plan.memory_hits`, `plan.disk_hits`, `plan.replayed`,
-    /// `plan.replay_walks`, …), family fan-out
-    /// (`plan.family_fanout`) and pool shape gauges (`plan.pool_units`,
+    /// `plan.replay_walks`, …), the M-phase prefetches the walks
+    /// simulated and credited as hits (`plan.prefetch_walked`,
+    /// `plan.prefetch_credited`, added once per family unit), family
+    /// fan-out (`plan.family_fanout`) and pool shape gauges (`plan.pool_units`,
     /// `plan.pool_workers`, `plan.pool_utilization_permille`) land in
     /// `metrics`. Counters are added even when zero, so a fully warm run
     /// still materializes `plan.live_runs=0` in the snapshot. Metrics
@@ -1058,10 +1060,14 @@ impl PlanExecutor {
                     .collect();
                 let mut outs = Vec::with_capacity(members.len());
                 let mut walks = 0;
+                let (mut walked, mut credited) = (0, 0);
                 while let Some((first, cfg)) = pending.first() {
                     let mut span = Some(Span::start(metrics, "plan.replay_ns"));
                     let trajectory = compiled.walk(cfg, frontier[*first].1.seed);
                     walks += 1;
+                    let (simulated, skipped) = trajectory.prefetch_work();
+                    walked += simulated;
+                    credited += skipped;
                     pending.retain(|(i, cfg)| {
                         let req = frontier[*i].1;
                         if !trajectory.serves(cfg, req.seed) {
@@ -1079,6 +1085,8 @@ impl PlanExecutor {
                         false
                     });
                 }
+                metrics.add("plan.prefetch_walked", walked);
+                metrics.add("plan.prefetch_credited", credited);
                 (outs, walks)
             }
         }

@@ -9,7 +9,8 @@
 //! one. This test pins that: if a span is ever timed outside the sink's
 //! enablement check, or the metrics-off path forks away from the metered
 //! one and grows slower, the min-of-N ratio check fails. The threshold is
-//! loose (10%) because CI machines are noisy.
+//! loose (10%) because CI machines are noisy. The prefetch counters the
+//! family units add must appear, and read the same at 1 and 2 workers.
 
 use std::time::Instant;
 
@@ -66,6 +67,24 @@ fn metrics_off_plan_is_not_slower_than_a_metered_one() {
     assert_eq!(samples("plan.tile_ns"), 1, "one tiling key");
     assert_eq!(samples("plan.compile_ns"), 2, "one compile per family");
     assert_eq!(samples("plan.replay_ns"), plan.len() as u64);
+    // Each family unit adds its walks' simulated and credited prefetches:
+    // the LLC-PREM family's R = 8 rounds credit most of theirs, the SPM
+    // family stages none. The counts are the same at any worker count.
+    let walked = snap
+        .counter("plan.prefetch_walked")
+        .expect("walked counter");
+    let credited = snap
+        .counter("plan.prefetch_credited")
+        .expect("credited counter");
+    assert!(
+        walked > 0 && credited > walked,
+        "{walked} walked, {credited} credited"
+    );
+    let two = Registry::new();
+    PlanExecutor::new().execute_metered(&plan, 2, &two);
+    let two = two.snapshot();
+    assert_eq!(two.counter("plan.prefetch_walked"), Some(walked));
+    assert_eq!(two.counter("plan.prefetch_credited"), Some(credited));
     assert!(
         off <= on * 1.10,
         "metrics-off plan took {:.3} ms vs {:.3} ms metered (> +10%)",

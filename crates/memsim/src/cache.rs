@@ -244,6 +244,11 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Packed [`meta`] bits, slot-parallel with `tags`.
     meta: Vec<u8>,
+    /// Slots holding [`EMPTY_TAG`]. Only a fill into an empty way lowers
+    /// it and only [`Cache::invalidate_all`] raises it, so once it reaches
+    /// zero a miss skips the empty-way probe and goes straight to the
+    /// policy's victim.
+    empty_slots: usize,
     replacer: Replacer,
     rng: Rng,
     stats: CacheStats,
@@ -271,6 +276,7 @@ impl Cache {
             hash_shift: sets.trailing_zeros(),
             tags: vec![EMPTY_TAG; slots],
             meta: vec![0; slots],
+            empty_slots: slots,
             replacer,
             rng,
             stats: CacheStats::default(),
@@ -382,34 +388,39 @@ impl Cache {
         }
 
         self.stats.phase_mut(phase).misses += 1;
-        // Prefer an invalid way; otherwise ask the policy for a victim.
-        let (way, evicted) = match Self::find_way(self.set_tags(base), EMPTY_TAG) {
-            Some(w) => (w, None),
+        // Prefer an invalid way; otherwise ask the policy for a victim. A
+        // cache with no empty slot left has no invalid way to find.
+        let free = if self.empty_slots == 0 {
+            None
+        } else {
+            Self::find_way(self.set_tags(base), EMPTY_TAG)
+        };
+        let (way, evicted) = match free {
+            Some(w) => {
+                self.empty_slots -= 1;
+                (w, None)
+            }
             None => {
                 let w = self.replacer.victim(set, &mut self.rng);
                 let m = self.meta[base + w];
+                // Displacement damage is attributed by the *victim's*
+                // owner: losing an alive GPU line to the interval's own
+                // fills is the paper's self-eviction phenomenon, losing it
+                // to a co-runner fill is pollution, and a displaced
+                // co-runner line is the aggressor's own problem (neither).
+                // The flags are added as 0/1, not branched on.
+                let own_alive = u64::from(m & (meta::ALIVE | meta::FOREIGN) == meta::ALIVE);
+                let by_corunner = u64::from(phase == Phase::Corunner);
+                self.stats.evictions += 1;
+                self.stats.corunner_evictions += own_alive & by_corunner;
+                self.stats.self_evictions += own_alive & (by_corunner ^ 1);
+                self.stats.writebacks += u64::from(m & meta::DIRTY != 0);
                 let ev = Evicted {
                     line: LineAddr::new(self.tags[base + w]),
                     alive: m & meta::ALIVE != 0,
                     dirty: m & meta::DIRTY != 0,
                     foreign: m & meta::FOREIGN != 0,
                 };
-                self.stats.evictions += 1;
-                // Displacement damage is attributed by the *victim's*
-                // owner: losing an alive GPU line to the interval's own
-                // fills is the paper's self-eviction phenomenon, losing it
-                // to a co-runner fill is pollution, and a displaced
-                // co-runner line is the aggressor's own problem (neither).
-                if ev.alive && !ev.foreign {
-                    if phase == Phase::Corunner {
-                        self.stats.corunner_evictions += 1;
-                    } else {
-                        self.stats.self_evictions += 1;
-                    }
-                }
-                if ev.dirty {
-                    self.stats.writebacks += 1;
-                }
                 (w, Some(ev))
             }
         };
@@ -474,10 +485,12 @@ impl Cache {
         self.meta.iter_mut().for_each(|m| *m &= !meta::ALIVE);
     }
 
-    /// Invalidates every line (no writeback accounting).
+    /// Invalidates every line (no writeback accounting) — the only way a
+    /// slot becomes empty again.
     pub fn invalidate_all(&mut self) {
         self.tags.iter_mut().for_each(|t| *t = EMPTY_TAG);
         self.meta.iter_mut().for_each(|m| *m = 0);
+        self.empty_slots = self.tags.len();
     }
 
     /// Accumulated statistics.

@@ -121,6 +121,21 @@ impl Policy {
         }
     }
 
+    /// Whether a hit leaves every later victim choice unchanged.
+    ///
+    /// Uniform and biased random pick victims from the RNG alone, and FIFO
+    /// from fill order; none of them reads which lines were hit. LRU,
+    /// tree-PLRU, NMRU and SRRIP all record hits in the state their victim
+    /// choice reads. A simulator may therefore skip, and merely count, the
+    /// hits of an oblivious policy: the misses, fills, evictions and RNG
+    /// draws that follow are the same.
+    pub fn hit_oblivious(&self) -> bool {
+        match self {
+            Policy::Random | Policy::BiasedRandom { .. } | Policy::Fifo => true,
+            Policy::Lru | Policy::PseudoLru | Policy::Nmru | Policy::Srrip => false,
+        }
+    }
+
     /// Indices of the "good" ways: ways whose victim probability does not
     /// exceed the uniform share. For the Tegra weights (1,1,3,1) these are
     /// ways {0, 1, 3}; for symmetric policies every way is good.
@@ -162,7 +177,16 @@ pub struct Replacer {
     /// Biased random: the sum of the victim weights (0 for other
     /// policies), summed once here instead of on every miss.
     weight_total: u64,
+    /// Biased random with a weight total of at most [`VICTIM_TABLE_MAX`]:
+    /// the way each draw of `below(weight_total)` selects, so a victim is
+    /// one table load instead of a scan over the weights. Empty otherwise.
+    victim_table: Vec<u8>,
 }
+
+/// The largest biased-random weight total [`Replacer`] tabulates. Every
+/// preset and ablation weight vector sums far below it; a larger total
+/// keeps [`Rng::pick_weighted`]'s scan.
+const VICTIM_TABLE_MAX: u64 = 256;
 
 impl Replacer {
     /// Builds replacement state for `sets` × `ways`.
@@ -174,9 +198,12 @@ impl Replacer {
         policy
             .validate(ways)
             .expect("invalid policy/way combination");
-        let weight_total = match &policy {
-            Policy::BiasedRandom { weights } => weights.iter().map(|&w| u64::from(w)).sum(),
-            _ => 0,
+        let (weight_total, victim_table) = match &policy {
+            Policy::BiasedRandom { weights } => {
+                let total = weights.iter().map(|&w| u64::from(w)).sum();
+                (total, Self::victim_table(weights, total))
+            }
+            _ => (0, Vec::new()),
         };
         Replacer {
             policy,
@@ -187,7 +214,23 @@ impl Replacer {
             mru: vec![0; sets],
             rrpv: vec![3; sets * ways],
             weight_total,
+            victim_table,
         }
+    }
+
+    /// The way [`Rng::pick_weighted`]'s scan selects for each draw
+    /// `x < total`, in draw order: `weights[w]` entries of way `w`, ways
+    /// ascending. Empty when `total` exceeds [`VICTIM_TABLE_MAX`] or a way
+    /// index does not fit a byte.
+    fn victim_table(weights: &[u32], total: u64) -> Vec<u8> {
+        if total > VICTIM_TABLE_MAX || weights.len() > usize::from(u8::MAX) + 1 {
+            return Vec::new();
+        }
+        let mut table = Vec::with_capacity(total as usize);
+        for (w, &n) in weights.iter().enumerate() {
+            table.extend(std::iter::repeat_n(w as u8, n as usize));
+        }
+        table
     }
 
     /// Records that `way` of `set` was accessed (hit or just filled).
@@ -242,7 +285,14 @@ impl Replacer {
             }
             Policy::PseudoLru => self.plru_victim(set),
             Policy::Random => rng.below(self.ways as u64) as usize,
-            Policy::BiasedRandom { weights } => rng.pick_weighted_of(weights, self.weight_total),
+            Policy::BiasedRandom { weights } => {
+                if self.victim_table.is_empty() {
+                    rng.pick_weighted_of(weights, self.weight_total)
+                } else {
+                    // The scan's draw, looked up.
+                    usize::from(self.victim_table[rng.below(self.weight_total) as usize])
+                }
+            }
             Policy::Nmru => {
                 if self.ways == 1 {
                     0
@@ -437,6 +487,91 @@ mod tests {
             let v = r.victim(0, &mut g);
             assert_ne!(v, 3, "hot way evicted by scan");
             r.on_fill(0, v);
+        }
+    }
+
+    /// The victim draws of a biased-random replacer next to
+    /// [`Rng::pick_weighted`]'s, each from its own copy of one seed.
+    fn assert_draws_like_the_scan(weights: Vec<u32>, tabulated: bool) {
+        let mut r = Replacer::new(
+            Policy::BiasedRandom {
+                weights: weights.clone(),
+            },
+            2,
+            weights.len(),
+        );
+        assert_eq!(!r.victim_table.is_empty(), tabulated, "{weights:?}");
+        let (mut a, mut b) = (rng(), rng());
+        for draw in 0..20_000 {
+            let scanned = b.pick_weighted(&weights);
+            assert_eq!(
+                r.victim(draw % 2, &mut a),
+                scanned,
+                "{weights:?} draw {draw}"
+            );
+        }
+        // Both consumed the same stream.
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn tabulated_victims_equal_the_weighted_scan() {
+        for ways in [4, 8, 16] {
+            let Policy::BiasedRandom { weights } = Policy::nvidia_like(ways) else {
+                unreachable!("nvidia_like is biased-random")
+            };
+            assert_draws_like_the_scan(weights, true);
+        }
+        // The bias ablation's weights, and a way that is never a victim.
+        assert_draws_like_the_scan(vec![1, 1, 9, 1], true);
+        assert_draws_like_the_scan(vec![0, 1, 1, 1], true);
+        assert_draws_like_the_scan(vec![0, 0, 256, 0], true);
+    }
+
+    #[test]
+    fn a_weight_total_above_the_bound_keeps_the_scan() {
+        assert_draws_like_the_scan(vec![1, 1, 255, 0], false);
+        assert_draws_like_the_scan(vec![40_000, 1, 3, 70_000], false);
+    }
+
+    #[test]
+    fn oblivious_policies_ignore_extra_hits() {
+        // Two replacers over one full 4-way set see the same fills, but
+        // only one of them sees a stream of hits in between. A policy
+        // marked hit-oblivious must pick every victim alike; every other
+        // policy must show that hits steer it.
+        let policies = [
+            Policy::Lru,
+            Policy::Fifo,
+            Policy::PseudoLru,
+            Policy::Random,
+            Policy::nvidia_tegra(),
+            Policy::BiasedRandom {
+                weights: vec![0, 1, 1, 1],
+            },
+            Policy::Nmru,
+            Policy::Srrip,
+        ];
+        for policy in policies {
+            let mut hit = Replacer::new(policy.clone(), 1, 4);
+            let mut plain = Replacer::new(policy.clone(), 1, 4);
+            for w in 0..4 {
+                hit.on_fill(0, w);
+                plain.on_fill(0, w);
+            }
+            let (mut a, mut b) = (rng(), rng());
+            let mut hits = Rng::seed_from_u64(99);
+            let mut diverged = false;
+            for _ in 0..2_000 {
+                for _ in 0..hits.below(4) {
+                    hit.on_access(0, hits.below(4) as usize);
+                }
+                let (v, w) = (hit.victim(0, &mut a), plain.victim(0, &mut b));
+                diverged |= v != w;
+                hit.on_fill(0, v);
+                plain.on_fill(0, w);
+            }
+            assert_eq!(!diverged, policy.hit_oblivious(), "{policy:?}");
         }
     }
 

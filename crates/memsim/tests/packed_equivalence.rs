@@ -86,7 +86,12 @@ impl ReferenceCache {
         let (way, evicted) = match (0..ways).find(|&w| !self.valid[base + w]) {
             Some(w) => (w, None),
             None => {
-                let w = self.replacer.victim(set, &mut self.rng);
+                // The biased draw straight from the weighted scan, so the
+                // packed cache's tabulated draw is checked against it.
+                let w = match self.cfg.policy_ref() {
+                    Policy::BiasedRandom { weights } => self.rng.pick_weighted(weights),
+                    _ => self.replacer.victim(set, &mut self.rng),
+                };
                 let ev = Evicted {
                     line: self.tags[base + w],
                     alive: self.fill_epoch[base + w] == self.epoch,
@@ -235,6 +240,61 @@ proptest! {
                 }
                 prop_assert_eq!(packed.occupancy(), reference.occupancy());
             }
+            prop_assert_eq!(packed.stats(), &reference.stats);
+        }
+    }
+
+    /// Once no slot is empty the packed cache skips the empty-way probe,
+    /// and `invalidate_all` empties every slot again: a stream that fills
+    /// the cache, keeps missing into it, flushes it and fills it again
+    /// agrees with the always-probing reference access by access.
+    #[test]
+    fn a_full_cache_skips_the_probe_like_the_reference(
+        sets_log in 0u32..=2,
+        ways in prop::sample::select(vec![1usize, 2, 3, 4, 6, 8, 16]),
+        seed in any::<u64>(),
+        random in prop::collection::vec(any::<u64>(), 60..200),
+    ) {
+        let slots = (1u64 << sets_log) * ways as u64;
+        // Every line of a sweep over twice the capacity, then random lines
+        // over that range, twice around a flush.
+        let sweep = (0..2 * slots).map(|l| Some(l + 7));
+        let lines = random.iter().map(|r| Some(r % (2 * slots)));
+        let events: Vec<Option<u64>> = sweep
+            .clone()
+            .chain(lines.clone())
+            .chain([None])
+            .chain(lines.clone())
+            .chain(sweep)
+            .chain(lines)
+            .collect();
+        for policy in every_policy(ways) {
+            let cfg = CacheConfig::new(slots as usize * 64, ways, 64)
+                .policy(policy)
+                .seed(seed);
+            let mut packed = Cache::new(cfg.clone());
+            let mut reference = ReferenceCache::new(cfg);
+            let mut filled = 0;
+            for (i, event) in events.iter().enumerate() {
+                let Some(l) = *event else {
+                    packed.invalidate_all();
+                    reference.valid.iter_mut().for_each(|v| *v = false);
+                    reference.dirty.iter_mut().for_each(|d| *d = false);
+                    reference.foreign.iter_mut().for_each(|f| *f = false);
+                    prop_assert_eq!(packed.occupancy(), 0);
+                    continue;
+                };
+                let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+                let line = LineAddr::new(l);
+                prop_assert_eq!(
+                    packed.access(line, kind, Phase::CPhase),
+                    reference.access(line, kind, Phase::CPhase)
+                );
+                prop_assert_eq!(packed.occupancy(), reference.occupancy());
+                filled += usize::from(packed.occupancy() == slots as usize);
+            }
+            // The probe-free path ran: both sweeps leave the cache full.
+            prop_assert!(filled > 2);
             prop_assert_eq!(packed.stats(), &reference.stats);
         }
     }

@@ -166,14 +166,17 @@ mod tests {
     use prem_gpusim::PlatformConfig;
     use prem_harness::MatrixPolicy;
     use prem_kernels::Bicg;
-    use prem_memsim::KIB;
+    use prem_memsim::{Policy, KIB};
 
     #[test]
     fn capture_is_invisible_to_the_run() {
-        // `run_prem` credits the prefetch rounds of settled LLC sets
-        // instead of walking them; the capture sink observes every round,
-        // so the capturing run walks them all. The two must agree on the
-        // whole `PremRun` for every what-if policy, fixed repetitions
+        // `run_prem` simulates only the prefetches of later rounds that
+        // can miss — a hit-oblivious policy's misses alone, or every line
+        // of an LLC set that missed the round before — and credits the
+        // rest; the capture sink observes every round, so the capturing
+        // run walks them all. The two must agree on the whole `PremRun`
+        // for every what-if policy, the bias ablation's weights and a
+        // vector with a never-evicted way, three seeds, fixed repetitions
         // around the paper's R = 8 and the adaptive strategy, at one T
         // whose rounds converge and one whose footprint overflows sets.
         let kernel = Bicg::new(256, 256);
@@ -184,13 +187,28 @@ mod tests {
             PrefetchStrategy::Repeated { r: 16 },
             PrefetchStrategy::UntilResident { max_rounds: 16 },
         ];
+        let policies: Vec<Policy> = MatrixPolicy::what_if_axis()
+            .iter()
+            .map(|p| p.instantiate(4))
+            .chain([
+                Policy::BiasedRandom {
+                    weights: vec![1, 1, 9, 1],
+                },
+                Policy::BiasedRandom {
+                    weights: vec![0, 1, 1, 1],
+                },
+            ])
+            .collect();
         for (t, converges) in [(32 * KIB, true), (224 * KIB, false)] {
             let intervals = kernel.intervals(t).expect("tiling");
-            for policy in MatrixPolicy::what_if_axis() {
-                let platform = PlatformConfig::tx1().llc_policy(policy.instantiate(4));
+            for (policy, seed) in policies
+                .iter()
+                .flat_map(|p| [7u64, 11, 23].map(|seed| (p, seed)))
+            {
+                let platform = PlatformConfig::tx1().llc_policy(policy.clone());
                 for prefetch in strategies {
                     let cfg = PremConfig::llc_tamed()
-                        .with_seed(7)
+                        .with_seed(seed)
                         .with_store(LocalStore::Llc { prefetch });
                     let plain =
                         run_prem(&mut platform.build(), &intervals, &cfg, Scenario::Isolation)
@@ -203,7 +221,7 @@ mod tests {
                         "bicg",
                     )
                     .expect("capture");
-                    let what = format!("T={t} {policy:?} {prefetch:?}");
+                    let what = format!("T={t} {policy:?} seed {seed} {prefetch:?}");
                     assert_eq!(plain, captured, "{what}: capture perturbed the simulation");
                     // The two footprints take the branches they are named
                     // for: the adaptive strategy settles early, or never.
