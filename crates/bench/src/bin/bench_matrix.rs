@@ -8,9 +8,10 @@
 //! resubmission, the cache-hit lookup path, the observability layer's
 //! metrics-off and metrics-on executions, the persistent run
 //! store's cold — execute + append — and warm — all disk hits — paths,
-//! the packed cache layout's raw access throughput, and the
-//! profile-memo column — memoization off vs on over one interference
-//! sweep's scenario siblings), and writes
+//! the packed cache layout's raw access throughput, and the family-WCET
+//! column — self-profiling live cells vs cells that take their WCETs
+//! from their family's walk, over one interference sweep's scenario
+//! siblings), and writes
 //! `results/BENCH_matrix.json` (wall-time per entry + total). The total
 //! is compared against a committed baseline (`ci/bench_baseline.json` by
 //! default): a regression beyond the tolerance fails the process, which
@@ -41,7 +42,7 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use prem_bench::{PROFILE_MEMO_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
+use prem_bench::{FAMILY_WCETS_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
 use prem_gpusim::CorunnerProfile;
 use prem_harness::{
     run_cell_with, write_artifact, ExecFlags, MatrixPolicy, MatrixScenario, MatrixSpec,
@@ -435,29 +436,28 @@ fn main() -> ExitCode {
         "hot-path stream must exercise both the hit and the miss path"
     );
 
-    // `exec:profile-memo|cold` vs `|warm`: an interference-sweep-shaped
-    // scenario column — co-runner profiles × counts 0..=6, all siblings
-    // of ONE profile key — executed with memoization off (every live cell
-    // pays its own profiling pass) and on (the column charges at most a
-    // single pass). Constant-contention unpolluted mixes derive from the
-    // compiled stream, so the column uses mixes derivation cannot touch —
-    // time-varying (bursty) contention — whose cells run live and pay a
-    // real pass the memo elides. Only the count-0 isolation cell is
-    // eligible: it is derived, and on the memoized side it backfills the
-    // key's cell for the bursty cells. Bursty mixes are non-polluting, so
-    // the pass and the timed run stage alike (both walk only the
-    // prefetch-round lines whose LLC set missed in the round before) and,
-    // with the timed C-phase reading contention through windows between
-    // burst edges, cost about the same: the elided pass shows as a ~2x
-    // cold/warm gap. A polluting profile would deflate the ratio instead
-    // (its timed run also pays the pollution fills the pass never sees,
-    // dwarfing the pass). R=16 keeps the column M-phase-heavy: the M-pass
-    // costs the same in the profiling pass and the timed run, so the
-    // sweep's co-runner C-phase overhead does not drown the pass the memo
-    // elides. The cold/warm ratio is asserted hard at ≥1.5×, on top of
-    // the baseline total gating both entries.
-    let memo_kernel = Bicg::new(256, 256);
-    let mut memo_column: Vec<prem_harness::RunRequest<'_>> = Vec::new();
+    // `exec:family-wcets|profiled` vs `|walked`: an
+    // interference-sweep-shaped scenario column — co-runner profiles ×
+    // counts 0..=6 of one kernel, seed and policy, so ONE derivation
+    // family and one trajectory class — of mixes derivation cannot price
+    // (time-varying, bursty contention), whose cells run live.
+    // `--no-replay` (`without_replay`) is the reference: every cell runs
+    // live and each bursty cell pays its own profiling pass. The default
+    // executor compiles the family once and walks the class once: the
+    // count-0 isolation cell is priced from that walk and the 12 bursty
+    // cells run live on its WCETs, profiling nothing. Bursty mixes are
+    // non-polluting, so a pass and a timed run stage alike and, with the
+    // timed C-phase reading contention through windows between burst
+    // edges, cost about the same: the passes no cell pays show as a ~2x
+    // gap. A polluting profile would deflate the ratio instead (its timed
+    // run also pays the pollution fills the pass never sees, dwarfing the
+    // pass). R=16 keeps the column M-phase-heavy: the M-pass costs the
+    // same in a profiling pass and a timed run, so the sweep's co-runner
+    // C-phase overhead does not drown the passes. The profiled/walked
+    // ratio is asserted hard at ≥1.5×, on top of the baseline total
+    // gating both entries.
+    let wcet_kernel = Bicg::new(256, 256);
+    let mut wcet_column: Vec<prem_harness::RunRequest<'_>> = Vec::new();
     for (pi, profile) in [
         CorunnerProfile::Bursty {
             duty: 0.5,
@@ -477,8 +477,8 @@ fn main() -> ExitCode {
             .into_iter()
             .skip(usize::from(pi > 0))
         {
-            memo_column.push(prem_harness::RunRequest {
-                kernel: &memo_kernel,
+            wcet_column.push(prem_harness::RunRequest {
+                kernel: &wcet_kernel,
                 platform: prem_harness::PlatformSpec::tx1(),
                 work: prem_core::RunWork::PremLlc { r: 16 },
                 t_bytes: 224 * prem_memsim::KIB,
@@ -491,47 +491,54 @@ fn main() -> ExitCode {
     // min-of-5 per side: the ratio gate needs tighter reps than the
     // replay column gate because its threshold sits closer to the
     // measured value.
-    const MEMO_REPS: usize = 5;
-    let mut cold_ms = f64::INFINITY;
-    for _ in 0..MEMO_REPS {
-        let exec = PlanExecutor::new().without_profile_memo();
+    const WCET_REPS: usize = 5;
+    let mut profiled_ms = f64::INFINITY;
+    for _ in 0..WCET_REPS {
+        let exec = PlanExecutor::new().without_replay();
         let t0 = Instant::now();
-        let cold_summary = exec.execute(&memo_column, 1);
-        cold_ms = cold_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+        let summary = exec.execute(&wcet_column, 1);
+        profiled_ms = profiled_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+        assert_eq!(
+            (summary.executed, summary.replayed),
+            (wcet_column.len(), 0),
+            "with replay off every cell runs live and profiles itself"
+        );
+    }
+    timed("exec:family-wcets|profiled 13-cell", profiled_ms);
+    let mut walked_ms = f64::INFINITY;
+    for _ in 0..WCET_REPS {
+        let exec = PlanExecutor::new();
+        let registry = prem_obs::Registry::new();
+        let t0 = Instant::now();
+        let summary = exec.execute_metered(&wcet_column, 1, &registry);
+        walked_ms = walked_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+        assert_eq!(
+            (summary.executed, summary.replayed, summary.families),
+            (wcet_column.len() - 1, 1, 1),
+            "one family prices the isolation cell and runs the bursty ones live"
+        );
+        let snap = registry.snapshot();
         assert_eq!(
             (
-                cold_summary.executed,
-                cold_summary.replayed,
-                cold_summary.profile_misses
+                snap.hist("plan.compile_ns").map(|h| h.count()),
+                snap.counter("plan.replay_walks")
             ),
-            (memo_column.len() - 1, 1, 0),
-            "memo-off column must profile per live cell and count nothing"
+            (Some(1), Some(1)),
+            "one compile and one walk give every live cell its WCETs"
         );
     }
-    timed("exec:profile-memo|cold 13-cell", cold_ms);
-    let mut warm_ms = f64::INFINITY;
-    for _ in 0..MEMO_REPS {
-        let exec = PlanExecutor::new();
-        let t0 = Instant::now();
-        let warm_summary = exec.execute(&memo_column, 1);
-        warm_ms = warm_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(
-            (warm_summary.profile_misses, warm_summary.profile_hits),
-            (1, memo_column.len() - 2),
-            "the scenario column's live cells share one profile key"
-        );
-    }
-    timed("exec:profile-memo|warm 13-cell", warm_ms);
-    let memo_speedup = cold_ms / warm_ms;
+    timed("exec:family-wcets|walked 13-cell", walked_ms);
+    let wcet_speedup = profiled_ms / walked_ms;
     eprintln!(
-        "[bench_matrix: profile-memo column {}-cell speedup {memo_speedup:.2}x \
-         (cold {cold_ms:.1} ms, warm {warm_ms:.1} ms)]",
-        memo_column.len()
+        "[bench_matrix: family-wcets column {}-cell speedup {wcet_speedup:.2}x \
+         (profiled {profiled_ms:.1} ms, walked {walked_ms:.1} ms)]",
+        wcet_column.len()
     );
     assert!(
-        memo_speedup >= PROFILE_MEMO_MIN_SPEEDUP,
-        "memoized profiling must be ≥{PROFILE_MEMO_MIN_SPEEDUP}x faster than per-cell \
-         profiling (got {memo_speedup:.2}x: cold {cold_ms:.1} ms, warm {warm_ms:.1} ms)"
+        wcet_speedup >= FAMILY_WCETS_MIN_SPEEDUP,
+        "WCETs from the family's walk must be ≥{FAMILY_WCETS_MIN_SPEEDUP}x faster than \
+         per-cell profiling (got {wcet_speedup:.2}x: profiled {profiled_ms:.1} ms, \
+         walked {walked_ms:.1} ms)"
     );
 
     let mut json = String::new();

@@ -7,7 +7,7 @@
 
 use std::path::Path;
 
-use prem_bench::{PROFILE_MEMO_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
+use prem_bench::{FAMILY_WCETS_MIN_SPEEDUP, REPLAY_COLUMN_MIN_SPEEDUP};
 
 const DOCS: [&str; 2] = ["EXPERIMENTS.md", "ARCHITECTURE.md"];
 
@@ -17,8 +17,8 @@ fn gates() -> [(&'static str, f64, &'static [&'static str]); 2] {
     [
         ("plan:replay|cold", REPLAY_COLUMN_MIN_SPEEDUP, &DOCS),
         (
-            "exec:profile-memo|cold",
-            PROFILE_MEMO_MIN_SPEEDUP,
+            "exec:family-wcets|profiled",
+            FAMILY_WCETS_MIN_SPEEDUP,
             &["ARCHITECTURE.md"],
         ),
     ]

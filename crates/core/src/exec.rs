@@ -237,21 +237,22 @@ pub fn run_prem(
     run_prem_traced(platform, intervals, cfg, scenario, None, &mut NullSink).map(|(run, _)| run)
 }
 
-/// The PREM executor: profiles the phases (or takes a memoized profile),
-/// then runs the budgeted schedule under `scenario`, returning the run
-/// and the `(m_wcet, c_wcet)` pair its budgets derive from — exactly what
-/// [`profile_phases`] reports, suitable for the plan layer's profile memo.
+/// The PREM executor: profiles the phases (or takes the WCETs it is
+/// given), then runs the budgeted schedule under `scenario`, returning the
+/// run and the `(m_wcet, c_wcet)` pair its budgets derive from — exactly
+/// what [`profile_phases`] reports.
 ///
-/// **Profile source.** `profiled` carries the `(m_wcet, c_wcet)` a
-/// previous [`profile_phases`] call returned for the *same* platform
-/// config, intervals, store/prefetch mode, seed and noise model.
+/// **Profile source.** `profiled` carries the `(m_wcet, c_wcet)` that
+/// [`profile_phases`] reports for the *same* platform config (up to the
+/// co-runner list), intervals, store/prefetch mode, seed and noise model.
 /// Profiling is deterministic in exactly those inputs (it resets and
 /// reseeds the platform on entry and runs isolated — no scenario
-/// dependence), so passing the memoized pair skips the pass entirely and
-/// the timed run — which cold-resets again before executing — is
-/// bit-identical to the unmemoized call. Passing stale values from any
-/// other request computes garbage budgets; the plan layer's `ProfileKey`
-/// is the guarded way in.
+/// dependence), so passing the pair skips the pass entirely and the timed
+/// run — which cold-resets again before executing — is bit-identical to
+/// the self-profiling call. The plan layer passes the WCETs of the run's
+/// isolated trajectory ([`CompiledRun::walk`](crate::CompiledRun::walk)),
+/// which equal the pass bit for bit; stale values from any other request
+/// compute garbage budgets.
 ///
 /// **Fused profiling.** When `profiled` is `None` and the scenario's
 /// co-runner mix has constant contention and no cache polluters, the
@@ -304,7 +305,7 @@ pub fn run_prem_traced<S: TraceSink>(
         Some(_) => None,
     };
     // Profiling pass: isolated execution to obtain per-phase WCETs —
-    // skipped when the caller supplies the memoized result, fused into
+    // skipped when the caller supplies the WCETs, fused into
     // the timed run when eligible.
     let profiled = match (profiled, fused_c_cont) {
         (Some(wcets), _) => Some(wcets),
@@ -330,7 +331,7 @@ pub fn run_prem_traced<S: TraceSink>(
     let mut noise_counter = 0u64;
     // Per-interval (M work, C work): the budget-violation diagnostic is
     // derived from these after the loop, once budgets are known in both
-    // the memoized and the fused mode.
+    // the given-WCET and the fused mode.
     let mut per_iv = Vec::with_capacity(intervals.len());
     // Observed WCETs (the fused mode's profiling result): per-interval
     // maxima accumulated in interval order, exactly as `profile_phases`
@@ -409,7 +410,7 @@ pub fn run_prem_traced<S: TraceSink>(
         interval_timings.push((m_t, c_t));
     }
 
-    // WCETs: memoized/inline-profiled values, or the fused walk's own
+    // WCETs: given or inline-profiled values, or the fused walk's own
     // observation — bit-identical by the trajectory-coincidence argument.
     let wcets = profiled.unwrap_or((m_wcet_obs, c_wcet_obs));
     let budgets = known_budgets.unwrap_or_else(|| cfg.budget.compute(wcets.0, wcets.1, msg_cycles));
@@ -554,10 +555,11 @@ fn baseline_windows(
 /// deterministic in (platform config, intervals, store/prefetch mode,
 /// `cfg.seed`, `cfg.noise`) and independent of the run scenario — it
 /// cold-resets and reseeds the platform on entry and measures in
-/// isolation, the paper's profiling discipline. That determinism is what
-/// makes the result memoizable: feed it back through [`run_prem_traced`]
-/// for any scenario sibling of the profiled request and the output is
-/// bit-identical to profiling inline.
+/// isolation, the paper's profiling discipline. Feed the result back
+/// through [`run_prem_traced`] for any scenario sibling of the profiled
+/// request and the output is bit-identical to profiling inline. It is the
+/// reference the WCETs of a compiled run's isolated walk are checked
+/// against.
 ///
 /// # Errors
 ///
@@ -758,10 +760,9 @@ impl Round {
 /// hit through [`Cache::credit_repeated_hits`]. A fixed repetition whose
 /// round missed nothing at all credits every remaining round whole.
 ///
-/// Callers uphold the gates: the footprint is staged into the LLC with
-/// no L1 in front (L1 churn would make rounds diverge), and no sink
-/// observes rounds after the first. The adaptive strategy stops on the
-/// miss count alone, which crediting preserves.
+/// Callers uphold the gates: the footprint is staged into the LLC, and no
+/// sink observes rounds after the first. The adaptive strategy stops on
+/// the miss count alone, which crediting preserves.
 pub(crate) fn prefetch_rounds<S: TraceSink>(
     llc: &mut Cache,
     footprint: Footprint<'_>,
@@ -919,8 +920,8 @@ fn event_round(
 
 /// One interval's M-phase under `store`, starting at schedule time
 /// `start`: [`prefetch_rounds`] when its gates hold, otherwise every
-/// round walked through the SM executor (SPM staging, an L1 in front of
-/// the LLC, or a sink that records every round).
+/// round walked through the SM executor (SPM staging, or a sink that
+/// records every round).
 fn run_m_phase<S: TraceSink>(
     platform: &mut Platform,
     iv: &IntervalSpec,
@@ -934,7 +935,7 @@ fn run_m_phase<S: TraceSink>(
         LocalStore::Llc { prefetch } => *prefetch,
         LocalStore::Spm { .. } => PrefetchStrategy::Repeated { r: 1 },
     };
-    if matches!(store, LocalStore::Llc { .. }) && !S::RECORDS && platform.mem.l1().is_none() {
+    if matches!(store, LocalStore::Llc { .. }) && !S::RECORDS {
         let cost = (
             platform.cost.prefetch_cost(true, m_cont),
             platform.cost.prefetch_cost(false, m_cont),

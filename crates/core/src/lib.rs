@@ -19,15 +19,15 @@
 //! * [`run_prem`] / [`run_baseline`] — the executors producing
 //!   [`Breakdown`]s, makespans and the **CPMR** predictability metric.
 //!   Each has one general form: [`run_prem_traced`] takes a trace sink
-//!   and an optional memoized profile and returns the `(m_wcet, c_wcet)`
+//!   and optional WCETs and returns the `(m_wcet, c_wcet)`
 //!   its budgets derive from; [`run_baseline_traced`] takes a sink.
 //!   [`profile_phases`] is the isolated profiling pass on its own.
 //! * [`analytic`] — the paper's coin-toss and good-way-capacity models for
 //!   cross-checking the simulator.
 //! * [`plan`] — the `RunRequest → run_prem / run_baseline` bridge the
 //!   run-plan layer (`prem-harness::plan`) executes live requests
-//!   through: one [`execute_run`], with an optional memoized profile,
-//!   plus [`profile_run`].
+//!   through: one [`execute_run`], with optional WCETs, plus
+//!   [`profile_run`].
 //! * [`whatif`] — replay-backed derivation of LLC policy, seed and
 //!   scenario family members from a stream compiled from the tiling
 //!   ([`CompiledRun`]): one walk per [`Trajectory`] class, priced per

@@ -37,9 +37,9 @@ pub enum RunWork {
     },
     /// LLC-PREM with adaptive prefetching: M-phase rounds repeat until one
     /// misses nothing, up to [`UNTIL_RESIDENT_MAX_ROUNDS`]
-    /// ([`PremConfig::llc_tamed`] with `UntilResident`). Never
-    /// replay-eligible: how many rounds run depends on the LLC policy and
-    /// seed.
+    /// ([`PremConfig::llc_tamed`] with `UntilResident`). How many rounds
+    /// run depends on the LLC policy and seed, so each walk of a compiled
+    /// run runs the strategy itself and records the rounds it used.
     PremLlcUntilResident,
     /// SPM-PREM, the HePREM-like state of the art ([`PremConfig::spm`]).
     PremSpm,
@@ -125,9 +125,9 @@ impl RunOutput {
 pub struct Executed {
     /// The run's output.
     pub output: RunOutput,
-    /// The `(m_wcet, c_wcet)` the run's budgets derive from — the memoized
-    /// pair when one was passed in, otherwise what [`profile_run`] would
-    /// report — and `None` for baseline work, which never profiles.
+    /// The `(m_wcet, c_wcet)` the run's budgets derive from — the pair
+    /// passed in, if any, otherwise what [`profile_run`] would report —
+    /// and `None` for baseline work, which never profiles.
     pub wcets: Option<(f64, f64)>,
 }
 
@@ -138,11 +138,12 @@ pub struct Executed {
 ///
 /// `platform_cfg` must already carry every per-request override (LLC
 /// policy, LLC seed, co-runner mix) — resolution is the plan layer's job;
-/// this bridge only executes. `profiled` is a memoized `(m_wcet, c_wcet)`
-/// from [`profile_run`] (for this request or any scenario sibling):
-/// `Some` skips the profiling pass, `None` profiles inline or fused into
-/// the timed run. The output is bit-identical either way; baseline work
-/// ignores it.
+/// this bridge only executes. `profiled` is the `(m_wcet, c_wcet)` that
+/// [`profile_run`] reports for this request or any scenario sibling — in
+/// the plan layer, the WCETs of the family's isolated walk of the
+/// request's trajectory class: `Some` skips the profiling pass, `None`
+/// profiles inline or fused into the timed run. The output is
+/// bit-identical either way; baseline work ignores it.
 ///
 /// # Errors
 ///
@@ -179,7 +180,8 @@ pub fn execute_run(
 }
 
 /// Runs only the isolated profiling pass of a request, returning its
-/// `(m_wcet, c_wcet)` — the memoizable half of [`execute_run`].
+/// `(m_wcet, c_wcet)` — the half of [`execute_run`] that a given pair
+/// replaces.
 ///
 /// Returns `Ok(None)` for [`RunWork::Baseline`] (the baseline never
 /// profiles). The result is valid for *every* scenario sibling of the
@@ -379,14 +381,16 @@ mod tests {
                 assert_eq!(memoized.output.encode(), plain.output.encode(), "{ctx}");
                 assert_eq!(bits(memoized.wcets), bits(plain.wcets), "{ctx}");
 
-                // Every fixed-stream mode under a fusable mix derives: one
+                // Every mode compiles, and its walk's WCETs are the
+                // profiling pass's; under a fusable mix it derives too: one
                 // compile, one walk and one price give the live run.
-                let eligible = crate::replay_eligible(cfg, work, scenario);
-                let adaptive = work == RunWork::PremLlcUntilResident;
-                assert_eq!(eligible, fusable && !adaptive, "{ctx}");
+                let compiled = CompiledRun::compile(cfg, &ivs, work, noise).unwrap();
+                let walked = compiled.walk(cfg, 7);
+                assert_eq!(bits(compiled.wcets(&walked)), bits(profiled), "{ctx}");
+                let eligible = crate::replay_eligible(cfg, scenario);
+                assert_eq!(eligible, fusable, "{ctx}");
                 if eligible {
-                    let compiled = CompiledRun::compile(cfg, &ivs, work, noise).unwrap();
-                    let derived = compiled.price(&compiled.walk(cfg, 7), cfg, 7, scenario);
+                    let derived = compiled.price(&walked, cfg, 7, scenario);
                     assert_eq!(derived.output.encode(), plain.output.encode(), "{ctx}");
                     assert_eq!(bits(derived.wcets), bits(plain.wcets), "{ctx}");
                 }

@@ -1,14 +1,14 @@
 //! Replay-backed what-if execution: compile a run's LLC input stream from
 //! its tiling, walk it once per trajectory class, price every member.
 //!
-//! PR 4 established the enabling property: under a fixed prefetch
-//! repetition the LLC's *input op sequence* does not depend on the LLC
-//! replacement policy or seed — those axes only change which accesses hit.
-//! It is a pure function of the intervals, the store mode and the noise
-//! model, so it never needs a live run. The plan layer exploits this as a
-//! **derivation relation**: replay-eligible requests that differ only in
-//! LLC policy, seed and contention scenario form a family, and every
-//! member's full [`RunOutput`] is derived in three steps:
+//! The enabling property: the LLC's *input op sequence* — up to how many
+//! times an adaptive M-phase repeats its staging pass — does not depend
+//! on the LLC replacement policy or seed; those axes only change which
+//! accesses hit. It is a pure function of the intervals, the store mode
+//! and the noise model, so it never needs a live run. The plan layer
+//! exploits this as a **derivation relation**: requests that differ only
+//! in LLC policy, seed and contention scenario form a family, and every
+//! replay-eligible member's full [`RunOutput`] is derived in three steps:
 //!
 //! * **compile** ([`CompiledRun::compile`]) — once per family, straight
 //!   from the tiling: each interval's M-phase footprint (LLC-PREM) and its
@@ -19,20 +19,24 @@
 //!   entry, and the scratchpad checks (capacity, unstaged compute access)
 //!   run here, refusing a broken tiling with the live run's [`ExecError`];
 //! * **walk** ([`CompiledRun::walk`]) — the compiled stream is fed to a
-//!   mirror cache carrying a member's policy/seed. The result is a
+//!   mirror cache carrying a member's policy/seed, staging each footprint
+//!   under the run's own prefetch strategy. The result is a
 //!   [`Trajectory`]: per-interval M-phase work, one hit bit per compiled
 //!   C-phase or baseline access, each interval's C-phase cycles and DRAM
-//!   fills at isolated contention, the `CacheStats` and the prefetch
-//!   counts. It depends only on the LLC policy and, for a policy that
-//!   draws from the RNG, the seed;
+//!   fills at isolated contention, the `CacheStats`, the prefetch counts
+//!   and the rounds staging used. It depends only on the LLC policy and,
+//!   for a policy that draws from the RNG, the seed. Its isolated phase
+//!   maxima are the class's WCETs ([`CompiledRun::wcets`]), which the
+//!   plan layer also hands to the members it cannot price;
 //! * **price** ([`CompiledRun::price`]) — pure arithmetic: a member's
 //!   output is rebuilt from a trajectory under the member's own constant
 //!   contention and bus-ledger contention; an isolated member reuses the
 //!   isolated sums, any other re-adds the hit bits under its own costs.
 //!
 //! [`CompiledRun::replay_for`] is one walk plus one price; the plan layer
-//! compiles each family once, walks each of its trajectory classes once
-//! and prices every member of the class from it.
+//! compiles each family once, walks each of its trajectory classes once,
+//! prices every priceable member of the class from it and runs the others
+//! live on its WCETs.
 //!
 //! ## Why derived outputs are bit-identical to live ones
 //!
@@ -69,13 +73,11 @@
 //! * **Bus ledger** — each member accounts its C-phase slots against its
 //!   own scenario's mean contention.
 //!
-//! Eligibility ([`replay_eligible`]) is exactly the set of runs where the
-//! op-sequence invariance holds: PREM with a fixed staging pass (LLC with
-//! a fixed repetition, or SPM) and baseline work (adaptive prefetching
-//! stops after a policy/seed-dependent number of rounds), no L1, and a
-//! co-runner mix whose contention is constant and which never pollutes
-//! the LLC (pollution volume depends on budgets, which depend on
-//! policy/seed, and pollution would change the trajectory itself).
+//! Every work mode compiles: fixed and adaptive LLC staging, SPM and the
+//! baseline. Pricing ([`replay_eligible`]) depends on the co-runner mix
+//! alone: its contention must be constant and it must never pollute the
+//! LLC (pollution volume depends on budgets, which depend on policy/seed,
+//! and pollution would change the trajectory itself).
 
 use std::ops::Range;
 
@@ -96,27 +98,15 @@ use crate::metrics::Breakdown;
 use crate::plan::{Executed, RunOutput, RunWork};
 use crate::sync::PhaseTiming;
 
-/// Whether a run is replay-derivable across the LLC policy, seed and
-/// scenario axes.
+/// Whether a run on `cfg` under `scenario` can be priced from its
+/// trajectory class's walk ([`CompiledRun::price`]), whatever its work.
 ///
-/// True exactly when the LLC's input op sequence and its trajectory are
-/// invariant in those axes up to what the trajectory records: PREM with a
-/// fixed staging pass (LLC with a fixed repetition, or SPM) or baseline
-/// work, no L1 in front of the LLC, and a co-runner mix under `scenario`
-/// that is time-invariant (constant contention, so pricing is per-op
-/// arithmetic) and never pollutes the LLC (so contention changes what a
-/// miss costs, never which accesses miss). Every eligible scenario of a
-/// request derives from the same compiled stream.
-pub fn replay_eligible(cfg: &PlatformConfig, work: RunWork, scenario: Scenario) -> bool {
-    if cfg.l1.is_some() {
-        return false;
-    }
-    match work {
-        RunWork::PremLlc { .. } | RunWork::PremSpm | RunWork::Baseline => {}
-        // Adaptive round counts depend on which prefetches hit, i.e. on
-        // the policy and seed.
-        RunWork::PremLlcUntilResident => return false,
-    }
+/// True exactly when the co-runner mix `scenario` activates is
+/// time-invariant (constant contention, so pricing is per-op arithmetic)
+/// and never pollutes the LLC (so contention changes what a miss costs,
+/// never which accesses miss). Every such scenario of a request derives
+/// from the same compiled stream.
+pub fn replay_eligible(cfg: &PlatformConfig, scenario: Scenario) -> bool {
     // Static/polluter properties are seed-independent, so probe with 0.
     let engine = InterferenceEngine::new(cfg.cpu.active_corunners(scenario), 0);
     engine.static_contention().is_some() && !engine.has_polluters()
@@ -228,6 +218,8 @@ pub struct Trajectory {
     prefetch_misses: u64,
     /// Prefetches the walk simulated; the other ones it credited as hits.
     prefetch_walked: u64,
+    /// The most M-phase staging rounds any interval used (PREM only).
+    max_rounds_used: u32,
 }
 
 impl Trajectory {
@@ -358,15 +350,16 @@ pub struct CompiledRun {
     segments: Vec<(Range<usize>, Range<usize>)>,
     /// Per interval: whether its footprint lists no line twice, which
     /// lets hit-oblivious classes take the event loop (checked only for
-    /// LLC-PREM with more than one round; `false` elsewhere).
+    /// LLC-PREM that may stage more than one round; `false` elsewhere).
     distinct: Vec<bool>,
     /// Cache accesses among `entries`: the hit bits a walk records.
     accesses: usize,
     /// SPM-PREM: per-interval M-phase work. The token-held copy loop
     /// never touches the LLC, so every member shares it.
     spm_m_work: Vec<f64>,
-    /// M-phase staging passes per interval (PREM only).
-    rounds: u32,
+    /// LLC-PREM's staging strategy, which every walk runs (fixed or
+    /// adaptive); unused for SPM and baseline work.
+    prefetch: PrefetchStrategy,
     msg_cycles: f64,
     switch_cycles: f64,
     budget: BudgetPolicy,
@@ -397,21 +390,12 @@ impl CompiledRun {
     /// [`ExecError::Spm`] exactly where a live run of the request fails:
     /// the first interval whose staging overflows the scratchpad or whose
     /// compute phase touches a line it never staged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `work` on `cfg` is not replay-eligible under any
-    /// scenario (adaptive prefetching, or an L1 in front of the LLC).
     pub fn compile(
         cfg: &PlatformConfig,
         intervals: &[IntervalSpec],
         work: RunWork,
         noise: NoiseModel,
     ) -> Result<Self, ExecError> {
-        assert!(
-            replay_eligible(cfg, work, Scenario::Isolation),
-            "compile: {work:?} is not replay-eligible"
-        );
         // The seed steers only the cache, never the stream.
         let prem = work.prem_config(0, noise);
         let store = prem.as_ref().map(|p| &p.store);
@@ -440,10 +424,9 @@ impl CompiledRun {
             entries.reserve_exact(len);
         }
         let mut segments = Vec::with_capacity(intervals.len());
-        let rounds = match store {
-            Some(LocalStore::Llc { prefetch }) => prefetch.max_rounds(),
-            Some(LocalStore::Spm { .. }) => 1,
-            None => 0,
+        let prefetch = match store {
+            Some(LocalStore::Llc { prefetch }) => *prefetch,
+            _ => PrefetchStrategy::Repeated { r: 1 },
         };
         let mut distinct = Vec::with_capacity(intervals.len());
         let mut seen = LineSet::default();
@@ -490,7 +473,9 @@ impl CompiledRun {
             if let Some(e) = fault {
                 return Err(e.into());
             }
-            distinct.push(rounds > 1 && repeats_no_line(&footprints[m_start..], &mut seen));
+            distinct.push(
+                prefetch.max_rounds() > 1 && repeats_no_line(&footprints[m_start..], &mut seen),
+            );
             segments.push((m_start..footprints.len(), c_start..entries.len()));
         }
         // The stream lives on through every walk: return an SPM stream's
@@ -505,7 +490,7 @@ impl CompiledRun {
             distinct,
             accesses,
             spm_m_work,
-            rounds,
+            prefetch,
             msg_cycles: cfg.us_to_cycles(cfg.cpu.sync.msg_us),
             switch_cycles: cfg.us_to_cycles(cfg.cpu.sync.switch_cost_us()),
             budget: prem.map_or_else(BudgetPolicy::fair, |p| p.budget),
@@ -514,9 +499,10 @@ impl CompiledRun {
 
     /// Walks the compiled stream through a mirror cache under the LLC
     /// policy of `cfg`, reseeded with run seed `seed` exactly as the live
-    /// run reseeds after the cold build, and prices each C-phase at
-    /// isolated contention on the way. The result serves every member of
-    /// that trajectory class, whatever its scenario.
+    /// run reseeds after the cold build, staging each footprint under the
+    /// run's own prefetch strategy, and prices each C-phase at isolated
+    /// contention on the way. The result serves every member of that
+    /// trajectory class, whatever its scenario.
     ///
     /// # Panics
     ///
@@ -539,6 +525,7 @@ impl CompiledRun {
             prefetch_hits: 0,
             prefetch_misses: 0,
             prefetch_walked: 0,
+            max_rounds_used: 0,
         };
         let c_phase = if self.work == RunWork::Baseline {
             Phase::Unphased
@@ -553,10 +540,10 @@ impl CompiledRun {
             cost.prefetch_cost(false, m_cont),
         );
         // The live executor's round helper runs the compiled staging pass
-        // for `rounds` rounds over the mirror, so repeats hit or miss per
-        // *this* class's trajectory and are credited exactly where a live
-        // run of the class credits them.
-        let strategy = PrefetchStrategy::Repeated { r: self.rounds };
+        // under the run's strategy over the mirror, so repeats hit or miss
+        // per *this* class's trajectory, an adaptive pass stops where a
+        // live run of the class stops, and credit lands exactly where the
+        // live run credits.
         let mut rounds = Rounds::new(&llc);
         for (i, (m_range, c_range)) in self.segments.iter().enumerate() {
             match self.work {
@@ -565,6 +552,8 @@ impl CompiledRun {
                 RunWork::PremSpm => {
                     llc.begin_interval();
                     trajectory.m_work.push(self.spm_m_work[i]);
+                    // The copy loop is one pass.
+                    trajectory.max_rounds_used = 1;
                 }
                 RunWork::PremLlc { .. } | RunWork::PremLlcUntilResident => {
                     llc.begin_interval();
@@ -575,7 +564,7 @@ impl CompiledRun {
                     let m = prefetch_rounds(
                         &mut llc,
                         footprint,
-                        strategy,
+                        self.prefetch,
                         pf_cost,
                         0.0,
                         &mut rounds,
@@ -585,6 +574,7 @@ impl CompiledRun {
                     trajectory.prefetch_hits += m.hits;
                     trajectory.prefetch_misses += m.misses;
                     trajectory.prefetch_walked += m.walked;
+                    trajectory.max_rounds_used = trajectory.max_rounds_used.max(m.rounds);
                 }
             }
             let (c_iso, c_dram) =
@@ -598,6 +588,26 @@ impl CompiledRun {
         }
         trajectory.llc = llc.stats().clone();
         trajectory
+    }
+
+    /// The `(m_wcet, c_wcet)` of `trajectory`'s class — each phase's
+    /// largest isolated per-interval work, folded in interval order as
+    /// [`profile_phases`](crate::profile_phases) folds it, so bit-equal to
+    /// what [`profile_run`](crate::profile_run) reports for any member of
+    /// the class — or `None` for baseline work, which never profiles.
+    /// These are the WCETs a member's budgets derive from, priced or run
+    /// live.
+    pub fn wcets(&self, trajectory: &Trajectory) -> Option<(f64, f64)> {
+        if self.work == RunWork::Baseline {
+            return None;
+        }
+        let mut m_wcet = 0.0f64;
+        let mut c_wcet = 0.0f64;
+        for (&m_work, &c_iso) in trajectory.m_work.iter().zip(&trajectory.c_iso) {
+            m_wcet = m_wcet.max(m_work);
+            c_wcet = c_wcet.max(c_iso);
+        }
+        Some((m_wcet, c_wcet))
     }
 
     /// Prices `trajectory` as the member resolving to `cfg` with run seed
@@ -626,7 +636,7 @@ impl CompiledRun {
     ) -> Executed {
         self.check_config(cfg);
         assert!(
-            replay_eligible(cfg, self.work, scenario),
+            replay_eligible(cfg, scenario),
             "price: the member's scenario is not replay-eligible"
         );
         assert!(
@@ -678,12 +688,7 @@ impl CompiledRun {
             };
         }
 
-        let mut m_wcet = 0.0f64;
-        let mut c_wcet = 0.0f64;
-        for (&m_work, &c_iso) in trajectory.m_work.iter().zip(&trajectory.c_iso) {
-            m_wcet = m_wcet.max(m_work);
-            c_wcet = c_wcet.max(c_iso);
-        }
+        let (m_wcet, c_wcet) = self.wcets(trajectory).expect("PREM work profiles");
         let budgets = self.budget.compute(m_wcet, c_wcet, self.msg_cycles);
 
         let mut breakdown = Breakdown::default();
@@ -725,9 +730,7 @@ impl CompiledRun {
                 cpmr,
                 prefetch_hits: trajectory.prefetch_hits,
                 prefetch_misses: trajectory.prefetch_misses,
-                // Fixed staging uses every pass in every interval (a
-                // zero-interval run uses none).
-                max_rounds_used: if n_intervals == 0 { 0 } else { self.rounds },
+                max_rounds_used: trajectory.max_rounds_used,
                 budget_violation_cycles: budget_violation,
                 interval_timings,
                 bus,
@@ -895,6 +898,7 @@ mod tests {
             RunWork::PremLlc { r: 1 },
             RunWork::PremLlc { r: 2 },
             RunWork::PremLlc { r: 8 },
+            RunWork::PremLlcUntilResident,
             RunWork::PremSpm,
             RunWork::Baseline,
         ];
@@ -928,6 +932,7 @@ mod tests {
                              seed {seed} diverged from live"
                         );
                         assert_eq!(priced.wcets, profiled, "{toy} {work:?}/{name} wcets");
+                        assert_eq!(compiled.wcets(&trajectory), profiled, "{toy} {work:?}");
                         if name == "interference" {
                             assert_eq!(compiled.replay_for(&member, seed, scenario), live);
                         }
@@ -1156,7 +1161,6 @@ mod tests {
         }
         let baseline = CompiledRun::compile(&cfg, &ivs, RunWork::Baseline, noise).unwrap();
         assert!(baseline.footprints.is_empty() && baseline.spm_m_work.is_empty());
-        assert_eq!(baseline.rounds, 0);
     }
 
     #[test]
@@ -1189,44 +1193,25 @@ mod tests {
     #[test]
     fn eligibility_rules() {
         let cfg = PlatformConfig::tx1();
-        let llc = RunWork::PremLlc { r: 8 };
-        assert!(replay_eligible(&cfg, llc, Scenario::Isolation));
-        assert!(replay_eligible(&cfg, llc, Scenario::Interference));
-        assert!(replay_eligible(
-            &cfg,
-            RunWork::Baseline,
-            Scenario::Interference
-        ));
-        // SPM staging is a fixed, LLC-free pass.
-        assert!(replay_eligible(
-            &cfg,
-            RunWork::PremSpm,
-            Scenario::Interference
-        ));
-        // Adaptive round counts follow the policy/seed.
-        assert!(!replay_eligible(
-            &cfg,
-            RunWork::PremLlcUntilResident,
-            Scenario::Isolation
-        ));
+        assert!(replay_eligible(&cfg, Scenario::Isolation));
+        assert!(replay_eligible(&cfg, Scenario::Interference));
+        let bombs = cfg
+            .clone()
+            .with_corunners(vec![CorunnerProfile::Membomb; 2]);
+        assert!(replay_eligible(&bombs, Scenario::Corunners));
         // Pollution volume depends on budgets, budgets on policy/seed.
         let thrash = cfg
             .clone()
             .with_corunners(vec![CorunnerProfile::CacheThrash]);
-        assert!(!replay_eligible(&thrash, llc, Scenario::Corunners));
-        assert!(!replay_eligible(
-            &thrash,
-            RunWork::PremSpm,
-            Scenario::Corunners
-        ));
+        assert!(!replay_eligible(&thrash, Scenario::Corunners));
         // Time-varying demand breaks the constant-contention fast path.
         let bursty = cfg.clone().with_corunners(vec![CorunnerProfile::Bursty {
             duty: 0.5,
             period_cycles: 10_000.0,
         }]);
-        assert!(!replay_eligible(&bursty, llc, Scenario::Corunners));
+        assert!(!replay_eligible(&bursty, Scenario::Corunners));
         // The same mixes are eligible when the scenario never activates them.
-        assert!(replay_eligible(&thrash, llc, Scenario::Isolation));
+        assert!(replay_eligible(&thrash, Scenario::Isolation));
     }
 
     /// A compiled toy kernel and the member config carrying `corunners`,
@@ -1277,16 +1262,5 @@ mod tests {
         // Same derivation axes, different geometry: must be refused.
         let foreign = PlatformConfig::generic(64, 4, 64);
         compiled.walk(&foreign, 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "not replay-eligible")]
-    fn compile_rejects_adaptive_work() {
-        let _ = CompiledRun::compile(
-            &PlatformConfig::tx1(),
-            &converging_intervals(),
-            RunWork::PremLlcUntilResident,
-            NoiseModel::off(),
-        );
     }
 }

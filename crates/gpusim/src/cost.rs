@@ -16,8 +16,6 @@ pub struct CostModel {
     pub alu_cpi: f64,
     /// Issue cost of any memory instruction.
     pub issue_cycles: f64,
-    /// L1 hit latency.
-    pub l1_hit_cycles: f64,
     /// LLC hit latency.
     pub llc_hit_cycles: f64,
     /// Scratchpad access latency.
@@ -43,7 +41,6 @@ impl CostModel {
         CostModel {
             alu_cpi: 0.5,
             issue_cycles: 2.0,
-            l1_hit_cycles: 28.0,
             llc_hit_cycles: 220.0,
             spm_cycles: 30.0,
             mlp: 32.0,
@@ -81,7 +78,6 @@ impl CostModel {
     /// Cost of one demand access served at `level` under `contention`.
     pub fn access_cost(&self, level: HitLevel, contention: Contention) -> f64 {
         match level {
-            HitLevel::L1 => self.issue_cycles + self.l1_hit_cycles / self.mlp,
             HitLevel::Llc => self.issue_cycles + self.llc_hit_cycles / self.mlp,
             HitLevel::Spm => self.issue_cycles + self.spm_cycles / self.mlp,
             HitLevel::Dram => self.dram_line_cost(contention) + self.issue_cycles,
@@ -127,10 +123,9 @@ mod tests {
         let m = CostModel::tx1();
         let c = Contention::Isolated;
         let spm = m.access_cost(HitLevel::Spm, c);
-        let l1 = m.access_cost(HitLevel::L1, c);
         let llc = m.access_cost(HitLevel::Llc, c);
         let dram = m.access_cost(HitLevel::Dram, c);
-        assert!(spm < llc && l1 < llc && llc < dram);
+        assert!(spm < llc && llc < dram);
     }
 
     #[test]

@@ -10,8 +10,6 @@ use crate::cpu::CpuConfig;
 pub struct PlatformConfig {
     /// LLC geometry and policy.
     pub llc: CacheConfig,
-    /// Optional L1 in front of the LLC.
-    pub l1: Option<CacheConfig>,
     /// Scratchpad geometry.
     pub spm: SpmConfig,
     /// Execution cost model.
@@ -25,14 +23,13 @@ pub struct PlatformConfig {
 impl PlatformConfig {
     /// The NVIDIA Jetson TX1-like platform the paper evaluates on:
     /// 256 KiB 4-way LLC with biased-random replacement, 2 × 48 KiB SPM,
-    /// shared LPDDR4, 1 GHz GPU clock. No L1 (GPU global loads on Maxwell
-    /// bypass L1 by default).
+    /// shared LPDDR4, 1 GHz GPU clock. The GPU L1 is not modeled: global
+    /// loads on Maxwell bypass it by default.
     pub fn tx1() -> Self {
         PlatformConfig {
             llc: CacheConfig::new(256 * KIB, 4, 128)
                 .policy(Policy::nvidia_tegra())
                 .index_hash(true),
-            l1: None,
             spm: SpmConfig::tx1(),
             cost: CostModel::tx1(),
             cpu: CpuConfig::tx1(),
@@ -50,7 +47,6 @@ impl PlatformConfig {
             llc: CacheConfig::new(512 * KIB, 8, 128)
                 .policy(Policy::nvidia_like(8))
                 .index_hash(true),
-            l1: None,
             spm: SpmConfig::tx2(),
             cost: CostModel::tx2(),
             cpu: CpuConfig::tx1(),
@@ -67,7 +63,6 @@ impl PlatformConfig {
             llc: CacheConfig::new(512 * KIB, 16, 128)
                 .policy(Policy::nvidia_like(16))
                 .index_hash(true),
-            l1: None,
             spm: SpmConfig::xavier_like(),
             cost: CostModel::xavier_like(),
             cpu: CpuConfig::tx1(),
@@ -86,7 +81,6 @@ impl PlatformConfig {
             llc: CacheConfig::new(llc_kib * KIB, ways, 128)
                 .policy(Policy::nvidia_like(ways))
                 .index_hash(true),
-            l1: None,
             spm: SpmConfig::new(spm_kib * KIB, 128),
             cost: CostModel::tx1(),
             cpu: CpuConfig::tx1(),
@@ -131,10 +125,7 @@ impl PlatformConfig {
 
     /// Builds the runnable platform.
     pub fn build(&self) -> Platform {
-        let mut mem = MemSystem::new(Cache::new(self.llc.clone()), Spm::new(self.spm.clone()));
-        if let Some(l1) = &self.l1 {
-            mem = mem.with_l1(Cache::new(l1.clone()));
-        }
+        let mem = MemSystem::new(Cache::new(self.llc.clone()), Spm::new(self.spm.clone()));
         Platform {
             mem,
             cost: self.cost.clone(),

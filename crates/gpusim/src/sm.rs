@@ -45,8 +45,6 @@ impl From<SpmError> for ExecError {
 /// Per-level access counters observed while running one stream.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LevelCounts {
-    /// Accesses served by L1.
-    pub l1: u64,
     /// Accesses served by the LLC.
     pub llc: u64,
     /// Accesses served by the scratchpad.
@@ -58,7 +56,7 @@ pub struct LevelCounts {
 impl LevelCounts {
     /// Total accesses.
     pub fn total(&self) -> u64 {
-        self.l1 + self.llc + self.spm + self.dram
+        self.llc + self.spm + self.dram
     }
 }
 
@@ -79,7 +77,6 @@ impl RunOutcome {
     /// Accumulates another outcome (e.g. across intervals).
     pub fn merge(&mut self, other: &RunOutcome) {
         self.cycles += other.cycles;
-        self.levels.l1 += other.levels.l1;
         self.levels.llc += other.levels.llc;
         self.levels.spm += other.levels.spm;
         self.levels.dram += other.levels.dram;
@@ -97,7 +94,6 @@ impl RunOutcome {
 /// hot loop, where they otherwise execute once per access.
 #[derive(Copy, Clone, Debug)]
 struct CostTable {
-    l1: f64,
     llc: f64,
     spm: f64,
     dram: f64,
@@ -110,7 +106,6 @@ struct CostTable {
 impl CostTable {
     fn new(cost: &CostModel, contention: Contention) -> Self {
         CostTable {
-            l1: cost.access_cost(HitLevel::L1, contention),
             llc: cost.access_cost(HitLevel::Llc, contention),
             spm: cost.access_cost(HitLevel::Spm, contention),
             dram: cost.access_cost(HitLevel::Dram, contention),
@@ -144,7 +139,6 @@ impl Coster for ConstCoster {
     #[inline]
     fn access(&mut self, level: HitLevel, _elapsed: f64) -> f64 {
         match level {
-            HitLevel::L1 => self.t.l1,
             HitLevel::Llc => self.t.llc,
             HitLevel::Spm => self.t.spm,
             HitLevel::Dram => self.t.dram,
@@ -480,7 +474,6 @@ impl<'a> SmExecutor<'a> {
 
     fn count(&self, out: &mut RunOutcome, level: HitLevel) {
         match level {
-            HitLevel::L1 => out.levels.l1 += 1,
             HitLevel::Llc => out.levels.llc += 1,
             HitLevel::Spm => out.levels.spm += 1,
             HitLevel::Dram => out.levels.dram += 1,

@@ -23,29 +23,29 @@
 //!   runs load-balances across workers instead of serializing behind the
 //!   largest figure;
 //! * **derives** every replay-eligible request instead of executing it:
-//!   the eligible frontier partitions into *derivation families* (equal
-//!   [`RunRequest::base_key`] — every coordinate but the LLC policy, seed
+//!   the frontier partitions into *derivation families* (equal
+//!   [`RunRequest::base_key`]: every coordinate but the LLC policy, seed
 //!   and scenario; a family of one included), each family compiles its
 //!   LLC input stream from the tiling once ([`CompiledRun::compile`]),
-//!   each trajectory class of the family (the LLC policy, plus the seed
-//!   when the policy draws from the RNG) walks it once, and every member
-//!   is priced from its class's trajectory under its own contention;
-//!   bit-identical to live execution by contract, proven by the
-//!   plan-replay equivalence suite (`crates/harness/tests/plan_replay.rs`).
-//!   Only ineligible requests (adaptive prefetching, time-varying or
-//!   polluting co-runner mixes) execute live;
+//!   each trajectory class its members need (the LLC policy, plus the
+//!   seed when the policy draws from the RNG) walks it once, and every
+//!   member whose co-runner mix can be priced is priced from its class's
+//!   trajectory under its own contention; bit-identical to live execution
+//!   by contract, proven by the plan-replay equivalence suite
+//!   (`crates/harness/tests/plan_replay.rs`). The other members
+//!   (time-varying or polluting co-runner mixes) execute live on their
+//!   class's WCETs ([`CompiledRun::wcets`]), so no run profiles itself;
 //! * **caches** outputs in a sharded in-memory map addressed by the full
 //!   canonical key (the fingerprint selects the shard; the key string
 //!   guarantees distinct requests can never alias a cache slot).
 //!
 //! Every simulator execution in this module is a pool unit of a plan (a
-//! lazy [`RunSource::output`] miss is a one-request plan). A live unit's
-//! profile-memo cell (one per [`RunRequest::profile_key`]) either supplies
-//! a memoized `(m_wcet, c_wcet)` or is backfilled with the pair the run
-//! reports, and the request tiles, resolves and runs through the core
-//! bridge [`prem_core::execute_run`]. The public `RunRequest::execute*`
-//! methods are one-line forms of that path with a fixed profile source
-//! and no memo.
+//! lazy [`RunSource::output`] miss is a one-request plan). A live run
+//! tiles, resolves and runs through the core bridge
+//! [`prem_core::execute_run`]: inside a family with its class's WCETs,
+//! with replay off (the reference path) profiling itself. The public
+//! `RunRequest::execute*` methods are one-line forms of that path with a
+//! fixed profile source.
 //!
 //! Dedup is sound because execution is deterministic in the request: a
 //! [`RunRequest`] resolves to a freshly built platform seeded from its own
@@ -61,12 +61,11 @@
 //! experiment tweak (the platform-config digest lives in every canonical
 //! key) re-executes exactly the invalidated frontier.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use prem_core::{
@@ -179,46 +178,16 @@ impl RunRequest<'_> {
     /// scenario — wildcarded. Requests sharing a base key agree on every
     /// other coordinate (kernel, platform template digest, work, T,
     /// noise), so their resolved platforms differ at most in LLC policy,
-    /// seed and co-runner list, and any replay-eligible one of them can
-    /// derive the other eligible ones (see [`RunRequest::replay_eligible`]):
-    /// the M-phase runs token-held and an eligible mix never pollutes the
-    /// LLC, so the scenario changes what a C-phase miss costs, never which
-    /// accesses miss. Distinct base keys never share a family; equal base
-    /// keys with unequal keys are siblings.
+    /// seed and co-runner list, and one compiled stream serves them all: a
+    /// member whose mix can be priced ([`RunRequest::replay_eligible`]) is
+    /// priced from its trajectory class's walk — the M-phase runs
+    /// token-held and such a mix never pollutes the LLC, so the scenario
+    /// changes what a C-phase miss costs, never which accesses miss — and
+    /// any other member runs live on that walk's WCETs. Distinct base keys
+    /// never share a family; equal base keys with unequal keys are
+    /// siblings.
     pub fn base_key(&self) -> String {
         self.key_slots(self.platform_digest(), "*", "*", "*")
-    }
-
-    /// The **profile key**: [`RunRequest::key`] with exactly the scenario
-    /// slot wildcarded, or `None` for baseline work (the baseline never
-    /// profiles). The profiling pass runs isolated — no co-runner mix is
-    /// ever activated ([`prem_core::profile_phases`]) — so its
-    /// `(m_wcet, c_wcet)` is shared by every scenario sibling of a
-    /// request. Every *other* coordinate stays in the key: policy and seed
-    /// steer the profiled cache trajectory, and the noise model is
-    /// injected into the profiled C stream, so none of them may be
-    /// wildcarded (the profile-memo proptest pins this boundary).
-    pub fn profile_key(&self) -> Option<String> {
-        self.profile_key_in(self.platform_digest())
-    }
-
-    /// [`RunRequest::profile_key`] given the request's
-    /// [`RunRequest::platform_digest`] — which every member of a
-    /// derivation family shares (it is part of the base key), so the
-    /// executor digests the template once per family, not once per
-    /// member. A digest Debug-formats the whole platform config; paid
-    /// per derived member, it cut `bench_matrix`'s what-if column
-    /// live/replay ratio from ~1.55x to ~1.38x.
-    fn profile_key_in(&self, digest: u64) -> Option<String> {
-        if matches!(self.work, RunWork::Baseline) {
-            return None;
-        }
-        let policy = self
-            .platform
-            .policy
-            .map(|p| p.name())
-            .unwrap_or("template-policy");
-        Some(self.key_slots(digest, policy, &self.seed.to_string(), "*"))
     }
 
     /// The digest of the platform template's full configuration that
@@ -229,8 +198,8 @@ impl RunRequest<'_> {
     }
 
     /// The canonical key skeleton with every wildcardable slot explicit —
-    /// the single format string behind [`RunRequest::key`],
-    /// [`RunRequest::base_key`] and [`RunRequest::profile_key`].
+    /// the single format string behind [`RunRequest::key`] and
+    /// [`RunRequest::base_key`].
     fn key_slots(&self, digest: u64, policy: &str, seed: &str, scenario: &str) -> String {
         format!(
             "{}({})|{}#{:016x}|{}|{}|{}|t{}|s{}|n{}x{}",
@@ -285,10 +254,10 @@ impl RunRequest<'_> {
         self.run(None).output
     }
 
-    /// [`RunRequest::execute`] with an optional memoized profiling result
-    /// from [`RunRequest::profile`] (for this request or any request
-    /// sharing its [`RunRequest::profile_key`]): `Some` skips the
-    /// profiling pass; the output is bit-identical either way.
+    /// [`RunRequest::execute`] with an optional profiling result from
+    /// [`RunRequest::profile`] (for this request or any request equal to it
+    /// up to the scenario): `Some` skips the profiling pass; the output is
+    /// bit-identical either way.
     ///
     /// # Panics
     ///
@@ -299,9 +268,10 @@ impl RunRequest<'_> {
 
     /// Runs only the isolated profiling pass, returning its
     /// `(m_wcet, c_wcet)` — `None` for baseline work. The result is valid
-    /// for every request sharing this request's
-    /// [`RunRequest::profile_key`] and is what the plan layer's profile
-    /// memo stores.
+    /// for every request equal to this one up to the scenario, and equals
+    /// the WCETs of the request's trajectory class walk
+    /// ([`CompiledRun::wcets`]), which the plan layer hands its live
+    /// family members instead.
     ///
     /// # Panics
     ///
@@ -319,9 +289,9 @@ impl RunRequest<'_> {
 
     /// [`RunRequest::execute`] additionally reporting the
     /// `(m_wcet, c_wcet)` the run's budgets derive from (`None` for
-    /// baseline work) — the value to backfill a profile memo with. For
-    /// constant-contention unpolluted mixes the profiling pass is fused
-    /// into the timed run, so a memo miss costs one walk, not two.
+    /// baseline work). For constant-contention unpolluted mixes the
+    /// profiling pass is fused into the timed run, so self-profiling costs
+    /// one walk, not two.
     ///
     /// # Panics
     ///
@@ -377,26 +347,20 @@ impl RunRequest<'_> {
             .unwrap_or_else(|e| panic!("{}: {e}", self.kernel.name()))
     }
 
-    /// Whether this request may participate in a derivation family: its
-    /// resolved run satisfies [`prem_core::replay_eligible`], i.e. the LLC
-    /// input sequence is invariant in the LLC policy/seed axes and its
-    /// co-runner mix has constant contention and never pollutes the LLC,
-    /// so it can be priced from any eligible scenario sibling's trajectory.
+    /// Whether this request's output can be priced from its derivation
+    /// family's walk: its co-runner mix satisfies
+    /// [`prem_core::replay_eligible`] — constant contention, no LLC
+    /// pollution — whatever its work.
     pub fn replay_eligible(&self) -> bool {
-        prem_core::replay_eligible(
-            &self.resolved_platform(),
-            self.work,
-            self.resolved_scenario(),
-        )
+        prem_core::replay_eligible(&self.resolved_platform(), self.resolved_scenario())
     }
 
     /// Compiles this request's family stream ([`CompiledRun::compile`])
-    /// from its tiling: every replay-eligible request with the same
+    /// from its tiling: every request with the same
     /// [`RunRequest::base_key`] — different LLC policy, seed or scenario —
-    /// derives its output from it via [`RunRequest::replay_from`].
-    /// Panics as [`RunRequest::execute`] does (a compiled SPM tiling
-    /// refuses exactly what a live run does), and when the request's work
-    /// is never replay-eligible.
+    /// walks it, and every replay-eligible one derives its output from it
+    /// via [`RunRequest::replay_from`]. Panics as [`RunRequest::execute`]
+    /// does (a compiled SPM tiling refuses exactly what a live run does).
     fn compile(&self) -> CompiledRun {
         CompiledRun::compile(
             &self.resolved_platform(),
@@ -414,8 +378,7 @@ impl RunRequest<'_> {
     ///
     /// # Panics
     ///
-    /// As [`RunRequest::execute`], plus when the request is not
-    /// [`RunRequest::replay_eligible`] under any scenario.
+    /// As [`RunRequest::execute`].
     pub fn execute_captured(&self) -> (RunOutput, CompiledRun) {
         (self.execute(), self.compile())
     }
@@ -448,31 +411,14 @@ pub trait RunSource: Sync {
     fn output(&self, req: &RunRequest<'_>) -> RunOutput;
 }
 
-/// One exactly-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
-/// execution whose request has the same [`RunRequest::profile_key`].
-type ProfileCell = Arc<OnceLock<(f64, f64)>>;
-
-/// Executes `req` live through its profile-memo cell: a filled cell feeds
-/// the memoized pair in, and an empty one (or none, with memoization off)
-/// lets the executor self-profile — fused into the timed walk for
-/// constant-contention unpolluted mixes (live only with replay off), a
-/// separate inline pass otherwise — and is backfilled with the pair the
-/// run reports, so every sharer still gets the memoized pair.
-fn run_through(req: &RunRequest<'_>, cell: Option<&ProfileCell>) -> RunOutput {
-    let run = req.run(cell.and_then(|c| c.get().copied()));
-    if let (Some(cell), Some(w)) = (cell, run.wcets) {
-        let _ = cell.set(w);
-    }
-    run.output
-}
-
 /// Shard count of the result cache. A power of two so the fingerprint can
 /// select a shard by masking; 16 keeps lock contention negligible at any
 /// realistic worker count.
 const SHARDS: usize = 16;
 
-/// One schedulable piece of a plan's frontier: a plain live run, or a
-/// whole derivation family (compiled once, every member derived) —
+/// One schedulable piece of a plan's frontier: with replay on, a whole
+/// derivation family (compiled once, every member priced or run live on
+/// its class's WCETs); with replay off, a plain self-profiling live run —
 /// indices into the frontier/family tables of one
 /// [`PlanExecutor::execute_metered`] call.
 enum Unit {
@@ -523,8 +469,9 @@ impl StreamPin {
 pub struct PlanSummary {
     /// Requests submitted.
     pub requested: usize,
-    /// Unique requests executed live: the ineligible ones (and, with
-    /// replay disabled, all of them).
+    /// Unique requests executed live: with replay on, the family members
+    /// whose co-runner mix cannot be priced (time-varying or polluting),
+    /// run on their class's WCETs; with replay off, all of them.
     pub executed: usize,
     /// Duplicates elided within submitted plans (same key submitted more
     /// than once).
@@ -539,22 +486,16 @@ pub struct PlanSummary {
     /// Requests derived from their family's compiled stream instead of
     /// executing the simulator (bit-identical by contract).
     pub replayed: usize,
-    /// Derivation families compiled: one per distinct base key among the
-    /// replay-eligible frontier, a family of one included.
+    /// Derivation families that priced at least one member: one per
+    /// distinct base key among the frontier's replay-eligible requests, a
+    /// family of one included.
     pub families: usize,
-    /// Profiling passes served from the profile memo: live units whose
-    /// `(m_wcet, c_wcet)` another unit or a derived member (this plan or
-    /// an earlier one) had already computed under the same
-    /// [`RunRequest::profile_key`].
-    pub profile_hits: usize,
-    /// Profiling passes charged: one per distinct profile key first seen
-    /// by this call's live units.
-    pub profile_misses: usize,
 }
 
 impl AddAssign<&PlanSummary> for PlanSummary {
-    /// Field-wise accumulation — the aggregation the serve front end's
-    /// tick totals and flush barriers are built on.
+    /// Field-wise accumulation — the aggregation the executor's running
+    /// totals and the serve front end's tick totals and flush barriers are
+    /// built on.
     fn add_assign(&mut self, rhs: &PlanSummary) {
         self.requested += rhs.requested;
         self.executed += rhs.executed;
@@ -563,8 +504,6 @@ impl AddAssign<&PlanSummary> for PlanSummary {
         self.disk_hits += rhs.disk_hits;
         self.replayed += rhs.replayed;
         self.families += rhs.families;
-        self.profile_hits += rhs.profile_hits;
-        self.profile_misses += rhs.profile_misses;
     }
 }
 
@@ -573,16 +512,14 @@ impl fmt::Display for PlanSummary {
         write!(
             f,
             "plan: requested={} unique={} elided={} cache-hits={} disk-hits={} \
-             replayed={} families={} profile-hits={} profile-misses={}",
+             replayed={} families={}",
             self.requested,
             self.executed,
             self.elided,
             self.hits,
             self.disk_hits,
             self.replayed,
-            self.families,
-            self.profile_hits,
-            self.profile_misses
+            self.families
         )
     }
 }
@@ -596,22 +533,9 @@ pub struct PlanExecutor {
     shards: Vec<Mutex<HashMap<String, RunOutput>>>,
     store: Option<RunStore>,
     replay: bool,
-    profile_memo: bool,
-    /// The profile memo: one exactly-once `(m_wcet, c_wcet)` cell per
-    /// distinct [`RunRequest::profile_key`]. Cells are handed to pool
-    /// units at expansion time; the first unit to run fills its cell from
-    /// the pair its run reports, later sharers feed that pair in instead
-    /// of profiling, and filled cells persist for every later plan.
-    profiles: Mutex<HashMap<String, ProfileCell>>,
-    requested: AtomicUsize,
-    executed: AtomicUsize,
-    elided: AtomicUsize,
-    hits: AtomicUsize,
-    disk_hits: AtomicUsize,
-    replayed: AtomicUsize,
-    families: AtomicUsize,
-    profile_hits: AtomicUsize,
-    profile_misses: AtomicUsize,
+    /// The running [`PlanExecutor::summary`]: every call's summary, and
+    /// every lazy [`RunSource::output`] hit, added in.
+    totals: Mutex<PlanSummary>,
 }
 
 impl Default for PlanExecutor {
@@ -627,35 +551,24 @@ impl PlanExecutor {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             store: None,
             replay: true,
-            profile_memo: true,
-            profiles: Mutex::new(HashMap::new()),
-            requested: AtomicUsize::new(0),
-            executed: AtomicUsize::new(0),
-            elided: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            disk_hits: AtomicUsize::new(0),
-            replayed: AtomicUsize::new(0),
-            families: AtomicUsize::new(0),
-            profile_hits: AtomicUsize::new(0),
-            profile_misses: AtomicUsize::new(0),
+            totals: Mutex::new(PlanSummary::default()),
         }
     }
 
     /// Disables replay-backed derivation: every unique request executes
-    /// the simulator live, as before PR 7. The escape hatch behind the
-    /// front ends' `--no-replay` flag; also what the equivalence suites
-    /// compare replay-enabled execution against.
+    /// the simulator live and profiles itself. The escape hatch behind the
+    /// front ends' `--no-replay` flag; also the reference the equivalence
+    /// suites compare replay-enabled execution against.
     pub fn without_replay(mut self) -> Self {
         self.replay = false;
         self
     }
 
-    /// Disables profile-pass memoization: every executed unit profiles
-    /// inline, as before this layer existed. What the equivalence suite
-    /// and the `exec:profile-memo` bench compare memoized execution
-    /// against; outputs are bit-identical either way.
-    pub fn without_profile_memo(mut self) -> Self {
-        self.profile_memo = false;
+    /// Returns the executor unchanged, for callers that switch off profile
+    /// sharing: no run shares a profiling pass (with replay on, live runs
+    /// take their WCETs from their family's walk; with replay off, each
+    /// profiles itself), so there is nothing to switch.
+    pub fn without_profile_memo(self) -> Self {
         self
     }
 
@@ -750,6 +663,11 @@ impl PlanExecutor {
             .insert(key, output);
     }
 
+    /// Adds `delta` to the running totals.
+    fn tally(&self, delta: &PlanSummary) {
+        *self.totals.lock().expect("plan totals poisoned") += delta;
+    }
+
     /// Expands `requests` into the unique, not-yet-cached frontier,
     /// executes it on `workers` pool threads at run granularity, caches
     /// every output, and reports what happened *in this call*. Results are
@@ -766,20 +684,21 @@ impl PlanExecutor {
 
     /// [`PlanExecutor::execute`] with metrics: expansion/dedup and pool
     /// spans (`plan.expand_ns`, `plan.execute_ns`, per-unit
-    /// `plan.unit_ns`, per-tiling-key `plan.tile_ns`, per-family
+    /// `plan.unit_ns`, per-tiling-key `plan.tile_ns`, per-compile
     /// `plan.compile_ns`, per-member `plan.live_ns`/`plan.replay_ns` — a
-    /// derived member's sample is its pricing plus the trajectory walk it
-    /// triggered, if any), the tier counters (`plan.live_runs`,
-    /// `plan.memory_hits`, `plan.disk_hits`, `plan.replayed`,
-    /// `plan.replay_walks`, …), the M-phase prefetches the walks
-    /// simulated and credited as hits (`plan.prefetch_walked`,
-    /// `plan.prefetch_credited`, added once per family unit), family
-    /// fan-out (`plan.family_fanout`) and pool shape gauges (`plan.pool_units`,
-    /// `plan.pool_workers`, `plan.pool_utilization_permille`) land in
-    /// `metrics`. Counters are added even when zero, so a fully warm run
-    /// still materializes `plan.live_runs=0` in the snapshot. Metrics
-    /// are strictly write-only: outputs and the returned summary are
-    /// byte-identical to [`PlanExecutor::execute`], with any sink.
+    /// family member's sample is its timed run or pricing plus the
+    /// trajectory walk it triggered, if any), the tier counters
+    /// (`plan.live_runs`, `plan.memory_hits`, `plan.disk_hits`,
+    /// `plan.replayed`, `plan.replay_walks`, …), the M-phase prefetches
+    /// the walks simulated and credited as hits (`plan.prefetch_walked`,
+    /// `plan.prefetch_credited`, added once per family unit that walks),
+    /// family fan-out (`plan.family_fanout`) and pool shape gauges
+    /// (`plan.pool_units`, `plan.pool_workers`,
+    /// `plan.pool_utilization_permille`) land in `metrics`. Counters are
+    /// added even when zero, so a fully warm run still materializes
+    /// `plan.live_runs=0` in the snapshot. Metrics are strictly
+    /// write-only: outputs and the returned summary are byte-identical to
+    /// [`PlanExecutor::execute`], with any sink.
     pub fn execute_metered<M: MetricsSink>(
         &self,
         requests: &[RunRequest<'_>],
@@ -810,24 +729,25 @@ impl PlanExecutor {
                 frontier.push((key, req));
             }
         }
-        // Partition the eligible frontier into derivation families by base
-        // key, in first-occurrence order: policy, seed and scenario
-        // siblings together, and a lone eligible request a family of one.
-        // Every family is compiled and all of its members derived.
-        // Everything else (replay disabled, or ineligible) executes live.
+        // With replay on, partition the frontier into derivation families
+        // by base key, in first-occurrence order: policy, seed and
+        // scenario siblings together, and a lone request a family of one.
+        // A member whose mix can be priced is derived; any other runs live
+        // inside its family's unit. With replay off every request is a
+        // self-profiling live unit.
+        let priced: Vec<bool> = frontier
+            .iter()
+            .map(|(_, req)| self.replay && req.replay_eligible())
+            .collect();
         let mut families: Vec<Vec<usize>> = Vec::new();
-        let mut family_of: Vec<Option<usize>> = vec![None; frontier.len()];
         if self.replay {
             let mut by_base: HashMap<String, usize> = HashMap::new();
             for (i, (_, req)) in frontier.iter().enumerate() {
-                if req.replay_eligible() {
-                    let f = *by_base.entry(req.base_key()).or_insert_with(|| {
-                        families.push(Vec::new());
-                        families.len() - 1
-                    });
-                    families[f].push(i);
-                    family_of[i] = Some(f);
-                }
+                let f = *by_base.entry(req.base_key()).or_insert_with(|| {
+                    families.push(Vec::new());
+                    families.len() - 1
+                });
+                families[f].push(i);
             }
         }
         drop(expand);
@@ -835,35 +755,33 @@ impl PlanExecutor {
             metrics.observe("plan.family_fanout", members.len() as u64);
         }
 
-        // Schedule units: a frontier index outside any family is one live
-        // run; a family is one unit — compiled from the tiling, walked and
-        // priced, and its compiled stream drops with the unit. Families
-        // execute as units so peak stream memory is bounded by the worker
-        // count, never the family count (a paper-scale merged plan forms
-        // hundreds of families; their streams must not be alive
-        // simultaneously). Derivation is deterministic in (compiled
-        // stream, request), so outputs stay independent of the worker count
-        // and of scheduling.
+        // Schedule units: a family is one unit — compiled from the tiling,
+        // walked, priced and run, and its compiled stream drops with the
+        // unit. Families execute as units so peak stream memory is bounded
+        // by the worker count, never the family count (a paper-scale
+        // merged plan forms hundreds of families; their streams must not
+        // be alive simultaneously). Derivation is deterministic in
+        // (compiled stream, request), so outputs stay independent of the
+        // worker count and of scheduling.
         //
         // Units run grouped by tiling key, in first-occurrence order of the
         // keys and in frontier order within a key, and each key's stream is
         // pinned from its first unit to its last: a key is tiled once per
         // call, however many units share it, and at one worker exactly one
-        // stream is alive at a time. Profile keys refine tiling keys, so
-        // the grouping keeps each profile key's units in frontier order.
+        // stream is alive at a time.
+        let units: Vec<Unit> = if self.replay {
+            (0..families.len()).map(Unit::Family).collect()
+        } else {
+            (0..frontier.len()).map(Unit::Live).collect()
+        };
         let unit_req = |unit: &Unit| match *unit {
             Unit::Live(i) => frontier[i].1,
             Unit::Family(f) => frontier[families[f][0]].1,
         };
         let mut by_tiling: HashMap<TilingKey, usize> = HashMap::new();
-        let mut groups: Vec<Vec<Unit>> = Vec::new();
-        for (i, family) in family_of.iter().enumerate() {
-            let unit = match *family {
-                None => Unit::Live(i),
-                Some(f) if families[f][0] == i => Unit::Family(f),
-                Some(_) => continue, // member: produced by its family's unit
-            };
-            let req = unit_req(&unit);
+        let mut groups: Vec<Vec<&Unit>> = Vec::new();
+        for unit in &units {
+            let req = unit_req(unit);
             let g = *by_tiling
                 .entry(tiling_key(req.kernel, req.t_bytes))
                 .or_insert_with(|| {
@@ -873,74 +791,17 @@ impl PlanExecutor {
             groups[g].push(unit);
         }
         let pins: Vec<StreamPin> = groups.iter().map(|g| StreamPin::new(g.len())).collect();
-        let (units, unit_pins): (Vec<Unit>, Vec<&StreamPin>) = groups
+        let tasks: Vec<(&Unit, &StreamPin)> = groups
             .into_iter()
             .zip(&pins)
             .flat_map(|(group, pin)| group.into_iter().map(move |unit| (unit, pin)))
-            .unzip();
-        // Hand each live unit its profile-memo cell *now*, on the expansion
-        // thread: hit/miss accounting is decided by the memo's state at
-        // expansion (first unit of a new key is the miss, every sharer is
-        // a hit), so the summary is deterministic at any worker count even
-        // though the passes themselves race in the pool — the `OnceLock`
-        // cell keeps the first pair stored per key.
-        //
-        // Derived members get their key's cell too, after the live units,
-        // counted as neither a hit nor a miss (no pass is charged or saved
-        // for them), and fill it with the WCETs their trajectory yields: a
-        // later ineligible scenario sibling of the key (a bursty or
-        // cache-thrashing mix) then finds the pair memoized.
-        let mut derived_cells: Vec<Option<ProfileCell>> = vec![None; frontier.len()];
-        let profile_cells: Vec<Option<ProfileCell>> = if self.profile_memo {
-            let mut memo = self.profiles.lock().expect("profile memo poisoned");
-            let cells = units
-                .iter()
-                .map(|unit| {
-                    let Unit::Live(i) = *unit else { return None };
-                    match memo.entry(frontier[i].1.profile_key()?) {
-                        Entry::Occupied(e) => {
-                            summary.profile_hits += 1;
-                            Some(e.get().clone())
-                        }
-                        Entry::Vacant(v) => {
-                            summary.profile_misses += 1;
-                            Some(v.insert(ProfileCell::default()).clone())
-                        }
-                    }
-                })
-                .collect();
-            for members in &families {
-                let digest = frontier[members[0]].1.platform_digest();
-                for &i in members {
-                    derived_cells[i] = frontier[i]
-                        .1
-                        .profile_key_in(digest)
-                        .map(|key| memo.entry(key).or_default().clone());
-                }
-            }
-            cells
-        } else {
-            units.iter().map(|_| None).collect()
-        };
-        let tasks: Vec<(&Unit, Option<ProfileCell>, &StreamPin)> = units
-            .iter()
-            .zip(profile_cells)
-            .zip(unit_pins)
-            .map(|((unit, cell), pin)| (unit, cell, pin))
             .collect();
         let busy_ns = AtomicU64::new(0);
         let pool_start = metrics.enabled().then(Instant::now);
-        let unit_outputs = parallel_map(workers, &tasks, |(unit, cell, pin)| {
+        let unit_outputs = parallel_map(workers, &tasks, |(unit, pin)| {
             let unit_start = metrics.enabled().then(Instant::now);
             pin.hold(unit_req(unit), metrics);
-            let outs = self.run_unit(
-                unit,
-                cell.as_ref(),
-                &derived_cells,
-                &frontier,
-                &families,
-                metrics,
-            );
+            let outs = self.run_unit(unit, &frontier, &priced, &families, metrics);
             pin.release();
             if let Some(start) = unit_start {
                 let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -964,9 +825,12 @@ impl PlanExecutor {
             }
         }
 
-        summary.executed = units.len() - families.len();
-        summary.replayed = frontier.len() - summary.executed;
-        summary.families = families.len();
+        summary.replayed = priced.iter().filter(|&&p| p).count();
+        summary.executed = frontier.len() - summary.replayed;
+        summary.families = families
+            .iter()
+            .filter(|members| members.iter().any(|&i| priced[i]))
+            .count();
         let mut outputs: Vec<Option<RunOutput>> = (0..frontier.len()).map(|_| None).collect();
         let mut replay_walks = 0;
         for (outs, walks) in unit_outputs {
@@ -993,19 +857,7 @@ impl PlanExecutor {
         for ((key, _), output) in frontier.into_iter().zip(outputs) {
             self.insert(key, output);
         }
-        self.requested
-            .fetch_add(summary.requested, Ordering::Relaxed);
-        self.executed.fetch_add(summary.executed, Ordering::Relaxed);
-        self.elided.fetch_add(summary.elided, Ordering::Relaxed);
-        self.hits.fetch_add(summary.hits, Ordering::Relaxed);
-        self.disk_hits
-            .fetch_add(summary.disk_hits, Ordering::Relaxed);
-        self.replayed.fetch_add(summary.replayed, Ordering::Relaxed);
-        self.families.fetch_add(summary.families, Ordering::Relaxed);
-        self.profile_hits
-            .fetch_add(summary.profile_hits, Ordering::Relaxed);
-        self.profile_misses
-            .fetch_add(summary.profile_misses, Ordering::Relaxed);
+        self.tally(&summary);
         // Counters are added unconditionally — a zero delta still
         // materializes the key, so a fully warm snapshot reports
         // `plan.live_runs=0` instead of omitting it (the CI warm gate
@@ -1018,101 +870,107 @@ impl PlanExecutor {
         metrics.add("plan.replayed", summary.replayed as u64);
         metrics.add("plan.replay_walks", replay_walks as u64);
         metrics.add("plan.families", summary.families as u64);
-        metrics.add("plan.profile_hits", summary.profile_hits as u64);
-        metrics.add("plan.profile_misses", summary.profile_misses as u64);
         summary
     }
 
     /// Executes one scheduled unit — a plain live run, or a whole
-    /// derivation family (compiled, walked per trajectory class, priced
-    /// per member) — returning `(frontier index, output)` pairs and the
-    /// number of trajectory walks it made. The caller pins the unit's
+    /// derivation family — returning `(frontier index, output)` pairs and
+    /// the number of trajectory walks it made. The caller pins the unit's
     /// tiled stream.
+    ///
+    /// A family compiles only when a member needs a walk: a priced member,
+    /// or a live one whose budgets need its class's WCETs (a live
+    /// baseline run profiles nothing). Members then go one trajectory
+    /// class at a time, classes in first-occurrence order: the class's
+    /// first member walks the compiled stream, every member of the class
+    /// is priced from that trajectory or runs live on its WCETs, and the
+    /// trajectory drops. Each member leaves one `plan.replay_ns` (priced)
+    /// or `plan.live_ns` (live) sample: its own work, plus the walk when
+    /// it triggered one.
     fn run_unit<M: MetricsSink>(
         &self,
         unit: &Unit,
-        cell: Option<&ProfileCell>,
-        derived_cells: &[Option<ProfileCell>],
         frontier: &[(String, &RunRequest<'_>)],
+        priced: &[bool],
         families: &[Vec<usize>],
         metrics: &M,
     ) -> (Vec<(usize, RunOutput)>, usize) {
-        match *unit {
+        let span = |i: usize| {
+            let name = if priced[i] {
+                "plan.replay_ns"
+            } else {
+                "plan.live_ns"
+            };
+            Span::start(metrics, name)
+        };
+        let members = match *unit {
             Unit::Live(i) => {
-                let _live = Span::start(metrics, "plan.live_ns");
-                (vec![(i, run_through(frontier[i].1, cell))], 0)
+                let _live = span(i);
+                return (vec![(i, frontier[i].1.run(None).output)], 0);
             }
-            Unit::Family(f) => {
-                let members = &families[f];
-                let compiled = {
-                    let _compile = Span::start(metrics, "plan.compile_ns");
-                    frontier[members[0]].1.compile()
-                };
-                // Members derive one trajectory class at a time, classes in
-                // first-occurrence order: the class's first member walks
-                // the compiled stream, every member of the class is priced
-                // from that trajectory, and the trajectory drops. Each
-                // member leaves one `plan.replay_ns` sample: its pricing,
-                // plus the walk when it triggered one.
-                let mut pending: Vec<(usize, PlatformConfig)> = members
-                    .iter()
-                    .map(|&i| (i, frontier[i].1.resolved_platform()))
-                    .collect();
-                let mut outs = Vec::with_capacity(members.len());
-                let mut walks = 0;
-                let (mut walked, mut credited) = (0, 0);
-                while let Some((first, cfg)) = pending.first() {
-                    let mut span = Some(Span::start(metrics, "plan.replay_ns"));
-                    let trajectory = compiled.walk(cfg, frontier[*first].1.seed);
-                    walks += 1;
-                    let (simulated, skipped) = trajectory.prefetch_work();
-                    walked += simulated;
-                    credited += skipped;
-                    pending.retain(|(i, cfg)| {
-                        let req = frontier[*i].1;
-                        if !trajectory.serves(cfg, req.seed) {
-                            return true;
-                        }
-                        let _replay = span
-                            .take()
-                            .unwrap_or_else(|| Span::start(metrics, "plan.replay_ns"));
-                        let derived =
-                            compiled.price(&trajectory, cfg, req.seed, req.resolved_scenario());
-                        if let (Some(cell), Some(w)) = (&derived_cells[*i], derived.wcets) {
-                            let _ = cell.set(w);
-                        }
-                        outs.push((*i, derived.output));
-                        false
-                    });
-                }
-                metrics.add("plan.prefetch_walked", walked);
-                metrics.add("plan.prefetch_credited", credited);
-                (outs, walks)
+            Unit::Family(f) => &families[f],
+        };
+        let mut outs = Vec::with_capacity(members.len());
+        let mut pending: Vec<(usize, PlatformConfig)> = Vec::new();
+        for &i in members {
+            let req = frontier[i].1;
+            if priced[i] || req.work != RunWork::Baseline {
+                pending.push((i, req.resolved_platform()));
+            } else {
+                let _live = span(i);
+                outs.push((i, req.run(None).output));
             }
         }
+        let Some(&(first, _)) = pending.first() else {
+            return (outs, 0);
+        };
+        let compiled = {
+            let _compile = Span::start(metrics, "plan.compile_ns");
+            frontier[first].1.compile()
+        };
+        let mut walks = 0;
+        let (mut walked, mut credited) = (0, 0);
+        while let Some((first, cfg)) = pending.first() {
+            let mut first_span = Some(span(*first));
+            let trajectory = compiled.walk(cfg, frontier[*first].1.seed);
+            walks += 1;
+            let (simulated, skipped) = trajectory.prefetch_work();
+            walked += simulated;
+            credited += skipped;
+            pending.retain(|(i, cfg)| {
+                let req = frontier[*i].1;
+                if !trajectory.serves(cfg, req.seed) {
+                    return true;
+                }
+                let _member = first_span.take().unwrap_or_else(|| span(*i));
+                let output = if priced[*i] {
+                    compiled
+                        .price(&trajectory, cfg, req.seed, req.resolved_scenario())
+                        .output
+                } else {
+                    req.run(compiled.wcets(&trajectory)).output
+                };
+                outs.push((*i, output));
+                false
+            });
+        }
+        metrics.add("plan.prefetch_walked", walked);
+        metrics.add("plan.prefetch_credited", credited);
+        (outs, walks)
     }
 
     /// Cumulative counters over the executor's lifetime, including lazy
     /// [`RunSource::output`] executions and hits.
     pub fn summary(&self) -> PlanSummary {
-        PlanSummary {
-            requested: self.requested.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            elided: self.elided.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
-            families: self.families.load(Ordering::Relaxed),
-            profile_hits: self.profile_hits.load(Ordering::Relaxed),
-            profile_misses: self.profile_misses.load(Ordering::Relaxed),
-        }
+        *self.totals.lock().expect("plan totals poisoned")
     }
 
     /// Requests this executor has simulated — executed live or derived
     /// from a compiled family — rather than served from a cache tier (the
     /// execution-count probe the dedup tests assert on).
     pub fn executed_runs(&self) -> usize {
-        self.executed.load(Ordering::Relaxed) + self.replayed.load(Ordering::Relaxed)
+        let totals = self.summary();
+        totals.executed + totals.replayed
     }
 
     /// Number of distinct outputs currently cached.
@@ -1126,16 +984,19 @@ impl PlanExecutor {
 
 impl RunSource for PlanExecutor {
     /// Serves `req` from memory, or else as a one-request plan: disk hit
-    /// (with a persistent store) or live execution through the profile
-    /// memo on the calling thread, memoized in memory and appended to the
-    /// store — so the data-dependent tail of a figure (e.g. a best-T
-    /// follow-up) stays correct and warm-cacheable even when its requests
-    /// were not part of any submitted plan.
+    /// (with a persistent store) or execution on the calling thread,
+    /// memoized in memory and appended to the store — so the
+    /// data-dependent tail of a figure (e.g. a best-T follow-up) stays
+    /// correct and warm-cacheable even when its requests were not part of
+    /// any submitted plan.
     fn output(&self, req: &RunRequest<'_>) -> RunOutput {
         let key = req.key();
         if let Some(out) = self.lookup(&key) {
-            self.requested.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.tally(&PlanSummary {
+                requested: 1,
+                hits: 1,
+                ..PlanSummary::default()
+            });
             return out;
         }
         self.execute(std::slice::from_ref(req), 1);
@@ -1315,53 +1176,6 @@ mod tests {
         agg += &s2;
         assert_eq!(agg.requested, 6);
         assert_eq!(agg.replayed, s1.replayed * 2);
-    }
-
-    #[test]
-    fn derived_members_backfill_the_profile_memo() {
-        use crate::spec::CorunnerMix;
-        use prem_gpusim::CorunnerProfile;
-        // A seed × scenario column is one family, every member derived.
-        // Seed 23's profile key is charged to no unit, yet its cell must
-        // hold exactly what a profiling pass reports, so a later bursty
-        // sibling of seed 23 (ineligible, so it executes live) is a
-        // profile hit and still matches a direct execution.
-        let k = Bicg::new(96, 96);
-        let mut column = Vec::new();
-        for seed in [11, 23] {
-            for preset in [Scenario::Isolation, Scenario::Interference] {
-                let mut r = req(&k, RunWork::PremLlc { r: 8 }, 160 * KIB, seed);
-                r.scenario = MatrixScenario::Preset(preset);
-                column.push(r);
-            }
-        }
-        let exec = PlanExecutor::new();
-        let s = exec.execute(&column, 2);
-        assert_eq!((s.executed, s.replayed, s.families), (0, 4, 1));
-        assert_eq!(
-            (s.profile_misses, s.profile_hits),
-            (0, 0),
-            "derived members count as neither hits nor misses"
-        );
-        let mut bursty = req(&k, RunWork::PremLlc { r: 8 }, 160 * KIB, 23);
-        bursty.scenario = MatrixScenario::Mix(CorunnerMix::uniform(
-            1,
-            CorunnerProfile::Bursty {
-                duty: 0.5,
-                period_cycles: 80_000.0,
-            },
-        ));
-        assert!(!bursty.replay_eligible());
-        let key = bursty.profile_key().expect("PREM work profiles");
-        let backfilled = exec.profiles.lock().expect("memo")[&key].get().copied();
-        assert_eq!(
-            backfilled,
-            bursty.profile(),
-            "the derived class filled the cell"
-        );
-        let s = exec.execute(std::slice::from_ref(&bursty), 1);
-        assert_eq!((s.executed, s.profile_hits, s.profile_misses), (1, 1, 0));
-        assert_eq!(exec.output(&bursty), bursty.execute());
     }
 
     #[test]

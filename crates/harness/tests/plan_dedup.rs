@@ -20,10 +20,10 @@ use std::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 
 use prem_core::{IntervalSpec, NoiseModel, RunWork};
-use prem_gpusim::Scenario;
+use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_harness::seed::fingerprint;
 use prem_harness::{
-    MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
+    CorunnerMix, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
 };
 use prem_kernels::{Bicg, Kernel, KernelError, VerifyError};
 use prem_memsim::KIB;
@@ -262,9 +262,9 @@ fn plan_tiles_each_kernel_t_key_once() {
         tilings: AtomicUsize::new(0),
     };
     // K = 3 (kernel, T) keys, interleaved in the plan so units of one key
-    // are never adjacent in frontier order: live runs (adaptive
-    // prefetching) and families (LLC scenario pairs, baseline, SPM, an
-    // LRU what-if) at every T.
+    // are never adjacent in frontier order: families (LLC scenario pairs
+    // with a bursty member that runs live, baseline, SPM, an LRU what-if)
+    // at every T.
     let ts = [16 * KIB, 24 * KIB, 32 * KIB];
     let mut requests = Vec::new();
     for seed in [11, 23] {
@@ -274,13 +274,15 @@ fn plan_tiles_each_kernel_t_key_once() {
                 requests.push(request(&kernel, RunWork::Baseline, t, seed, iso));
                 if iso {
                     requests.push(request(&kernel, RunWork::PremSpm, t, seed, true));
-                    requests.push(request(
-                        &kernel,
-                        RunWork::PremLlcUntilResident,
-                        t,
-                        seed,
-                        true,
+                    let mut bursty = request(&kernel, RunWork::PremLlc { r: 8 }, t, seed, true);
+                    bursty.scenario = MatrixScenario::Mix(CorunnerMix::uniform(
+                        1,
+                        CorunnerProfile::Bursty {
+                            duty: 0.5,
+                            period_cycles: 80_000.0,
+                        },
                     ));
+                    requests.push(bursty);
                 }
             }
         }

@@ -2,7 +2,9 @@
 //!
 //! * **replay transparency** — a replay-enabled executor produces
 //!   bit-identical outputs to a replay-disabled one for *any* plan drawn
-//!   from the quick-suite coordinate space (proptest over the axes);
+//!   from the quick-suite coordinate space (proptest over the axes,
+//!   adaptive prefetching and the bursty and cache-thrashing mixes that
+//!   run live on their class's WCETs included);
 //! * **base-key injectivity** — two requests share a base key exactly
 //!   when they agree on every coordinate other than the LLC policy
 //!   override, the seed and the scenario (the full key still separates
@@ -13,7 +15,8 @@
 //! * **one walk per trajectory class** — a family compiles its stream
 //!   once, walks it once per (policy, seed-if-random) class and prices
 //!   every scenario sibling from it, with no live run — SPM staging
-//!   included;
+//!   included — and its live members (mixes that cannot be priced) take
+//!   their WCETs from their class's walk, profiling nothing;
 //! * **worker independence** — replayed plans render byte-identical
 //!   outputs at any worker count, like every other plan.
 
@@ -21,7 +24,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use prem_core::{NoiseModel, RunWork};
+use prem_core::{NoiseModel, PremRun, RunWork};
 use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_harness::{
     CorunnerMix, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
@@ -43,8 +46,20 @@ struct Coord {
     small_kernel: bool,
 }
 
+/// A time-varying mix: its members run live.
+fn bursty() -> MatrixScenario {
+    MatrixScenario::Mix(CorunnerMix::uniform(
+        1,
+        CorunnerProfile::Bursty {
+            duty: 0.5,
+            period_cycles: 80_000.0,
+        },
+    ))
+}
+
 /// The scenario axis: both presets, the empty mix, two constant-contention
-/// mixes (all replay-eligible) and the ineligible cache-thrashing mix.
+/// mixes (all replay-eligible), the bursty mix and the cache-thrashing mix
+/// (both run live).
 fn scenario(pick: usize) -> MatrixScenario {
     match pick {
         0 => MatrixScenario::Preset(Scenario::Isolation),
@@ -52,6 +67,7 @@ fn scenario(pick: usize) -> MatrixScenario {
         2 => MatrixScenario::Mix(CorunnerMix::uniform(0, CorunnerProfile::Membomb)),
         3 => MatrixScenario::Mix(CorunnerMix::uniform(2, CorunnerProfile::Membomb)),
         4 => MatrixScenario::Mix(CorunnerMix::uniform(1, CorunnerProfile::Stream)),
+        5 => bursty(),
         _ => MatrixScenario::Mix(CorunnerMix::uniform(1, CorunnerProfile::CacheThrash)),
     }
 }
@@ -69,12 +85,13 @@ fn coord() -> impl Strategy<Value = Coord> {
         prop::sample::select(vec![
             RunWork::PremLlc { r: 4 },
             RunWork::PremLlc { r: 8 },
+            RunWork::PremLlcUntilResident,
             RunWork::Baseline,
             RunWork::PremSpm,
         ]),
         prop::sample::select(vec![32usize, 160]),
         prop::sample::select(vec![11u64, 23, 47]),
-        0usize..6,
+        0usize..7,
         any::<bool>(),
     )
         .prop_map(
@@ -323,5 +340,90 @@ fn a_seed_by_scenario_column_walks_once_per_seed() {
         for req in &column {
             assert_eq!(executor.output(req), req.execute(), "{}", req.key());
         }
+    }
+}
+
+/// Asserts `got` equals the replay-off reference `want` field by field, so
+/// a drift in any PREM observable names itself.
+fn assert_same_run(got: PremRun, want: PremRun, key: &str) {
+    assert_eq!(got.intervals, want.intervals, "{key}");
+    assert_eq!(got.breakdown, want.breakdown, "{key}");
+    assert_eq!(got.makespan_cycles, want.makespan_cycles, "{key}");
+    assert_eq!(
+        got.budget_envelope_cycles, want.budget_envelope_cycles,
+        "{key}"
+    );
+    assert_eq!(got.budgets, want.budgets, "{key}");
+    assert_eq!(got.llc, want.llc, "{key}");
+    assert_eq!(got.cpmr, want.cpmr, "{key}");
+    assert_eq!(got.prefetch_hits, want.prefetch_hits, "{key}");
+    assert_eq!(got.prefetch_misses, want.prefetch_misses, "{key}");
+    assert_eq!(got.max_rounds_used, want.max_rounds_used, "{key}");
+    assert_eq!(
+        got.budget_violation_cycles, want.budget_violation_cycles,
+        "{key}"
+    );
+    assert_eq!(got.interval_timings, want.interval_timings, "{key}");
+    assert_eq!(got.bus, want.bus, "{key}");
+    assert_eq!(got.polluted_lines, want.polluted_lines, "{key}");
+}
+
+#[test]
+fn live_members_run_on_their_class_walk() {
+    // One family. The template class (biased-random, seed 11) holds two
+    // priced members (isolation, 2 membombs) and two live ones (bursty,
+    // cache-thrash); a bursty member under LRU is a class no priced member
+    // walks. One compile and two walks serve all five: the live members
+    // run on their class's WCETs, profiling nothing, and every output
+    // equals the replay-off reference, where each profiles itself.
+    use prem_obs::Registry;
+    let k = Bicg::new(96, 96);
+    let member = |policy: Option<MatrixPolicy>, scenario| {
+        let platform = PlatformSpec::tx1();
+        RunRequest {
+            kernel: &k,
+            platform: match policy {
+                Some(p) => platform.with_policy(p),
+                None => platform,
+            },
+            work: RunWork::PremLlc { r: 8 },
+            t_bytes: 160 * KIB,
+            seed: 11,
+            scenario,
+            noise: NoiseModel::tx1(),
+        }
+    };
+    let family = vec![
+        member(None, MatrixScenario::Preset(Scenario::Isolation)),
+        member(
+            None,
+            MatrixScenario::Mix(CorunnerMix::uniform(2, CorunnerProfile::Membomb)),
+        ),
+        member(None, bursty()),
+        member(
+            None,
+            MatrixScenario::Mix(CorunnerMix::uniform(1, CorunnerProfile::CacheThrash)),
+        ),
+        member(Some(MatrixPolicy::Lru), bursty()),
+    ];
+    let executor = PlanExecutor::new();
+    let registry = Registry::new();
+    let summary = executor.execute_metered(&family, 2, &registry);
+    assert_eq!(
+        (summary.families, summary.replayed, summary.executed),
+        (1, 2, 3)
+    );
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("plan.replay_walks"), Some(2));
+    assert_eq!(snap.hist("plan.compile_ns").map(|h| h.count()), Some(1));
+    assert_eq!(snap.hist("plan.live_ns").map(|h| h.count()), Some(3));
+    let reference = PlanExecutor::new().without_replay();
+    reference.execute(&family, 2);
+    for req in &family {
+        assert_same_run(
+            executor.output(req).prem(),
+            reference.output(req).prem(),
+            &req.key(),
+        );
     }
 }

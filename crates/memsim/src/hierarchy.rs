@@ -1,8 +1,8 @@
-//! Composition of the GPU-side memory system: optional L1, the LLC, the
-//! scratchpad, and the path to DRAM.
+//! Composition of the GPU-side memory system: the LLC, the scratchpad,
+//! and the path to DRAM.
 //!
-//! [`MemSystem::access_cached`] models the cached path (L1 → LLC → DRAM,
-//! fill-on-miss at every level); [`MemSystem::access_spm`] models the
+//! [`MemSystem::access_cached`] models the cached path (LLC → DRAM,
+//! fill-on-miss); [`MemSystem::access_spm`] models the
 //! explicitly managed scratchpad path. The returned [`HitLevel`] tells the
 //! cost model where the access was served from.
 
@@ -15,8 +15,6 @@ use crate::trace::TraceSink;
 /// The memory level that served an access.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum HitLevel {
-    /// Served by the (optional) GPU L1.
-    L1,
     /// Served by the last-level cache.
     Llc,
     /// Served by the scratchpad.
@@ -28,39 +26,25 @@ pub enum HitLevel {
 /// The GPU-visible memory system.
 #[derive(Clone, Debug)]
 pub struct MemSystem {
-    l1: Option<Cache>,
     llc: Cache,
     spm: Spm,
 }
 
 impl MemSystem {
-    /// Builds a memory system with an LLC and a scratchpad (no L1).
+    /// Builds a memory system with an LLC and a scratchpad.
     pub fn new(llc: Cache, spm: Spm) -> Self {
-        MemSystem { l1: None, llc, spm }
+        MemSystem { llc, spm }
     }
 
-    /// Adds a private L1 in front of the LLC.
-    pub fn with_l1(mut self, l1: Cache) -> Self {
-        assert_eq!(
-            l1.config().line_bytes(),
-            self.llc.config().line_bytes(),
-            "L1 and LLC must share a line size"
-        );
-        self.l1 = Some(l1);
-        self
-    }
-
-    /// One access on the cached path. Misses fill every probed level.
+    /// One access on the cached path. A miss fills the LLC.
     pub fn access_cached(&mut self, line: LineAddr, kind: AccessKind, phase: Phase) -> HitLevel {
         self.access_cached_traced(line, kind, phase, &mut crate::trace::NullSink)
     }
 
-    /// [`MemSystem::access_cached`] with LLC instrumentation: the LLC
-    /// access (if the request reaches the LLC at all — an L1 hit is served
-    /// upstream and emits nothing) reports its outcome to `sink`. Traces
-    /// are defined at LLC granularity: that is the shared level whose
-    /// behavior the paper's analysis — and the replay engine — reason
-    /// about.
+    /// [`MemSystem::access_cached`] with LLC instrumentation: the access
+    /// reports its outcome to `sink`. Traces are defined at LLC
+    /// granularity: that is the shared level whose behavior the paper's
+    /// analysis — and the replay engine — reason about.
     pub fn access_cached_traced<S: TraceSink>(
         &mut self,
         line: LineAddr,
@@ -68,11 +52,6 @@ impl MemSystem {
         phase: Phase,
         sink: &mut S,
     ) -> HitLevel {
-        if let Some(l1) = &mut self.l1 {
-            if l1.access(line, kind, phase).hit {
-                return HitLevel::L1;
-            }
-        }
         if self.llc.access_traced(line, kind, phase, sink).hit {
             HitLevel::Llc
         } else {
@@ -101,16 +80,6 @@ impl MemSystem {
         &mut self.llc
     }
 
-    /// The L1, if configured.
-    pub fn l1(&self) -> Option<&Cache> {
-        self.l1.as_ref()
-    }
-
-    /// The L1, mutable, if configured.
-    pub fn l1_mut(&mut self) -> Option<&mut Cache> {
-        self.l1.as_mut()
-    }
-
     /// The scratchpad.
     pub fn spm(&self) -> &Spm {
         &self.spm
@@ -124,36 +93,24 @@ impl MemSystem {
     /// Marks an interval boundary on all components (self-eviction epochs,
     /// scratchpad release).
     pub fn begin_interval(&mut self) {
-        if let Some(l1) = &mut self.l1 {
-            l1.begin_interval();
-        }
         self.llc.begin_interval();
         self.spm.release();
     }
 
     /// Clears statistics on all components (contents untouched).
     pub fn reset_stats(&mut self) {
-        if let Some(l1) = &mut self.l1 {
-            l1.reset_stats();
-        }
         self.llc.reset_stats();
         self.spm.reset_stats();
     }
 
     /// Invalidates all cache contents and releases the scratchpad.
     pub fn cold_reset(&mut self) {
-        if let Some(l1) = &mut self.l1 {
-            l1.invalidate_all();
-        }
         self.llc.invalidate_all();
         self.spm.release();
     }
 
     /// Reseeds all randomized components.
     pub fn reseed(&mut self, seed: u64) {
-        if let Some(l1) = &mut self.l1 {
-            l1.reseed(seed ^ 0x11);
-        }
         self.llc.reseed(seed);
     }
 }
@@ -183,33 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_front_serves_repeats() {
-        let l1 = Cache::new(CacheConfig::new(256, 2, 64));
-        let mut m = sys().with_l1(l1);
-        assert_eq!(
-            m.access_cached(LineAddr::new(3), AccessKind::Read, Phase::Unphased),
-            HitLevel::Dram
-        );
-        assert_eq!(
-            m.access_cached(LineAddr::new(3), AccessKind::Read, Phase::Unphased),
-            HitLevel::L1
-        );
-    }
-
-    #[test]
-    fn l1_miss_llc_hit() {
-        let l1 = Cache::new(CacheConfig::new(128, 1, 64)); // 2 sets, tiny
-        let mut m = sys().with_l1(l1);
-        m.access_cached(LineAddr::new(0), AccessKind::Read, Phase::Unphased);
-        // Evict line 0 from L1 (same set, direct-mapped) but not from LLC.
-        m.access_cached(LineAddr::new(2), AccessKind::Read, Phase::Unphased);
-        assert_eq!(
-            m.access_cached(LineAddr::new(0), AccessKind::Read, Phase::Unphased),
-            HitLevel::Llc
-        );
-    }
-
-    #[test]
     fn spm_path_requires_staging() {
         let mut m = sys();
         assert!(m.access_spm(LineAddr::new(1)).is_err());
@@ -234,12 +164,5 @@ mod tests {
             m.access_cached(LineAddr::new(5), AccessKind::Read, Phase::Unphased),
             HitLevel::Dram
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "line size")]
-    fn l1_line_size_mismatch_panics() {
-        let l1 = Cache::new(CacheConfig::new(256, 2, 128));
-        let _ = sys().with_l1(l1);
     }
 }

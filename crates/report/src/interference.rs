@@ -95,11 +95,11 @@ fn sweep_points(
     points
 }
 
-/// The runs the sweep consumes, as a plan. Every PREM point shares one
-/// profile key, so the plan's profile memo profiles the sweep once, and
-/// the bus-only points (constant contention, no LLC pollution) of each
-/// work mode are one derivation family: one live run, whose cache
-/// trajectory every other co-runner count is priced from.
+/// The runs the sweep consumes, as a plan. The points of each work mode
+/// are one derivation family: one compiled stream and one walk, from
+/// which the bus-only points (constant contention, no LLC pollution) are
+/// priced and the bursty and cache-thrashing PREM points, which run live,
+/// take their WCETs.
 pub fn interference_requests(
     kernel: &dyn Kernel,
     t: usize,

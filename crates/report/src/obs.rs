@@ -22,7 +22,8 @@ const PHASES: &[(&str, &str)] = &[
     ("plan.execute_ns", "plan: execute (whole call)"),
     ("plan.unit_ns", "pool: unit"),
     ("plan.pool_wall_ns", "pool: wall"),
-    ("plan.profile_ns", "run: profile pass"),
+    ("plan.tile_ns", "plan: tile"),
+    ("plan.compile_ns", "family: compile"),
     ("plan.live_ns", "run: live execute"),
     ("plan.replay_ns", "run: replay derive"),
     ("store.load_ns", "store: segment load"),
@@ -40,8 +41,7 @@ const COUNTERS: &[(&str, &str)] = &[
     ("plan.disk_hits", "disk_hits"),
     ("plan.replayed", "replayed"),
     ("plan.families", "families"),
-    ("plan.profile_hits", "profile_hits"),
-    ("plan.profile_misses", "profile_misses"),
+    ("plan.replay_walks", "replay_walks"),
 ];
 
 fn ns_to_ms(ns: u64) -> f64 {
@@ -111,7 +111,43 @@ mod tests {
             counters.starts_with("requested=5 live_runs=0 "),
             "{counters}"
         );
-        assert!(counters.ends_with("profile_misses=0"), "{counters}");
+        assert!(counters.ends_with("replay_walks=0"), "{counters}");
+    }
+
+    #[test]
+    fn every_plan_name_is_one_the_executor_records() {
+        use crate::common::llc_request;
+        use prem_gpusim::{CorunnerProfile, Scenario};
+        use prem_harness::{CorunnerMix, MatrixScenario, PlanExecutor, RunRequest};
+        use prem_kernels::Bicg;
+        use prem_memsim::KIB;
+        // One family: an isolated member it prices and a bursty one it
+        // runs live on the same walk's WCETs.
+        let k = Bicg::new(96, 96);
+        let priced = llc_request(&k, 32 * KIB, 8, 11, Scenario::Isolation);
+        let live = RunRequest {
+            scenario: MatrixScenario::Mix(CorunnerMix::uniform(
+                1,
+                CorunnerProfile::Bursty {
+                    duty: 0.5,
+                    period_cycles: 80_000.0,
+                },
+            )),
+            ..priced.clone()
+        };
+        let registry = Registry::new();
+        let summary = PlanExecutor::new().execute_metered(&[priced, live], 1, &registry);
+        assert_eq!(
+            (summary.families, summary.replayed, summary.executed),
+            (1, 1, 1)
+        );
+        let snap = registry.snapshot();
+        for (name, _) in PHASES.iter().filter(|(n, _)| n.starts_with("plan.")) {
+            assert!(snap.hist(name).is_some(), "{name} is never recorded");
+        }
+        for (name, _) in COUNTERS {
+            assert!(snap.counter(name).is_some(), "{name} is never recorded");
+        }
     }
 
     #[test]
@@ -121,7 +157,7 @@ mod tests {
         assert_eq!(
             obs_counters(&snap),
             "requested=0 live_runs=0 elided=0 memory_hits=0 disk_hits=0 \
-             replayed=0 families=0 profile_hits=0 profile_misses=0"
+             replayed=0 families=0 replay_walks=0"
         );
     }
 }

@@ -234,8 +234,6 @@ impl fmt::Display for TickMetrics {
             ("disk_hits", self.summary.disk_hits.to_string()),
             ("replayed", self.summary.replayed.to_string()),
             ("families", self.summary.families.to_string()),
-            ("profile_hits", self.summary.profile_hits.to_string()),
-            ("profile_misses", self.summary.profile_misses.to_string()),
         ];
         if self.over_budget {
             pairs.push(("WARN", "wall-clock-budget".to_string()));
@@ -594,6 +592,45 @@ mod tests {
         assert_eq!((metrics.summary.executed, metrics.summary.replayed), (0, 4));
         assert_eq!(responses.len(), 4);
         assert_eq!(svc.queue_depth(), 0);
+    }
+
+    #[test]
+    fn live_members_cost_one_unit_each() {
+        use prem_gpusim::CorunnerProfile;
+        use prem_harness::CorunnerMix;
+        let bursty = |seed| {
+            let mut req = request(16, seed);
+            req.scenario = MatrixScenario::Mix(CorunnerMix::uniform(
+                1,
+                CorunnerProfile::Bursty {
+                    duty: 0.5,
+                    period_cycles: 80_000.0,
+                },
+            ));
+            req
+        };
+        // A priced member opens the family (one unit) and each bursty
+        // member runs live (one unit each), all inside one pool unit.
+        let mut svc = service(4);
+        svc.submit("p", request(16, 1)).unwrap();
+        svc.submit("b1", bursty(1)).unwrap();
+        svc.submit("b2", bursty(2)).unwrap();
+        let (metrics, _) = svc.tick();
+        assert_eq!((metrics.dispatched, metrics.units), (3, 3));
+        assert_eq!(
+            (
+                metrics.summary.executed,
+                metrics.summary.replayed,
+                metrics.summary.families
+            ),
+            (2, 1, 1)
+        );
+        // A family whose members all run live prices nothing.
+        svc.submit("b3", bursty(3)).unwrap();
+        svc.submit("b4", bursty(4)).unwrap();
+        let (metrics, _) = svc.tick();
+        assert_eq!(metrics.units, 2);
+        assert_eq!((metrics.summary.executed, metrics.summary.families), (2, 0));
     }
 
     #[test]
