@@ -111,7 +111,7 @@ fn main() -> ExitCode {
             "{}({})|{}|{}|{}#{}",
             spec.kernels[cell.kernel].name(),
             spec.kernels[cell.kernel].dims(),
-            spec.platforms[cell.platform].name,
+            spec.platforms[cell.platform].name(),
             spec.policies[cell.policy].name(),
             cell.scenario.name(),
             cell.seed_index,

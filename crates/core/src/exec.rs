@@ -9,7 +9,9 @@
 //! MSG), idling when work finishes early (paper Fig 1 (d)) and overrunning
 //! when interference makes C-phase misses slower than budgeted.
 
-use prem_gpusim::{ExecError, InterferenceEngine, Op, OpStream, Platform, Scenario, SmExecutor};
+use prem_gpusim::{
+    CostModel, ExecError, InterferenceEngine, Op, OpStream, Platform, Scenario, SmExecutor,
+};
 use prem_memsim::{
     AccessKind, BusWindow, Cache, CacheStats, Contention, LineAddr, LineSet, NullSink, Phase,
     TraceSink,
@@ -324,22 +326,19 @@ pub fn run_prem_traced<S: TraceSink>(
     let m_cont = platform.cpu.m_phase_contention();
     let ledger_cont = engine.mean_contention();
 
-    let mut breakdown = Breakdown::default();
     let mut prefetch_hits = 0;
     let mut prefetch_misses = 0;
     let mut max_rounds_used = 0;
     let mut noise_counter = 0u64;
-    // Per-interval (M work, C work): the budget-violation diagnostic is
-    // derived from these after the loop, once budgets are known in both
-    // the given-WCET and the fused mode.
+    // Per-interval (M work, C cycles, C DRAM fills): the run is folded
+    // from these after the loop, once budgets are known in both the
+    // given-WCET and the fused mode.
     let mut per_iv = Vec::with_capacity(intervals.len());
     // Observed WCETs (the fused mode's profiling result): per-interval
     // maxima accumulated in interval order, exactly as `profile_phases`
     // folds them.
     let mut m_wcet_obs = 0.0f64;
     let mut c_wcet_obs = 0.0f64;
-    let mut interval_timings = Vec::with_capacity(intervals.len());
-    let mut bus = BusWindow::default();
     let mut rounds = Rounds::new(platform.mem.llc());
     // Global schedule clock: what bursty co-runners' duty windows are
     // phased against.
@@ -356,13 +355,11 @@ pub fn run_prem_traced<S: TraceSink>(
         let m = run_m_phase(platform, iv, &cfg.store, m_cont, now, &mut rounds, sink)?;
         prefetch_hits += m.hits;
         prefetch_misses += m.misses;
-        let m_work = m.work;
         max_rounds_used = max_rounds_used.max(m.rounds);
         // The M-phase runs token-held, i.e. isolated — its work IS the
         // profiling measurement (identical accumulation in both passes).
-        m_wcet_obs = m_wcet_obs.max(m_work);
-        let m_t = PhaseTiming::in_slot(m_work, msg_cycles);
-        now += m_t.elapsed() + switch_cycles;
+        m_wcet_obs = m_wcet_obs.max(m.work);
+        now += PhaseTiming::in_slot(m.work, msg_cycles).elapsed() + switch_cycles;
 
         // --- C-phase (token released: co-runners contend on the bus and
         // thrashers pollute the LLC for the whole static C slot) ---
@@ -391,59 +388,107 @@ pub fn run_prem_traced<S: TraceSink>(
             }
             None => ex.run_under_traced(&c_stream, Phase::CPhase, &engine, now, sink)?,
         };
-
-        // Eager token release with the MSG floor (Fig 1 (d)): the slot ends
-        // at max(work, MSG). Budgets remain the static guarantee; work
-        // beyond a budget is recorded as a violation diagnostic.
-        let c_t = PhaseTiming::in_slot(c_out.cycles, msg_cycles);
-        now += c_t.elapsed();
-        bus.merge(&platform.cost.dram.account_window(
-            c_t.elapsed(),
-            c_out.levels.dram as f64 * platform.cost.line_bytes as f64,
-            ledger_cont,
-        ));
-        breakdown.m_work += m_t.work;
-        breakdown.c_work += c_t.work;
-        breakdown.idle += m_t.idle + c_t.idle;
-        breakdown.sync += 2.0 * switch_cycles;
-        per_iv.push((m_work, c_out.cycles));
-        interval_timings.push((m_t, c_t));
+        // Eager token release with the MSG floor: the slot ends at
+        // max(work, MSG).
+        now += PhaseTiming::in_slot(c_out.cycles, msg_cycles).elapsed();
+        per_iv.push((m.work, c_out.cycles, c_out.levels.dram));
     }
 
     // WCETs: given or inline-profiled values, or the fused walk's own
     // observation — bit-identical by the trajectory-coincidence argument.
     let wcets = profiled.unwrap_or((m_wcet_obs, c_wcet_obs));
     let budgets = known_budgets.unwrap_or_else(|| cfg.budget.compute(wcets.0, wcets.1, msg_cycles));
-    // Same per-interval fold, same order, as the previous inline
-    // accumulation — only deferred until budgets exist in every mode.
-    let mut budget_violation = 0.0f64;
-    for &(m_work, c_cycles) in &per_iv {
-        budget_violation +=
-            (m_work - budgets.m_cycles).max(0.0) + (c_cycles - budgets.c_cycles).max(0.0);
-    }
-
-    let llc = platform.mem.llc().stats().clone();
-    let cpmr = llc.cpmr();
-    let budget_envelope_cycles =
-        intervals.len() as f64 * (budgets.interval_cycles() + 2.0 * switch_cycles);
-
-    let run = PremRun {
-        intervals: intervals.len(),
-        makespan_cycles: breakdown.total(),
-        breakdown,
-        budget_envelope_cycles,
-        budgets,
-        llc,
-        cpmr,
+    let counters = RunCounters {
+        llc: platform.mem.llc().stats().clone(),
         prefetch_hits,
         prefetch_misses,
         max_rounds_used,
+        polluted_lines: engine.polluted_lines(),
+    };
+    let slots = SlotCosts {
+        msg_cycles,
+        switch_cycles,
+        ledger_cont,
+    };
+    let run = prem_run(per_iv, budgets, &slots, &platform.cost, counters);
+    Ok((run, wcets))
+}
+
+/// A PREM run's counters outside its schedule: what [`prem_run`] copies
+/// into the [`PremRun`] as given.
+pub(crate) struct RunCounters {
+    pub(crate) llc: CacheStats,
+    pub(crate) prefetch_hits: u64,
+    pub(crate) prefetch_misses: u64,
+    pub(crate) max_rounds_used: u32,
+    pub(crate) polluted_lines: u64,
+}
+
+/// The platform's slot costs: the MSG that floors every phase slot, the
+/// token-switch cost paid on each side of a phase, and the contention the
+/// C-phase bus ledger is accounted under.
+pub(crate) struct SlotCosts {
+    pub(crate) msg_cycles: f64,
+    pub(crate) switch_cycles: f64,
+    pub(crate) ledger_cont: Contention,
+}
+
+/// The one PREM run assembly, shared by the live executor
+/// ([`run_prem_traced`]) and pricing
+/// ([`CompiledRun::price`](crate::CompiledRun::price)), so a priced run
+/// is bit-identical to a live one by construction. Folds each interval's
+/// (M work, C cycles, C DRAM fills), in interval order, into its slot
+/// timings (eager release with the MSG floor, paper Fig 1 (d)), the
+/// makespan breakdown, the C-phase bus ledger and the budget violation
+/// (work beyond a static budget is a diagnostic; budgets remain the
+/// guarantee), then adds the static envelope.
+pub(crate) fn prem_run(
+    per_interval: impl IntoIterator<Item = (f64, f64, u64)>,
+    budgets: Budgets,
+    slots: &SlotCosts,
+    cost: &CostModel,
+    counters: RunCounters,
+) -> PremRun {
+    let per_interval = per_interval.into_iter();
+    let mut interval_timings = Vec::with_capacity(per_interval.size_hint().0);
+    let mut breakdown = Breakdown::default();
+    let mut budget_violation = 0.0f64;
+    let mut bus = BusWindow::default();
+    for (m_work, c_cycles, c_dram) in per_interval {
+        let m_t = PhaseTiming::in_slot(m_work, slots.msg_cycles);
+        let c_t = PhaseTiming::in_slot(c_cycles, slots.msg_cycles);
+        bus.merge(&cost.dram.account_window(
+            c_t.elapsed(),
+            c_dram as f64 * cost.line_bytes as f64,
+            slots.ledger_cont,
+        ));
+        breakdown.m_work += m_t.work;
+        breakdown.c_work += c_t.work;
+        breakdown.idle += m_t.idle + c_t.idle;
+        breakdown.sync += 2.0 * slots.switch_cycles;
+        budget_violation +=
+            (m_work - budgets.m_cycles).max(0.0) + (c_cycles - budgets.c_cycles).max(0.0);
+        interval_timings.push((m_t, c_t));
+    }
+    let intervals = interval_timings.len();
+    let cpmr = counters.llc.cpmr();
+    PremRun {
+        intervals,
+        makespan_cycles: breakdown.total(),
+        breakdown,
+        budget_envelope_cycles: intervals as f64
+            * (budgets.interval_cycles() + 2.0 * slots.switch_cycles),
+        budgets,
+        llc: counters.llc,
+        cpmr,
+        prefetch_hits: counters.prefetch_hits,
+        prefetch_misses: counters.prefetch_misses,
+        max_rounds_used: counters.max_rounds_used,
         budget_violation_cycles: budget_violation,
         interval_timings,
         bus,
-        polluted_lines: engine.polluted_lines(),
-    };
-    Ok((run, wcets))
+        polluted_lines: counters.polluted_lines,
+    }
 }
 
 /// Executes the unprotected baseline: the same demand accesses with no
@@ -460,28 +505,6 @@ pub fn run_baseline(
     seed: u64,
     scenario: Scenario,
     noise: NoiseModel,
-) -> Result<BaselineRun, ExecError> {
-    run_baseline_traced(platform, intervals, seed, scenario, noise, &mut NullSink)
-}
-
-/// [`run_baseline`] with cache-event instrumentation: every LLC access
-/// outcome, per-interval boundary and compute op is reported to `sink`.
-/// The baseline has no PREM intervals — [`TraceSink::on_interval`] here
-/// marks the boundary between the per-interval demand streams (a cost
-/// accounting segment), and the cache's self-eviction epoch does **not**
-/// advance (the live baseline never calls `begin_interval` either). With
-/// [`NullSink`] this monomorphizes to exactly [`run_baseline`].
-///
-/// # Errors
-///
-/// Exactly the [`run_baseline`] error conditions.
-pub fn run_baseline_traced<S: TraceSink>(
-    platform: &mut Platform,
-    intervals: &[IntervalSpec],
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    sink: &mut S,
 ) -> Result<BaselineRun, ExecError> {
     // An unprotected kernel is exposed to the whole mix the whole time:
     // bus contention on every access, and LLC pollution applied *before*
@@ -503,17 +526,15 @@ pub fn run_baseline_traced<S: TraceSink>(
     let mut cycles = 0.0;
     let mut noise_counter = 0u64;
     for (i, iv) in intervals.iter().enumerate() {
-        sink.on_interval();
         if let Some(&window) = windows.get(i) {
-            engine.pollute_traced(platform.mem.llc_mut(), window, sink);
+            engine.pollute(platform.mem.llc_mut(), window);
         }
         let stream = demand_stream(None, iv, noise, &mut noise_counter);
-        let out = SmExecutor::new(&mut platform.mem, &platform.cost).run_under_traced(
+        let out = SmExecutor::new(&mut platform.mem, &platform.cost).run_under(
             &stream,
             Phase::Unphased,
             &engine,
             cycles,
-            sink,
         )?;
         cycles += out.cycles;
     }

@@ -20,7 +20,7 @@
 //!   [`Breakdown`]s, makespans and the **CPMR** predictability metric.
 //!   Each has one general form: [`run_prem_traced`] takes a trace sink
 //!   and optional WCETs and returns the `(m_wcet, c_wcet)`
-//!   its budgets derive from; [`run_baseline_traced`] takes a sink.
+//!   its budgets derive from.
 //!   [`profile_phases`] is the isolated profiling pass on its own.
 //! * [`analytic`] — the paper's coin-toss and good-way-capacity models for
 //!   cross-checking the simulator.
@@ -71,8 +71,8 @@ pub mod whatif;
 pub use budget::{BudgetPolicy, Budgets};
 pub use codec::CODEC_VERSION;
 pub use exec::{
-    profile_phases, run_baseline, run_baseline_traced, run_prem, run_prem_traced, BaselineRun,
-    NoiseModel, PremConfig, PremRun,
+    profile_phases, run_baseline, run_prem, run_prem_traced, BaselineRun, NoiseModel, PremConfig,
+    PremRun,
 };
 pub use interval::{CAccess, IntervalSpec};
 pub use local_store::{LocalStore, PrefetchStrategy};

@@ -83,20 +83,18 @@ use std::ops::Range;
 
 use prem_gpusim::{CostModel, ExecError, InterferenceEngine, Op, PlatformConfig, Scenario};
 use prem_memsim::{
-    AccessKind, BusWindow, Cache, CacheStats, Contention, HitLevel, LineAddr, LineSet, NullSink,
-    Phase, Policy, Spm, SpmError,
+    AccessKind, Cache, CacheStats, Contention, HitLevel, LineAddr, LineSet, NullSink, Phase,
+    Policy, Spm, SpmError,
 };
 
 use crate::budget::BudgetPolicy;
 use crate::exec::{
-    noisy_demand_ops, prefetch_rounds, repeats_no_line, BaselineRun, Footprint, NoiseModel,
-    PremRun, Rounds,
+    noisy_demand_ops, prefetch_rounds, prem_run, repeats_no_line, BaselineRun, Footprint,
+    NoiseModel, Rounds, RunCounters, SlotCosts,
 };
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
-use crate::metrics::Breakdown;
 use crate::plan::{Executed, RunOutput, RunWork};
-use crate::sync::PhaseTiming;
 
 /// Whether a run on `cfg` under `scenario` can be priced from its
 /// trajectory class's walk ([`CompiledRun::price`]), whatever its work.
@@ -690,53 +688,27 @@ impl CompiledRun {
 
         let (m_wcet, c_wcet) = self.wcets(trajectory).expect("PREM work profiles");
         let budgets = self.budget.compute(m_wcet, c_wcet, self.msg_cycles);
-
-        let mut breakdown = Breakdown::default();
-        let mut budget_violation = 0.0f64;
-        let mut interval_timings = Vec::with_capacity(c_live.len());
-        let mut bus = BusWindow::default();
-        for ((&m_work, &c_live), &c_dram) in
-            trajectory.m_work.iter().zip(c_live).zip(&trajectory.c_dram)
-        {
-            let m_t = PhaseTiming::in_slot(m_work, self.msg_cycles);
-            let c_t = PhaseTiming::in_slot(c_live, self.msg_cycles);
-            bus.merge(&cost.dram.account_window(
-                c_t.elapsed(),
-                c_dram as f64 * cost.line_bytes as f64,
-                ledger_cont,
-            ));
-            breakdown.m_work += m_t.work;
-            breakdown.c_work += c_t.work;
-            breakdown.idle += m_t.idle + c_t.idle;
-            breakdown.sync += 2.0 * self.switch_cycles;
-            budget_violation +=
-                (m_work - budgets.m_cycles).max(0.0) + (c_live - budgets.c_cycles).max(0.0);
-            interval_timings.push((m_t, c_t));
-        }
-
-        let n_intervals = self.segments.len();
-        let llc = trajectory.llc.clone();
-        let cpmr = llc.cpmr();
-        let budget_envelope_cycles =
-            n_intervals as f64 * (budgets.interval_cycles() + 2.0 * self.switch_cycles);
+        let per_interval = trajectory
+            .m_work
+            .iter()
+            .zip(c_live)
+            .zip(&trajectory.c_dram)
+            .map(|((&m_work, &c_cycles), &c_dram)| (m_work, c_cycles, c_dram));
+        let counters = RunCounters {
+            llc: trajectory.llc.clone(),
+            prefetch_hits: trajectory.prefetch_hits,
+            prefetch_misses: trajectory.prefetch_misses,
+            max_rounds_used: trajectory.max_rounds_used,
+            // Eligible mixes have no cache-thrashing actors.
+            polluted_lines: 0,
+        };
+        let slots = SlotCosts {
+            msg_cycles: self.msg_cycles,
+            switch_cycles: self.switch_cycles,
+            ledger_cont,
+        };
         Executed {
-            output: RunOutput::Prem(PremRun {
-                intervals: n_intervals,
-                makespan_cycles: breakdown.total(),
-                breakdown,
-                budget_envelope_cycles,
-                budgets,
-                llc,
-                cpmr,
-                prefetch_hits: trajectory.prefetch_hits,
-                prefetch_misses: trajectory.prefetch_misses,
-                max_rounds_used: trajectory.max_rounds_used,
-                budget_violation_cycles: budget_violation,
-                interval_timings,
-                bus,
-                // Eligible mixes have no cache-thrashing actors.
-                polluted_lines: 0,
-            }),
+            output: RunOutput::Prem(prem_run(per_interval, budgets, &slots, cost, counters)),
             wcets: Some((m_wcet, c_wcet)),
         }
     }

@@ -29,7 +29,7 @@ impl MatrixResult {
         MatrixResult {
             kernel_names: spec.kernels.iter().map(|k| k.name().to_string()).collect(),
             kernel_dims: spec.kernels.iter().map(|k| k.dims()).collect(),
-            platform_names: spec.platforms.iter().map(|p| p.name.clone()).collect(),
+            platform_names: spec.platforms.iter().map(|p| p.name().into()).collect(),
             policy_names: spec.policies.iter().map(|p| p.name()).collect(),
             scenarios: spec.scenarios.clone(),
             n_seeds: spec.seeds.len(),

@@ -2,11 +2,12 @@
 //!
 //! The paper evaluates one TX1 in isolation vs. interference. This crate
 //! generalizes that evaluation into a declarative *matrix*: a
-//! [`MatrixSpec`] names the axes — kernels × platform presets
-//! ([`MatrixPlatform`]) × LLC replacement policies ([`MatrixPolicy`]) ×
-//! contention scenarios × seeds — and [`run_matrix`] expands the product
-//! into independent simulation tasks executed on a deterministic
-//! work-claiming thread pool ([`pool::parallel_map`]).
+//! [`MatrixSpec`] names the axes — kernels × platform templates
+//! ([`PlatformSpec`], presets named by [`PlatformId`]) × LLC replacement
+//! policies ([`MatrixPolicy`]) × contention scenarios × seeds — and
+//! [`run_matrix`] expands the product into independent simulation tasks
+//! executed on a deterministic work-claiming thread pool
+//! ([`pool::parallel_map`]).
 //!
 //! Determinism is a design invariant, not an accident of scheduling:
 //!
@@ -31,11 +32,11 @@
 //! regeneration near-instant (see `CACHING.md` at the repo root).
 //!
 //! ```
-//! use prem_harness::{run_matrix, MatrixPlatform, MatrixPolicy, MatrixSpec};
+//! use prem_harness::{run_matrix, MatrixPolicy, MatrixSpec, PlatformId};
 //! use prem_kernels::Bicg;
 //!
 //! let mut spec = MatrixSpec::quick(vec![Box::new(Bicg::new(128, 128))]);
-//! spec.platforms = vec![MatrixPlatform::tx1(), MatrixPlatform::tx2()];
+//! spec.platforms = vec![PlatformId::Tx1.spec(None), PlatformId::Tx2.spec(None)];
 //! spec.policies = vec![MatrixPolicy::VendorBiased];
 //! let result = run_matrix(&spec, 2);
 //! assert_eq!(result.cells().len(), spec.len());
@@ -64,8 +65,6 @@ pub use pool::{default_workers, parallel_map};
 pub use run::{
     cell_requests, run_cell_with, run_matrix, run_matrix_metered, run_matrix_with, CellResult,
 };
-pub use spec::{
-    scenario_name, CellSpec, CorunnerMix, MatrixPlatform, MatrixPolicy, MatrixScenario, MatrixSpec,
-};
+pub use spec::{scenario_name, CellSpec, CorunnerMix, MatrixPolicy, MatrixScenario, MatrixSpec};
 pub use store::{GcReport, RunStore, StoreStats};
 pub use wire::{OwnedRunRequest, PlatformId, ResolvedRunRequest, WIRE_VERSION};

@@ -80,38 +80,69 @@ use crate::pool::parallel_map;
 use crate::seed::fingerprint;
 use crate::spec::{scenario_name, MatrixPolicy, MatrixScenario};
 use crate::store::RunStore;
+use crate::wire::PlatformId;
 
-/// How a request's platform is constructed: a named template plus an
-/// optional LLC-policy override. The per-request LLC seed and co-runner
-/// mix are applied at resolution time from the request's own coordinates.
+/// A named platform template, plus an optional LLC-policy override: how a
+/// request's platform is constructed. The per-request LLC seed and
+/// co-runner mix are applied at resolution time from the request's own
+/// coordinates.
+///
+/// The name and config are read-only. A template is built and digested
+/// once, by [`PlatformSpec::new`] or by [`PlatformId::spec`], which hands
+/// out one shared template per preset per process. Every clone (a matrix
+/// cell, a figure request, a served job) shares the name, the config and
+/// the key digest behind one [`Arc`]. A hand-modified config is a new
+/// template, built with [`PlatformSpec::new`].
 #[derive(Clone, Debug)]
 pub struct PlatformSpec {
-    /// Short stable name used in canonical keys (`tx1`, `tx2`, …). The
-    /// key also carries a digest of the full config, so two different
-    /// configs under the same name never alias.
-    pub name: String,
-    /// The platform template.
-    pub config: PlatformConfig,
+    template: Arc<Template>,
     /// Optional LLC replacement-policy override (the matrix's policy
     /// axis); `None` keeps the template's own policy, as the figure
     /// experiments do.
     pub policy: Option<MatrixPolicy>,
 }
 
+/// The shared, immutable part of a [`PlatformSpec`].
+#[derive(Debug)]
+struct Template {
+    name: String,
+    config: PlatformConfig,
+    /// [`fingerprint`] of the config's `Debug` spelling: the digest every
+    /// canonical key carries next to the name.
+    digest: u64,
+}
+
 impl PlatformSpec {
-    /// A named platform template with no policy override.
+    /// A named platform template with no policy override. The config is
+    /// digested here, once, for every key of every request on it.
     pub fn new(name: impl Into<String>, config: PlatformConfig) -> Self {
+        let digest = fingerprint(&format!("{config:?}"));
         PlatformSpec {
-            name: name.into(),
-            config,
+            template: Arc::new(Template {
+                name: name.into(),
+                config,
+                digest,
+            }),
             policy: None,
         }
     }
 
     /// The paper's TX1 platform — the template every figure experiment
-    /// runs on.
+    /// runs on: [`PlatformId::Tx1`]'s shared template.
     pub fn tx1() -> Self {
-        PlatformSpec::new("tx1", PlatformConfig::tx1())
+        PlatformId::Tx1.spec(None)
+    }
+
+    /// Short stable name used in canonical keys and reports (`tx1`,
+    /// `tx2`, …). The key also carries a digest of the full config, so
+    /// two different configs under the same name never alias.
+    pub fn name(&self) -> &str {
+        &self.template.name
+    }
+
+    /// The platform template's configuration.
+    pub fn config(&self) -> &PlatformConfig {
+        &self.template.config
     }
 
     /// Overrides the LLC replacement policy.
@@ -159,18 +190,9 @@ impl RunRequest<'_> {
         // different mixes cannot alias.
         let scenario = match &self.scenario {
             MatrixScenario::Preset(s) => scenario_name(*s).to_string(),
-            MatrixScenario::Mix(m) => format!(
-                "{}#{:016x}",
-                m.name,
-                fingerprint(&format!("{:?}", m.profiles))
-            ),
+            MatrixScenario::Mix(m) => format!("{}#{:016x}", m.name(), m.digest()),
         };
-        self.key_slots(
-            self.platform_digest(),
-            policy,
-            &self.seed.to_string(),
-            &scenario,
-        )
+        self.key_slots(policy, &self.seed.to_string(), &scenario)
     }
 
     /// The derivation **base key**: [`RunRequest::key`] with the three
@@ -187,26 +209,22 @@ impl RunRequest<'_> {
     /// never share a family; equal base keys with unequal keys are
     /// siblings.
     pub fn base_key(&self) -> String {
-        self.key_slots(self.platform_digest(), "*", "*", "*")
-    }
-
-    /// The digest of the platform template's full configuration that
-    /// every key carries next to the template name, so a renamed or
-    /// hand-modified template can never alias another.
-    fn platform_digest(&self) -> u64 {
-        fingerprint(&format!("{:?}", self.platform.config))
+        self.key_slots("*", "*", "*")
     }
 
     /// The canonical key skeleton with every wildcardable slot explicit —
     /// the single format string behind [`RunRequest::key`] and
-    /// [`RunRequest::base_key`].
-    fn key_slots(&self, digest: u64, policy: &str, seed: &str, scenario: &str) -> String {
+    /// [`RunRequest::base_key`]. The platform slot is the template's name
+    /// and the digest of its full configuration, taken when the template
+    /// was built, so a renamed or hand-modified template can never alias
+    /// another.
+    fn key_slots(&self, policy: &str, seed: &str, scenario: &str) -> String {
         format!(
             "{}({})|{}#{:016x}|{}|{}|{}|t{}|s{}|n{}x{}",
             self.kernel.name(),
             self.kernel.dims(),
-            self.platform.name,
-            digest,
+            self.platform.name(),
+            self.platform.template.digest,
             policy,
             scenario,
             self.work.key(),
@@ -229,14 +247,14 @@ impl RunRequest<'_> {
     /// request seed, then the scenario's co-runner actors — the exact
     /// construction order the matrix engine has always used.
     pub fn resolved_platform(&self) -> PlatformConfig {
-        let mut cfg = self.platform.config.clone();
+        let mut cfg = self.platform.config().clone();
         if let Some(policy) = self.platform.policy {
             let ways = cfg.llc.ways();
             cfg = cfg.llc_policy(policy.instantiate(ways));
         }
         let corunners = match &self.scenario {
             MatrixScenario::Preset(_) => Vec::new(),
-            MatrixScenario::Mix(m) => m.profiles.clone(),
+            MatrixScenario::Mix(m) => m.profiles().to_vec(),
         };
         cfg.llc_seed(self.seed).with_corunners(corunners)
     }
@@ -1065,8 +1083,13 @@ mod tests {
     fn hand_modified_template_cannot_alias_a_preset() {
         let k = Bicg::new(128, 128);
         let preset = req(&k, RunWork::PremLlc { r: 8 }, 32 * KIB, 11);
-        let mut doctored = preset.clone();
-        doctored.platform.config.clock_ghz = 2.0; // same name, different config
+        let mut config = preset.platform.config().clone();
+        config.clock_ghz = 2.0;
+        // Same name, different config.
+        let doctored = RunRequest {
+            platform: PlatformSpec::new(preset.platform.name(), config),
+            ..preset.clone()
+        };
         assert_ne!(preset.key(), doctored.key());
     }
 
@@ -1133,8 +1156,12 @@ mod tests {
 
         // An invalidating platform tweak changes the key, so only the
         // tweaked request is simulated again.
-        let mut tweaked = a.clone();
-        tweaked.platform.config.clock_ghz *= 2.0;
+        let mut config = a.platform.config().clone();
+        config.clock_ghz *= 2.0;
+        let tweaked = RunRequest {
+            platform: PlatformSpec::new(a.platform.name(), config),
+            ..a.clone()
+        };
         let s = warm.execute(&[tweaked, b.clone()], 1);
         assert_eq!((s.executed + s.replayed, s.hits, s.disk_hits), (1, 1, 0));
         std::fs::remove_dir_all(&dir).ok();

@@ -10,7 +10,7 @@
 use prem_core::{BaselineRun, PremRun, RunWork};
 
 use crate::agg::MatrixResult;
-use crate::plan::{PlanExecutor, PlatformSpec, RunRequest, RunSource};
+use crate::plan::{PlanExecutor, RunRequest, RunSource};
 use crate::spec::{CellSpec, MatrixSpec};
 
 /// Measured outcome of one cell: the PREM-LLC run plus the unprotected
@@ -43,10 +43,10 @@ pub struct CellResult {
 /// co-runner traffic is as worker-count-independent as the rest of the
 /// cell.
 pub fn cell_requests<'s>(spec: &'s MatrixSpec, cell: &CellSpec) -> [RunRequest<'s>; 2] {
-    let plat = &spec.platforms[cell.platform];
     let prem = RunRequest {
         kernel: spec.kernels[cell.kernel].as_ref(),
-        platform: PlatformSpec::new(plat.name.clone(), plat.config.clone())
+        platform: spec.platforms[cell.platform]
+            .clone()
             .with_policy(spec.policies[cell.policy]),
         work: RunWork::PremLlc { r: spec.r },
         t_bytes: cell.t_bytes,
@@ -64,7 +64,7 @@ pub fn cell_requests<'s>(spec: &'s MatrixSpec, cell: &CellSpec) -> [RunRequest<'
 /// Folds one cell's two run outputs into the aggregate row, converting
 /// cycle counts at the cell platform's clock.
 fn cell_result(spec: &MatrixSpec, cell: &CellSpec, prem: PremRun, base: BaselineRun) -> CellResult {
-    let config = &spec.platforms[cell.platform].config;
+    let config = spec.platforms[cell.platform].config();
     let to_us = |cycles: f64| config.cycles_to_us(cycles);
     CellResult {
         cell: cell.clone(),
@@ -132,13 +132,14 @@ pub fn run_matrix_metered<M: prem_obs::MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CorunnerMix, MatrixPlatform, MatrixScenario};
+    use crate::plan::PlatformSpec;
+    use crate::spec::{CorunnerMix, MatrixScenario};
     use prem_gpusim::{CorunnerProfile, Scenario};
     use prem_kernels::Bicg;
 
     fn tiny_spec() -> MatrixSpec {
         let mut spec = MatrixSpec::quick(vec![Box::new(Bicg::new(128, 128))]);
-        spec.platforms = vec![MatrixPlatform::tx1()];
+        spec.platforms = vec![PlatformSpec::tx1()];
         spec
     }
 

@@ -1,59 +1,13 @@
 //! Declarative description of a scenario matrix.
 
 use prem_core::NoiseModel;
-use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
+use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_kernels::Kernel;
 use prem_memsim::{Policy, KIB};
 
-use crate::seed::derive_seed;
-
-/// A named platform column of the matrix.
-///
-/// [`PlatformConfig`] intentionally has no name of its own; the matrix
-/// needs one for CSV rows and deduplication, so the pairing lives here.
-#[derive(Clone, Debug)]
-pub struct MatrixPlatform {
-    /// Short name used in tables and CSV (`tx1`, `tx2`, …).
-    pub name: String,
-    /// The platform template. Its LLC policy and seed are overridden per
-    /// cell by the policy axis and the seed derivation.
-    pub config: PlatformConfig,
-}
-
-impl MatrixPlatform {
-    /// The paper's TX1 platform.
-    pub fn tx1() -> Self {
-        MatrixPlatform {
-            name: "tx1".into(),
-            config: PlatformConfig::tx1(),
-        }
-    }
-
-    /// The TX2-like platform preset.
-    pub fn tx2() -> Self {
-        MatrixPlatform {
-            name: "tx2".into(),
-            config: PlatformConfig::tx2(),
-        }
-    }
-
-    /// The Xavier-like platform preset.
-    pub fn xavier_like() -> Self {
-        MatrixPlatform {
-            name: "xavier".into(),
-            config: PlatformConfig::xavier_like(),
-        }
-    }
-
-    /// A synthetic geometry (see [`PlatformConfig::generic`]); named
-    /// `g<llc>k<ways>w` in reports.
-    pub fn generic(llc_kib: usize, ways: usize, spm_kib: usize) -> Self {
-        MatrixPlatform {
-            name: format!("g{llc_kib}k{ways}w"),
-            config: PlatformConfig::generic(llc_kib, ways, spm_kib),
-        }
-    }
-}
+use crate::plan::PlatformSpec;
+use crate::seed::{derive_seed, fingerprint};
+use crate::wire::PlatformId;
 
 /// An LLC replacement policy column, abstract over associativity.
 ///
@@ -138,22 +92,25 @@ pub fn scenario_name(s: Scenario) -> &'static str {
 }
 
 /// A named CPU co-runner mix: one entry of the matrix's scenario axis.
+///
+/// Immutable once built: the profile list is digested at construction,
+/// once, for every canonical key of every request under the mix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CorunnerMix {
-    /// Short stable name used in cell keys and CSV (`2xmembomb`, …).
-    /// Part of the seed-derivation key, so renaming a mix re-seeds its
-    /// cells — name mixes once.
-    pub name: String,
-    /// The co-runner actors of the mix.
-    pub profiles: Vec<CorunnerProfile>,
+    name: String,
+    profiles: Vec<CorunnerProfile>,
+    /// [`fingerprint`] of the profile list's `Debug` spelling.
+    digest: u64,
 }
 
 impl CorunnerMix {
     /// A named mix from explicit profiles.
     pub fn new(name: impl Into<String>, profiles: Vec<CorunnerProfile>) -> Self {
+        let digest = fingerprint(&format!("{profiles:?}"));
         CorunnerMix {
             name: name.into(),
             profiles,
+            digest,
         }
     }
 
@@ -161,10 +118,25 @@ impl CorunnerMix {
     /// (`0xmembomb` is the empty mix — an isolation measurement under a
     /// sweep-friendly name).
     pub fn uniform(n: usize, profile: CorunnerProfile) -> Self {
-        CorunnerMix {
-            name: format!("{n}x{}", profile.name()),
-            profiles: vec![profile; n],
-        }
+        CorunnerMix::new(format!("{n}x{}", profile.name()), vec![profile; n])
+    }
+
+    /// Short stable name used in cell keys and CSV (`2xmembomb`, …).
+    /// Part of the seed-derivation key, so renaming a mix re-seeds its
+    /// cells — name mixes once.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The co-runner actors of the mix.
+    pub fn profiles(&self) -> &[CorunnerProfile] {
+        &self.profiles
+    }
+
+    /// The digest of the profile list that canonical keys carry next to
+    /// the name, so same-named-but-different mixes cannot alias.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
     }
 }
 
@@ -186,7 +158,7 @@ impl MatrixScenario {
     pub fn name(&self) -> &str {
         match self {
             MatrixScenario::Preset(s) => scenario_name(*s),
-            MatrixScenario::Mix(m) => &m.name,
+            MatrixScenario::Mix(m) => m.name(),
         }
     }
 
@@ -205,8 +177,10 @@ impl MatrixScenario {
 pub struct MatrixSpec {
     /// Kernel axis.
     pub kernels: Vec<Box<dyn Kernel>>,
-    /// Platform axis.
-    pub platforms: Vec<MatrixPlatform>,
+    /// Platform axis: named templates. Each cell's LLC policy and seed
+    /// are applied per request by the policy axis and the seed
+    /// derivation; cells share their template.
+    pub platforms: Vec<PlatformSpec>,
     /// LLC replacement-policy axis.
     pub policies: Vec<MatrixPolicy>,
     /// Scenario axis: paper presets and/or named co-runner mixes.
@@ -232,11 +206,9 @@ impl MatrixSpec {
     pub fn new(kernels: Vec<Box<dyn Kernel>>) -> Self {
         MatrixSpec {
             kernels,
-            platforms: vec![
-                MatrixPlatform::tx1(),
-                MatrixPlatform::tx2(),
-                MatrixPlatform::xavier_like(),
-            ],
+            platforms: [PlatformId::Tx1, PlatformId::Tx2, PlatformId::XavierLike]
+                .map(|id| id.spec(None))
+                .into(),
             policies: vec![MatrixPolicy::VendorBiased, MatrixPolicy::Lru],
             scenarios: vec![
                 MatrixScenario::Preset(Scenario::Isolation),
@@ -278,10 +250,10 @@ impl MatrixSpec {
     pub fn t_bytes(
         &self,
         kernel: &dyn Kernel,
-        platform: &MatrixPlatform,
+        platform: &PlatformSpec,
         policy: MatrixPolicy,
     ) -> usize {
-        let llc = platform.config.llc.clone();
+        let llc = platform.config().llc.clone();
         let ways = llc.ways();
         let good = llc.policy(policy.instantiate(ways)).good_capacity_bytes();
         let quantum = 32 * KIB;
@@ -310,7 +282,7 @@ impl MatrixSpec {
                                 "{}({})|{}|{}|{}",
                                 k.name(),
                                 k.dims(),
-                                plat.name,
+                                plat.name(),
                                 pol.name(),
                                 scenario.name()
                             );
@@ -404,7 +376,7 @@ mod tests {
         }
         // Mix names are sweep-friendly and distinct per count.
         assert_eq!(
-            CorunnerMix::uniform(3, CorunnerProfile::CacheThrash).name,
+            CorunnerMix::uniform(3, CorunnerProfile::CacheThrash).name(),
             "3xcache_thrash"
         );
         assert_ne!(
@@ -441,9 +413,9 @@ mod tests {
     fn t_matches_the_paper_on_tx1_biased() {
         let s = spec();
         let k = Bicg::new(1024, 1024);
-        let t = s.t_bytes(&k, &MatrixPlatform::tx1(), MatrixPolicy::VendorBiased);
+        let t = s.t_bytes(&k, &PlatformSpec::tx1(), MatrixPolicy::VendorBiased);
         assert_eq!(t, 160 * KIB); // 5/6 of 192 KiB good capacity, 32 KiB grid
-        let t_lru = s.t_bytes(&k, &MatrixPlatform::tx1(), MatrixPolicy::Lru);
+        let t_lru = s.t_bytes(&k, &PlatformSpec::tx1(), MatrixPolicy::Lru);
         assert_eq!(t_lru, 192 * KIB); // 5/6 of the full 256 KiB
     }
 

@@ -23,6 +23,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::OnceLock;
 
 use prem_core::codec::{bad_data, read_f64, read_u8, read_varint, write_f64, write_varint};
 use prem_core::{NoiseModel, RunWork};
@@ -47,15 +48,15 @@ const MAX_DIMS: u64 = 16;
 /// Decode guard: most co-runner profiles a mix may carry.
 const MAX_PROFILES: u64 = 1024;
 
-/// A platform template as pure data: the closed set of named presets plus
-/// the generic geometry, exactly the constructions
-/// [`MatrixPlatform`](crate::spec::MatrixPlatform) offers.
+/// A platform template as pure data, and the one table that names and
+/// builds templates: the closed set of named presets plus the generic
+/// geometry. [`PlatformId::spec`] builds the [`PlatformSpec`] an identity
+/// names; [`PlatformId::of_spec`] takes it back.
 ///
 /// The `Display` spelling is the *wire* spelling and is self-contained
 /// (`g256k8w64s` carries the scratchpad size); [`PlatformId::name`] is
-/// the report/key spelling (`g256k8w`), identical to the
-/// `MatrixPlatform` convention so owned requests key like hand-built
-/// ones.
+/// the report/key spelling (`g256k8w`) that the built template carries,
+/// so owned requests key like hand-built ones.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PlatformId {
     /// The paper's TX1 platform ([`PlatformConfig::tx1`]).
@@ -76,9 +77,10 @@ pub enum PlatformId {
 }
 
 impl PlatformId {
-    /// The report/key name — the spelling
-    /// [`MatrixPlatform`](crate::spec::MatrixPlatform) uses, so a
-    /// resolved owned request keys identically to a hand-built one.
+    /// The named presets.
+    const PRESETS: [PlatformId; 3] = [PlatformId::Tx1, PlatformId::Tx2, PlatformId::XavierLike];
+
+    /// The report/key name of the template this identity builds.
     pub fn name(&self) -> String {
         match self {
             PlatformId::Tx1 => "tx1".into(),
@@ -88,7 +90,7 @@ impl PlatformId {
         }
     }
 
-    /// The platform template this identity names.
+    /// The platform configuration this identity names.
     pub fn config(&self) -> PlatformConfig {
         match self {
             PlatformId::Tx1 => PlatformConfig::tx1(),
@@ -102,41 +104,51 @@ impl PlatformId {
         }
     }
 
-    /// The platform construction recipe for a borrowed request, with the
-    /// given policy override.
+    /// The template this identity names, with the given policy override.
+    /// A preset hands out one shared template per process, built and
+    /// digested on first use; a generic geometry builds a new one.
     pub fn spec(&self, policy: Option<MatrixPolicy>) -> PlatformSpec {
-        let mut spec = PlatformSpec::new(self.name(), self.config());
+        static SHARED: [OnceLock<PlatformSpec>; PlatformId::PRESETS.len()] =
+            [const { OnceLock::new() }; PlatformId::PRESETS.len()];
+        let build = || PlatformSpec::new(self.name(), self.config());
+        let mut spec = match Self::PRESETS.iter().position(|p| p == self) {
+            Some(preset) => SHARED[preset].get_or_init(build).clone(),
+            None => build(),
+        };
         spec.policy = policy;
         spec
     }
 
-    /// The identity of an existing recipe, or a hard error when the
-    /// recipe is not one of the closed constructions this enum can name.
+    /// The preset named `name`, if any.
+    fn preset_named(name: &str) -> Option<PlatformId> {
+        Self::PRESETS.into_iter().find(|p| p.name() == name)
+    }
+
+    /// The identity of an existing template, or a hard error when the
+    /// template is not one of the closed constructions this enum can name.
     ///
-    /// Names alone are not trusted: the candidate identity's template
-    /// must compare equal to the recipe's actual config, so a hand-tuned
-    /// config under a preset's name is rejected rather than silently
-    /// re-keyed to the preset.
+    /// Names alone are not trusted: the candidate identity's config must
+    /// compare equal to the template's, so a hand-tuned config under a
+    /// preset's name is rejected rather than silently re-keyed to the
+    /// preset.
     pub fn of_spec(spec: &PlatformSpec) -> io::Result<PlatformId> {
-        let id = match spec.name.as_str() {
-            "tx1" => PlatformId::Tx1,
-            "tx2" => PlatformId::Tx2,
-            "xavier" => PlatformId::XavierLike,
-            name => {
+        let name = spec.name();
+        let id = match PlatformId::preset_named(name) {
+            Some(preset) => preset,
+            None => {
                 let (llc_kib, ways) = parse_generic_name(name).ok_or_else(|| {
                     bad_data(&format!("platform `{name}` is not a wire-able template"))
                 })?;
                 PlatformId::Generic {
                     llc_kib,
                     ways,
-                    spm_kib: spec.config.spm.capacity_bytes() / KIB,
+                    spm_kib: spec.config().spm.capacity_bytes() / KIB,
                 }
             }
         };
-        if id.config() != spec.config {
+        if id.config() != *spec.config() {
             return Err(bad_data(&format!(
-                "platform `{}` does not match its named template",
-                spec.name
+                "platform `{name}` does not match its named template"
             )));
         }
         Ok(id)
@@ -144,11 +156,8 @@ impl PlatformId {
 
     /// Parses the self-contained wire spelling (see `Display`).
     pub fn parse(s: &str) -> io::Result<PlatformId> {
-        match s {
-            "tx1" => return Ok(PlatformId::Tx1),
-            "tx2" => return Ok(PlatformId::Tx2),
-            "xavier" => return Ok(PlatformId::XavierLike),
-            _ => {}
+        if let Some(preset) = PlatformId::preset_named(s) {
+            return Ok(preset);
         }
         let err = || bad_data(&format!("unknown platform `{s}`"));
         let rest = s.strip_prefix('g').ok_or_else(err)?;
@@ -237,9 +246,10 @@ impl OwnedRunRequest {
         })
     }
 
-    /// Instantiates the kernel and pairs it with this request, yielding a
-    /// holder that can lend out the borrowed form. Hard error when the
-    /// kernel identity is not registered.
+    /// Instantiates the kernel and builds the platform template (a
+    /// preset's shared one), pairing both with this request in a holder
+    /// that can lend out the borrowed form. Hard error when the kernel
+    /// identity is not registered.
     ///
     /// # Panics
     ///
@@ -252,6 +262,7 @@ impl OwnedRunRequest {
             .ok_or_else(|| bad_data(&format!("kernel `{}` is not registered", self.kernel)))?;
         Ok(ResolvedRunRequest {
             kernel,
+            platform: self.platform.spec(self.policy),
             owned: self,
         })
     }
@@ -320,9 +331,9 @@ impl OwnedRunRequest {
             }
             MatrixScenario::Mix(m) => {
                 w.write_all(&[1])?;
-                write_str(w, &m.name)?;
-                write_varint(w, m.profiles.len() as u64)?;
-                for p in &m.profiles {
+                write_str(w, m.name())?;
+                write_varint(w, m.profiles().len() as u64)?;
+                for p in m.profiles() {
                     write_profile(w, p)?;
                 }
             }
@@ -451,12 +462,12 @@ impl OwnedRunRequest {
             MatrixScenario::Preset(s) => scenario_name(*s).to_string(),
             MatrixScenario::Mix(m) => {
                 debug_assert!(
-                    !m.name.contains([' ', '\t', ':', '+']),
+                    !m.name().contains([' ', '\t', ':', '+']),
                     "mix name `{}` uses reserved line-format characters",
-                    m.name
+                    m.name()
                 );
-                let profiles: Vec<String> = m.profiles.iter().map(profile_spelling).collect();
-                format!("mix:{}:{}", m.name, profiles.join("+"))
+                let profiles: Vec<String> = m.profiles().iter().map(profile_spelling).collect();
+                format!("mix:{}:{}", m.name(), profiles.join("+"))
             }
         };
         line.push_str(&format!(" scenario={scenario}"));
@@ -532,22 +543,24 @@ impl OwnedRunRequest {
     }
 }
 
-/// An [`OwnedRunRequest`] with its kernel instantiated: the holder that
-/// lends out the borrowed form the plan layer consumes.
+/// An [`OwnedRunRequest`] with its kernel instantiated and its platform
+/// template built: the holder that lends out the borrowed form the plan
+/// layer consumes.
 #[derive(Debug)]
 pub struct ResolvedRunRequest {
     kernel: Box<dyn Kernel>,
+    platform: PlatformSpec,
     owned: OwnedRunRequest,
 }
 
 impl ResolvedRunRequest {
-    /// The borrowed request, borrowing this holder's kernel. Its `key()`
-    /// and `fingerprint()` equal those of the request the owned form was
-    /// taken from.
+    /// The borrowed request, borrowing this holder's kernel and sharing
+    /// its template. Its `key()` and `fingerprint()` equal those of the
+    /// request the owned form was taken from.
     pub fn request(&self) -> RunRequest<'_> {
         RunRequest {
             kernel: self.kernel.as_ref(),
-            platform: self.owned.platform.spec(self.owned.policy),
+            platform: self.platform.clone(),
             work: self.owned.work,
             t_bytes: self.owned.t_bytes,
             seed: self.owned.seed,
@@ -845,8 +858,7 @@ mod tests {
 
     #[test]
     fn hand_tuned_config_under_a_preset_name_is_rejected() {
-        let mut spec = PlatformSpec::tx1();
-        spec.config = PlatformConfig::tx2();
+        let spec = PlatformSpec::new("tx1", PlatformConfig::tx2());
         assert!(PlatformId::of_spec(&spec).is_err());
     }
 }

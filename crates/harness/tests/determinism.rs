@@ -1,7 +1,7 @@
 //! The acceptance property of the matrix engine: worker count must not
 //! change a single byte of the artifacts.
 
-use prem_harness::{run_matrix, MatrixPlatform, MatrixPolicy, MatrixSpec};
+use prem_harness::{run_matrix, MatrixPolicy, MatrixSpec, PlatformId, PlatformSpec};
 use prem_kernels::Bicg;
 
 /// A small but non-trivial matrix: 2 kernels × 2 platforms × 2 policies ×
@@ -11,7 +11,12 @@ fn spec() -> MatrixSpec {
         Box::new(Bicg::new(128, 128)),
         Box::new(Bicg::new(192, 160)),
     ]);
-    spec.platforms = vec![MatrixPlatform::tx1(), MatrixPlatform::generic(128, 4, 64)];
+    let generic = PlatformId::Generic {
+        llc_kib: 128,
+        ways: 4,
+        spm_kib: 64,
+    };
+    spec.platforms = vec![PlatformSpec::tx1(), generic.spec(None)];
     spec.policies = vec![MatrixPolicy::VendorBiased, MatrixPolicy::Lru];
     spec.seeds = vec![11, 23];
     spec

@@ -11,7 +11,7 @@
 //!   `UntilResident` strategy.
 
 use prem_core::{sensitivity, NoiseModel, PremRun, RunWork};
-use prem_gpusim::{PlatformConfig, Scenario};
+use prem_gpusim::Scenario;
 use prem_harness::{MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::Policy;
@@ -173,9 +173,10 @@ fn msg_point<'k>(
     t_llc: usize,
     msg_us: f64,
 ) -> [Vec<RunRequest<'k>>; 2] {
-    let mut config = PlatformConfig::tx1();
+    let tx1 = PlatformSpec::tx1();
+    let mut config = tx1.config().clone();
     config.cpu.sync.msg_us = msg_us;
-    let platform = PlatformSpec::new("tx1", config);
+    let platform = PlatformSpec::new(tx1.name(), config);
     let isolated =
         |work, t| seed_requests(kernel, harness, &platform, t, work, Scenario::Isolation);
     [
@@ -274,7 +275,8 @@ fn bias_point<'k>(
     let policy = Policy::BiasedRandom {
         weights: vec![1, 1, w, 1],
     };
-    let platform = PlatformSpec::new("tx1", PlatformConfig::tx1().llc_policy(policy));
+    let tx1 = PlatformSpec::tx1();
+    let platform = PlatformSpec::new(tx1.name(), tx1.config().clone().llc_policy(policy));
     let work = RunWork::PremLlc { r };
     seed_requests(kernel, harness, &platform, t, work, Scenario::Isolation)
 }

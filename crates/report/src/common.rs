@@ -12,7 +12,7 @@
 //! render from [`planned`].
 
 use prem_core::{NoiseModel, RunWork};
-use prem_gpusim::{PlatformConfig, Scenario};
+use prem_gpusim::Scenario;
 use prem_harness::{MatrixScenario, PlanExecutor, PlatformSpec, RunRequest};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
@@ -133,7 +133,7 @@ pub fn t_sweep_spm() -> Vec<usize> {
 /// feasible SPM rows and fig6's candidate set both filter through this,
 /// so the two figures can never disagree about which tile sizes exist.
 pub fn feasible_spm_kib(kernel: &dyn Kernel, sweep_kib: &[usize]) -> Vec<usize> {
-    let capacity = PlatformConfig::tx1().spm.capacity_bytes();
+    let capacity = PlatformSpec::tx1().config().spm.capacity_bytes();
     sweep_kib
         .iter()
         .copied()
@@ -152,6 +152,7 @@ pub fn r_sweep() -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prem_gpusim::PlatformConfig;
     use prem_kernels::Bicg;
 
     #[test]

@@ -15,8 +15,8 @@
 use std::ops::Add;
 
 use prem_core::RunWork;
-use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
-use prem_harness::{CorunnerMix, MatrixScenario, RunRequest, RunSource};
+use prem_gpusim::{CorunnerProfile, Scenario};
+use prem_harness::{CorunnerMix, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 
 use crate::common::{llc_request, planned};
@@ -135,7 +135,10 @@ pub fn interference_sweep_with(
     max_corunners: usize,
     source: &impl RunSource,
 ) -> Vec<SweepRow> {
-    let to_us = |cycles: f64| PlatformConfig::tx1().cycles_to_us(cycles);
+    // Every point runs on the TX1 template (`llc_request`), so its clock
+    // converts them all.
+    let tx1 = PlatformSpec::tx1();
+    let to_us = |cycles: f64| tx1.config().cycles_to_us(cycles);
     sweep_points(kernel, t, r, seed, max_corunners)
         .into_iter()
         .map(|(profile, n, [prem, base])| {

@@ -58,6 +58,7 @@ use std::time::Instant;
 
 use prem_core::codec::bad_data;
 use prem_core::RunOutput;
+use prem_harness::seed::fingerprint;
 use prem_harness::{OwnedRunRequest, PlanExecutor, PlanSummary, ResolvedRunRequest, RunSource};
 use prem_obs::{kv_line, MetricsSink, Registry};
 
@@ -282,15 +283,11 @@ impl SweepService {
     /// can queue.
     pub fn submit(&mut self, tag: impl Into<String>, request: OwnedRunRequest) -> io::Result<()> {
         let resolved = request.resolve()?;
-        let (key, base_key, fingerprint, replay_eligible) = {
+        let (key, base_key, replay_eligible) = {
             let req = resolved.request();
-            (
-                req.key(),
-                req.base_key(),
-                req.fingerprint(),
-                req.replay_eligible(),
-            )
+            (req.key(), req.base_key(), req.replay_eligible())
         };
+        let fingerprint = fingerprint(&key);
         self.pending.push_back(Job {
             tag: tag.into(),
             resolved,
