@@ -25,7 +25,6 @@ use prem_memsim::{AccessCounts, BusWindow, CacheStats};
 use crate::budget::Budgets;
 use crate::metrics::Breakdown;
 use crate::plan::RunOutput;
-use crate::sync::PhaseTiming;
 use crate::{BaselineRun, PremRun};
 
 /// Version of the [`RunOutput`] field layout encoded by this module.
@@ -33,12 +32,12 @@ use crate::{BaselineRun, PremRun};
 /// Persisted alongside the store's own format version in every segment
 /// header: a store written with a different codec version is rejected as
 /// a whole (hard error) rather than decoded into garbage.
-pub const CODEC_VERSION: u8 = 1;
+pub const CODEC_VERSION: u8 = 2;
 
-/// The most interval-timing pairs a decode reserves before reading them:
+/// The most interval work pairs a decode reserves before reading them:
 /// real runs have at most a few thousand intervals, and a declared count
 /// the input does not back must fail on its reads, not on the allocation.
-const MAX_TIMING_RESERVE: u64 = 4096;
+const MAX_INTERVAL_RESERVE: u64 = 4096;
 
 /// Variant tags (first byte of an encoded [`RunOutput`]).
 const TAG_PREM: u8 = 0;
@@ -144,22 +143,12 @@ fn read_stats<R: Read>(r: &mut R) -> io::Result<CacheStats> {
     })
 }
 
-fn write_timing<W: Write>(w: &mut W, t: &PhaseTiming) -> io::Result<()> {
-    write_f64(w, t.work)?;
-    write_f64(w, t.idle)?;
-    write_f64(w, t.overrun)
-}
-
-fn read_timing<R: Read>(r: &mut R) -> io::Result<PhaseTiming> {
-    Ok(PhaseTiming {
-        work: read_f64(r)?,
-        idle: read_f64(r)?,
-        overrun: read_f64(r)?,
-    })
-}
-
+/// A PREM run: the interval count (decode sets `intervals` from it), then
+/// the fields in declaration order, `interval_work` as two `f64`s per
+/// interval. Slot timings are not stored: each follows from its work and
+/// the MSG.
 fn write_prem<W: Write>(w: &mut W, run: &PremRun) -> io::Result<()> {
-    write_varint(w, run.intervals as u64)?;
+    write_varint(w, run.interval_work.len() as u64)?;
     write_f64(w, run.breakdown.m_work)?;
     write_f64(w, run.breakdown.c_work)?;
     write_f64(w, run.breakdown.idle)?;
@@ -174,10 +163,9 @@ fn write_prem<W: Write>(w: &mut W, run: &PremRun) -> io::Result<()> {
     write_varint(w, run.prefetch_misses)?;
     write_varint(w, u64::from(run.max_rounds_used))?;
     write_f64(w, run.budget_violation_cycles)?;
-    write_varint(w, run.interval_timings.len() as u64)?;
-    for (m, c) in &run.interval_timings {
-        write_timing(w, m)?;
-        write_timing(w, c)?;
+    for &(m, c) in &run.interval_work {
+        write_f64(w, m)?;
+        write_f64(w, c)?;
     }
     write_f64(w, run.bus.cycles)?;
     write_f64(w, run.bus.victim_bytes)?;
@@ -186,8 +174,12 @@ fn write_prem<W: Write>(w: &mut W, run: &PremRun) -> io::Result<()> {
 }
 
 fn read_prem<R: Read>(r: &mut R) -> io::Result<PremRun> {
-    let intervals =
-        usize::try_from(read_varint(r)?).map_err(|_| bad_data("interval count overflows usize"))?;
+    let intervals = read_varint(r)?;
+    // An interval is 16 encoded bytes: a declared count the input cannot
+    // possibly back is corruption, not an allocation request.
+    if intervals > (1 << 32) {
+        return Err(bad_data("unreasonable interval count"));
+    }
     let breakdown = Breakdown {
         m_work: read_f64(r)?,
         c_work: read_f64(r)?,
@@ -207,15 +199,9 @@ fn read_prem<R: Read>(r: &mut R) -> io::Result<PremRun> {
     let max_rounds_used = u32::try_from(read_varint(r)?)
         .map_err(|_| bad_data("prefetch round count overflows u32"))?;
     let budget_violation_cycles = read_f64(r)?;
-    let timings = read_varint(r)?;
-    // An interval timing pair is ≥ 48 encoded bytes: a declared count the
-    // input cannot possibly back is corruption, not an allocation request.
-    if timings > (1 << 32) {
-        return Err(bad_data("unreasonable interval-timing count"));
-    }
-    let mut interval_timings = Vec::with_capacity(timings.min(MAX_TIMING_RESERVE) as usize);
-    for _ in 0..timings {
-        interval_timings.push((read_timing(r)?, read_timing(r)?));
+    let mut interval_work = Vec::with_capacity(intervals.min(MAX_INTERVAL_RESERVE) as usize);
+    for _ in 0..intervals {
+        interval_work.push((read_f64(r)?, read_f64(r)?));
     }
     let bus = BusWindow {
         cycles: read_f64(r)?,
@@ -224,7 +210,7 @@ fn read_prem<R: Read>(r: &mut R) -> io::Result<PremRun> {
     };
     let polluted_lines = read_varint(r)?;
     Ok(PremRun {
-        intervals,
+        intervals: interval_work.len(),
         breakdown,
         makespan_cycles,
         budget_envelope_cycles,
@@ -235,7 +221,7 @@ fn read_prem<R: Read>(r: &mut R) -> io::Result<PremRun> {
         prefetch_misses,
         max_rounds_used,
         budget_violation_cycles,
-        interval_timings,
+        interval_work,
         bus,
         polluted_lines,
     })
@@ -377,27 +363,129 @@ mod tests {
     }
 
     #[test]
-    fn huge_declared_timing_count_is_truncation_not_an_allocation() {
-        let out = sample(RunWork::PremLlc { r: 8 });
-        let bytes = out.encode();
-        let run = out.prem();
-        let varint_len = |v: u64| {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v).expect("vec write");
-            buf.len()
-        };
-        // After the timing count come 48 bytes per pair, the 24-byte bus
-        // window and the polluted-line varint.
-        let pairs = run.interval_timings.len();
-        let tail = varint_len(pairs as u64) + 48 * pairs + 24 + varint_len(run.polluted_lines);
-        let mut cut = bytes[..bytes.len() - tail].to_vec();
-        write_varint(&mut cut, 1 << 32).expect("vec write");
+    fn huge_declared_interval_count_is_truncation_not_an_allocation() {
+        let bytes = sample(RunWork::PremLlc { r: 8 }).encode();
+        let mut count = Vec::new();
+        write_varint(&mut count, 4).expect("vec write");
         assert_eq!(
-            RunOutput::decode(&cut).expect_err("no pairs follow").kind(),
-            io::ErrorKind::UnexpectedEof
+            bytes[1..1 + count.len()],
+            count,
+            "the count follows the tag"
         );
+        // Forge the count: the bytes after it back only four intervals.
+        for (declared, kind) in [
+            (1u64 << 32, io::ErrorKind::UnexpectedEof),
+            ((1 << 32) + 1, io::ErrorKind::InvalidData),
+        ] {
+            let mut forged = vec![TAG_PREM];
+            write_varint(&mut forged, declared).expect("vec write");
+            forged.extend_from_slice(&bytes[1 + count.len()..]);
+            assert_eq!(
+                RunOutput::decode(&forged).expect_err("forged count").kind(),
+                kind,
+                "declared {declared} intervals"
+            );
+        }
     }
 
+    /// Hex digits with all whitespace ignored, as bytes.
+    fn hex(digits: &str) -> Vec<u8> {
+        let digits: Vec<u8> = digits
+            .bytes()
+            .filter(|b| !b.is_ascii_whitespace())
+            .collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).expect("ascii"), 16))
+            .collect::<Result<_, _>>()
+            .expect("hex digits")
+    }
+
+    /// The LLC statistics both hand-built runs carry, and their encoding:
+    /// eleven one-byte varints, then 300 writebacks as a two-byte one.
+    fn layout_stats() -> (CacheStats, &'static str) {
+        let stats = CacheStats {
+            m_phase: AccessCounts { hits: 3, misses: 1 },
+            c_phase: AccessCounts { hits: 6, misses: 2 },
+            evictions: 1,
+            writebacks: 300,
+            ..CacheStats::default()
+        };
+        (stats, "03 01  06 02  00 00  00 00  01 00 00  ac02")
+    }
+
+    #[test]
+    fn v2_layout_is_pinned_byte_for_byte() {
+        // Any layout change fails here: bump CODEC_VERSION with the bytes,
+        // so stores in the old layout are refused instead of misread.
+        assert_eq!(CODEC_VERSION, 2, "the layout below is codec version 2");
+        let (llc, llc_hex) = layout_stats();
+        // Two intervals at a one-cycle MSG and switch: (0.5, 1.5), (2, 0.5).
+        let run = PremRun {
+            intervals: 2,
+            breakdown: Breakdown {
+                m_work: 2.5,
+                c_work: 2.0,
+                idle: 1.0,
+                sync: 4.0,
+            },
+            makespan_cycles: 9.5,
+            budget_envelope_cycles: 11.0,
+            budgets: Budgets {
+                m_cycles: 2.0,
+                c_cycles: 1.5,
+            },
+            llc,
+            cpmr: 0.25,
+            prefetch_hits: 3,
+            prefetch_misses: 1,
+            max_rounds_used: 1,
+            budget_violation_cycles: 0.0,
+            interval_work: vec![(0.5, 1.5), (2.0, 0.5)],
+            bus: BusWindow {
+                cycles: 2.5,
+                victim_bytes: 128.0,
+                corunner_bytes: 0.0,
+            },
+            polluted_lines: 0,
+        };
+        let want = hex(&[
+            "00 02",                                              // tag, intervals
+            "0000000000000440 0000000000000040",                  // m_work, c_work
+            "000000000000f03f 0000000000001040",                  // idle, sync
+            "0000000000002340 0000000000002640",                  // makespan, envelope
+            "0000000000000040 000000000000f83f",                  // budgets
+            llc_hex,                                              // llc
+            "000000000000d03f 03 01 01",                          // cpmr, prefetch, rounds
+            "0000000000000000",                                   // budget violation
+            "000000000000e03f 000000000000f83f",                  // interval 0
+            "0000000000000040 000000000000e03f",                  // interval 1
+            "0000000000000440 0000000000006040 0000000000000000", // bus
+            "00",                                                 // polluted lines
+        ]
+        .concat());
+        let out = RunOutput::Prem(run.clone());
+        assert_eq!(out.encode(), want, "PREM layout");
+        assert_eq!(RunOutput::decode(&want).expect("decode"), out);
+
+        // Each further interval is its two work f64s and nothing else.
+        let mut grown = run;
+        for n in 3..6 {
+            grown.interval_work.push((1.0, 1.0));
+            grown.intervals = n;
+            assert_eq!(
+                RunOutput::Prem(grown.clone()).encode().len(),
+                want.len() + 16 * (n - 2),
+                "{n} intervals"
+            );
+        }
+
+        let (llc, llc_hex) = layout_stats();
+        let baseline = RunOutput::Baseline(BaselineRun { cycles: 3.0, llc });
+        let want = hex(&["01 0000000000000840", llc_hex].concat());
+        assert_eq!(baseline.encode(), want, "baseline layout");
+        assert_eq!(RunOutput::decode(&want).expect("decode"), baseline);
+    }
     #[test]
     fn varint_overflow_is_invalid_data() {
         let max: Vec<u8> = [0xff; 9].into_iter().chain([0x01]).collect();

@@ -200,9 +200,11 @@ pub struct PremRun {
     /// Cycles of phase work exceeding the static budgets — non-zero when
     /// interference pushes C-phases past their schedulability envelope.
     pub budget_violation_cycles: f64,
-    /// Per-interval (M-phase, C-phase) slot timings, in execution order —
-    /// the raw material of paper Fig 1 / the timeline renderer.
-    pub interval_timings: Vec<(PhaseTiming, PhaseTiming)>,
+    /// Per-interval (M-phase, C-phase) work in cycles, in execution order —
+    /// the raw material of paper Fig 1: each phase's slot follows from its
+    /// work and the MSG ([`PhaseTiming::in_slot`]), so the timeline
+    /// renderer places it there.
+    pub interval_work: Vec<(f64, f64)>,
     /// Shared-bus ledger over the C-phase slots: how many bytes the GPU
     /// moved and how many the co-runner actors absorbed while the token
     /// was released. All zeros in isolation.
@@ -437,11 +439,11 @@ pub(crate) struct SlotCosts {
 /// ([`run_prem_traced`]) and pricing
 /// ([`CompiledRun::price`](crate::CompiledRun::price)), so a priced run
 /// is bit-identical to a live one by construction. Folds each interval's
-/// (M work, C cycles, C DRAM fills), in interval order, into its slot
-/// timings (eager release with the MSG floor, paper Fig 1 (d)), the
+/// (M work, C cycles, C DRAM fills), in interval order, through its slot
+/// timings (eager release with the MSG floor, paper Fig 1 (d)) into the
 /// makespan breakdown, the C-phase bus ledger and the budget violation
 /// (work beyond a static budget is a diagnostic; budgets remain the
-/// guarantee), then adds the static envelope.
+/// guarantee), keeps the (M, C) work pair, then adds the static envelope.
 pub(crate) fn prem_run(
     per_interval: impl IntoIterator<Item = (f64, f64, u64)>,
     budgets: Budgets,
@@ -450,7 +452,7 @@ pub(crate) fn prem_run(
     counters: RunCounters,
 ) -> PremRun {
     let per_interval = per_interval.into_iter();
-    let mut interval_timings = Vec::with_capacity(per_interval.size_hint().0);
+    let mut interval_work = Vec::with_capacity(per_interval.size_hint().0);
     let mut breakdown = Breakdown::default();
     let mut budget_violation = 0.0f64;
     let mut bus = BusWindow::default();
@@ -462,15 +464,15 @@ pub(crate) fn prem_run(
             c_dram as f64 * cost.line_bytes as f64,
             slots.ledger_cont,
         ));
-        breakdown.m_work += m_t.work;
-        breakdown.c_work += c_t.work;
+        breakdown.m_work += m_work;
+        breakdown.c_work += c_cycles;
         breakdown.idle += m_t.idle + c_t.idle;
         breakdown.sync += 2.0 * slots.switch_cycles;
         budget_violation +=
             (m_work - budgets.m_cycles).max(0.0) + (c_cycles - budgets.c_cycles).max(0.0);
-        interval_timings.push((m_t, c_t));
+        interval_work.push((m_work, c_cycles));
     }
-    let intervals = interval_timings.len();
+    let intervals = interval_work.len();
     let cpmr = counters.llc.cpmr();
     PremRun {
         intervals,
@@ -485,7 +487,7 @@ pub(crate) fn prem_run(
         prefetch_misses: counters.prefetch_misses,
         max_rounds_used: counters.max_rounds_used,
         budget_violation_cycles: budget_violation,
-        interval_timings,
+        interval_work,
         bus,
         polluted_lines: counters.polluted_lines,
     }

@@ -21,28 +21,16 @@ pub use prem_gpusim::SyncConfig;
 pub struct PhaseTiming {
     /// Useful work performed (cycles).
     pub work: f64,
-    /// Idle padding up to the budget (cycles); zero when the phase overran.
+    /// Idle padding up to the budget (cycles); zero when the phase overran
+    /// the slot, which then lasts as long as the work.
     pub idle: f64,
-    /// Budget overrun beyond the slot (cycles); extends the schedule.
-    pub overrun: f64,
 }
 
 impl PhaseTiming {
     /// Places `work` cycles into a slot of `budget` cycles.
     pub fn in_slot(work: f64, budget: f64) -> Self {
-        if work <= budget {
-            PhaseTiming {
-                work,
-                idle: budget - work,
-                overrun: 0.0,
-            }
-        } else {
-            PhaseTiming {
-                work,
-                idle: 0.0,
-                overrun: work - budget,
-            }
-        }
+        let idle = if work <= budget { budget - work } else { 0.0 };
+        PhaseTiming { work, idle }
     }
 
     /// Wall-clock length of the slot actually consumed.
@@ -59,7 +47,6 @@ mod tests {
     fn short_phase_idles_to_budget() {
         let t = PhaseTiming::in_slot(10.0, 50.0);
         assert_eq!(t.idle, 40.0);
-        assert_eq!(t.overrun, 0.0);
         assert_eq!(t.elapsed(), 50.0);
     }
 
@@ -67,7 +54,6 @@ mod tests {
     fn overrun_extends_schedule() {
         let t = PhaseTiming::in_slot(70.0, 50.0);
         assert_eq!(t.idle, 0.0);
-        assert_eq!(t.overrun, 20.0);
         assert_eq!(t.elapsed(), 70.0);
     }
 
@@ -75,7 +61,7 @@ mod tests {
     fn exact_fit_has_no_padding() {
         let t = PhaseTiming::in_slot(50.0, 50.0);
         assert_eq!(t.idle, 0.0);
-        assert_eq!(t.overrun, 0.0);
+        assert_eq!(t.elapsed(), 50.0);
     }
 
     #[test]

@@ -363,7 +363,7 @@ fn assert_same_run(got: PremRun, want: PremRun, key: &str) {
         got.budget_violation_cycles, want.budget_violation_cycles,
         "{key}"
     );
-    assert_eq!(got.interval_timings, want.interval_timings, "{key}");
+    assert_eq!(got.interval_work, want.interval_work, "{key}");
     assert_eq!(got.bus, want.bus, "{key}");
     assert_eq!(got.polluted_lines, want.polluted_lines, "{key}");
 }

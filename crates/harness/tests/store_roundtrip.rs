@@ -35,7 +35,7 @@ proptest! {
     fn outputs_roundtrip_and_damage_is_detected(
         seed in 0u64..64,
         r in 1u32..9,
-        mode in 0usize..3,
+        mode in 0usize..4,
         iso in 0usize..2,
         t_kib in proptest::sample::select(vec![16usize, 32, 48]),
     ) {
@@ -43,7 +43,8 @@ proptest! {
         let work = match mode {
             0 => RunWork::PremLlc { r },
             1 => RunWork::PremSpm,
-            _ => RunWork::Baseline,
+            2 => RunWork::Baseline,
+            _ => RunWork::PremLlcUntilResident,
         };
         let req = RunRequest {
             kernel: &bicg,

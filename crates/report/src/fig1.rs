@@ -2,10 +2,12 @@
 //! timeline from a real run — M-phases (`M`), C-phases (`C`), MSG idling
 //! (`.`, Fig 1 (d)) and token exchanges (`|`, Fig 1 (a)–(b)).
 
-use prem_core::{PremRun, SyncConfig};
+use prem_core::{PhaseTiming, PremRun, SyncConfig};
 
-/// Renders the first `max_intervals` intervals of a run as a timeline.
-/// `cols_per_us` controls the horizontal scale.
+/// Renders the first `max_intervals` intervals of a run as a timeline,
+/// placing each phase's work in its MSG-floored slot. `sync` and
+/// `clock_ghz` must be the run's platform's; `cols_per_us` controls the
+/// horizontal scale.
 pub fn timeline(
     run: &PremRun,
     sync: &SyncConfig,
@@ -14,9 +16,14 @@ pub fn timeline(
     cols_per_us: f64,
 ) -> String {
     let to_cols = |cycles: f64| ((cycles / (clock_ghz * 1000.0)) * cols_per_us).round() as usize;
+    // The executor's µs-to-cycles operand order, so each idle is
+    // bit-identical to the one the run's schedule paid.
+    let msg_cycles = sync.msg_us * clock_ghz * 1000.0;
     let switch_cycles = sync.switch_cost_us() * clock_ghz * 1000.0;
     let mut lane = String::new();
-    for (m, c) in run.interval_timings.iter().take(max_intervals) {
+    for &(m_work, c_work) in run.interval_work.iter().take(max_intervals) {
+        let m = PhaseTiming::in_slot(m_work, msg_cycles);
+        let c = PhaseTiming::in_slot(c_work, msg_cycles);
         lane.extend(std::iter::repeat_n('M', to_cols(m.work).max(1)));
         lane.extend(std::iter::repeat_n('.', to_cols(m.idle)));
         lane.extend(std::iter::repeat_n('|', to_cols(switch_cycles).max(1)));
@@ -27,8 +34,8 @@ pub fn timeline(
     format!(
         "-- PREM interval timeline (first {} of {} intervals) --\nGPU {}\n\
          legend: M=memory phase  C=compute phase  .=MSG idle  |=token exchange\n",
-        max_intervals.min(run.interval_timings.len()),
-        run.interval_timings.len(),
+        max_intervals.min(run.intervals),
+        run.intervals,
         lane
     )
 }
