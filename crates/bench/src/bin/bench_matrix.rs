@@ -310,41 +310,45 @@ fn main() -> ExitCode {
     let column = whatif_requests(&column_kernel);
     // The ratio gate compares min-of-3 cold executions per side: each rep
     // is a fresh executor, the min discards scheduler noise without hiding
-    // a real regression.
+    // a real regression. The sides take turns rep by rep, and which one
+    // goes first alternates, so a drift in host load lands on both.
     const COLUMN_REPS: usize = 3;
     let mut live_ms = f64::INFINITY;
     let mut live_exec = PlanExecutor::new().without_replay();
-    for _ in 0..COLUMN_REPS {
-        let exec = PlanExecutor::new().without_replay();
-        let t0 = Instant::now();
-        let live_summary = exec.execute(&column, 1);
-        live_ms = live_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(
-            (live_summary.executed, live_summary.replayed),
-            (column.len(), 0),
-            "--no-replay column must execute every run live"
-        );
-        live_exec = exec;
-    }
-    timed("plan:column|live 7x3", live_ms);
     let mut replay_ms = f64::INFINITY;
     let mut replay_exec = PlanExecutor::new();
-    for _ in 0..COLUMN_REPS {
-        let exec = PlanExecutor::new();
-        let t0 = Instant::now();
-        let replay_summary = exec.execute(&column, 1);
-        replay_ms = replay_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(
-            (
-                replay_summary.executed,
-                replay_summary.replayed,
-                replay_summary.families
-            ),
-            (0, column.len(), 1),
-            "the what-if column is one derivation family"
-        );
-        replay_exec = exec;
+    for rep in 0..COLUMN_REPS {
+        for live_turn in [rep % 2 == 0, rep % 2 == 1] {
+            if live_turn {
+                let exec = PlanExecutor::new().without_replay();
+                let t0 = Instant::now();
+                let live_summary = exec.execute(&column, 1);
+                live_ms = live_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+                assert_eq!(
+                    (live_summary.executed, live_summary.replayed),
+                    (column.len(), 0),
+                    "--no-replay column must execute every run live"
+                );
+                live_exec = exec;
+            } else {
+                let exec = PlanExecutor::new();
+                let t0 = Instant::now();
+                let replay_summary = exec.execute(&column, 1);
+                replay_ms = replay_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+                assert_eq!(
+                    (
+                        replay_summary.executed,
+                        replay_summary.replayed,
+                        replay_summary.families
+                    ),
+                    (0, column.len(), 1),
+                    "the what-if column is one derivation family"
+                );
+                replay_exec = exec;
+            }
+        }
     }
+    timed("plan:column|live 7x3", live_ms);
     timed("plan:replay|cold 7x3", replay_ms);
     for req in &column {
         assert_eq!(
@@ -384,11 +388,10 @@ fn main() -> ExitCode {
         column.len() / 3,
         3
     );
-    // Fused self-profiling cut the live side's cost roughly in half — a
-    // live cell no longer pays a separate profiling pass — so the replay
-    // elision's margin over live shrank from ~4x. The gate guards the
+    // Every live cell of the column runs in isolation, so it is its own
+    // profiling pass and pays one walk, not two. The gate guards the
     // ordering (replay must stay cheaper than the compiled live path),
-    // not the old margin.
+    // not a margin.
     assert!(
         speedup >= REPLAY_COLUMN_MIN_SPEEDUP,
         "replay-backed column must be ≥{REPLAY_COLUMN_MIN_SPEEDUP}x faster than live \
@@ -490,43 +493,46 @@ fn main() -> ExitCode {
     }
     // min-of-5 per side: the ratio gate needs tighter reps than the
     // replay column gate because its threshold sits closer to the
-    // measured value.
+    // measured value. The sides take turns as in the what-if column.
     const WCET_REPS: usize = 5;
     let mut profiled_ms = f64::INFINITY;
-    for _ in 0..WCET_REPS {
-        let exec = PlanExecutor::new().without_replay();
-        let t0 = Instant::now();
-        let summary = exec.execute(&wcet_column, 1);
-        profiled_ms = profiled_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(
-            (summary.executed, summary.replayed),
-            (wcet_column.len(), 0),
-            "with replay off every cell runs live and profiles itself"
-        );
+    let mut walked_ms = f64::INFINITY;
+    for rep in 0..WCET_REPS {
+        for profiled_turn in [rep % 2 == 0, rep % 2 == 1] {
+            if profiled_turn {
+                let exec = PlanExecutor::new().without_replay();
+                let t0 = Instant::now();
+                let summary = exec.execute(&wcet_column, 1);
+                profiled_ms = profiled_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+                assert_eq!(
+                    (summary.executed, summary.replayed),
+                    (wcet_column.len(), 0),
+                    "with replay off every cell runs live and profiles itself"
+                );
+            } else {
+                let exec = PlanExecutor::new();
+                let registry = prem_obs::Registry::new();
+                let t0 = Instant::now();
+                let summary = exec.execute_metered(&wcet_column, 1, &registry);
+                walked_ms = walked_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
+                assert_eq!(
+                    (summary.executed, summary.replayed, summary.families),
+                    (wcet_column.len() - 1, 1, 1),
+                    "one family prices the isolation cell and runs the bursty ones live"
+                );
+                let snap = registry.snapshot();
+                assert_eq!(
+                    (
+                        snap.hist("plan.compile_ns").map(|h| h.count()),
+                        snap.counter("plan.replay_walks")
+                    ),
+                    (Some(1), Some(1)),
+                    "one compile and one walk give every live cell its WCETs"
+                );
+            }
+        }
     }
     timed("exec:family-wcets|profiled 13-cell", profiled_ms);
-    let mut walked_ms = f64::INFINITY;
-    for _ in 0..WCET_REPS {
-        let exec = PlanExecutor::new();
-        let registry = prem_obs::Registry::new();
-        let t0 = Instant::now();
-        let summary = exec.execute_metered(&wcet_column, 1, &registry);
-        walked_ms = walked_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(
-            (summary.executed, summary.replayed, summary.families),
-            (wcet_column.len() - 1, 1, 1),
-            "one family prices the isolation cell and runs the bursty ones live"
-        );
-        let snap = registry.snapshot();
-        assert_eq!(
-            (
-                snap.hist("plan.compile_ns").map(|h| h.count()),
-                snap.counter("plan.replay_walks")
-            ),
-            (Some(1), Some(1)),
-            "one compile and one walk give every live cell its WCETs"
-        );
-    }
     timed("exec:family-wcets|walked 13-cell", walked_ms);
     let wcet_speedup = profiled_ms / walked_ms;
     eprintln!(

@@ -13,8 +13,7 @@ use prem_gpusim::{
     CostModel, ExecError, InterferenceEngine, Op, OpStream, Platform, Scenario, SmExecutor,
 };
 use prem_memsim::{
-    AccessKind, BusWindow, Cache, CacheStats, Contention, LineAddr, LineSet, NullSink, Phase,
-    TraceSink,
+    AccessKind, BusWindow, Cache, CacheStats, Contention, LineAddr, NullSink, Phase, TraceSink,
 };
 
 use crate::budget::{BudgetPolicy, Budgets};
@@ -225,8 +224,8 @@ pub struct BaselineRun {
 /// Executes `intervals` under PREM on `platform`: [`run_prem_traced`]
 /// without instrumentation, profiling its own phases.
 ///
-/// The platform is cold-reset and reseeded before both the profiling pass
-/// and the timed run, so results are deterministic in `cfg.seed`.
+/// The platform is cold-reset and reseeded before every pass, so results
+/// are deterministic in `cfg.seed`.
 ///
 /// # Errors
 ///
@@ -241,47 +240,42 @@ pub fn run_prem(
     run_prem_traced(platform, intervals, cfg, scenario, None, &mut NullSink).map(|(run, _)| run)
 }
 
-/// The PREM executor: profiles the phases (or takes the WCETs it is
-/// given), then runs the budgeted schedule under `scenario`, returning the
-/// run and the `(m_wcet, c_wcet)` pair its budgets derive from — exactly
-/// what [`profile_phases`] reports.
+/// The PREM executor: runs the budgeted schedule under `scenario`,
+/// returning the run and the `(m_wcet, c_wcet)` pair its budgets derive
+/// from.
 ///
-/// **Profile source.** `profiled` carries the `(m_wcet, c_wcet)` that
-/// [`profile_phases`] reports for the *same* platform config (up to the
-/// co-runner list), intervals, store/prefetch mode, seed and noise model.
-/// Profiling is deterministic in exactly those inputs (it resets and
-/// reseeds the platform on entry and runs isolated — no scenario
-/// dependence), so passing the pair skips the pass entirely and the timed
-/// run — which cold-resets again before executing — is bit-identical to
-/// the self-profiling call. The plan layer passes the WCETs of the run's
-/// isolated trajectory ([`CompiledRun::walk`](crate::CompiledRun::walk)),
-/// which equal the pass bit for bit; stale values from any other request
-/// compute garbage budgets.
+/// **Where the WCETs come from.** PREM budgets each phase from its
+/// worst-case work measured in isolation, and a run gets that pair in one
+/// of three ways:
 ///
-/// **Fused profiling.** When `profiled` is `None` and the scenario's
-/// co-runner mix has constant contention and no cache polluters, the
-/// separate profiling pass is fused into the timed run. The profiling
-/// trajectory and the timed trajectory coincide (both start from the same
-/// cold reset and reseed and feed identical op sequences — the invariant
-/// the replay equivalence suite proves), so one walk suffices: the C-phase
-/// accumulates the isolated-contention cycles alongside the live ones
-/// ([`SmExecutor::run_dual_traced`], per-op in issue order, bit-exact),
-/// the M-phase work is its own isolated measurement already (the token is
-/// held), and each phase's per-interval maximum is the WCET. Nothing in an
-/// unpolluted walk consumes budgets until after the fact, so they are
-/// derived post-loop from the observed WCETs. The output is bit-identical
-/// to profiling separately; the walk is simply not paid twice. Other
-/// mixes pay a separate [`profile_phases`] pass first.
+/// - *handed in* as `profiled`: the pair [`profile_phases`] reports for
+///   the same platform config (up to the co-runner list), intervals,
+///   store/prefetch mode, seed and noise model. The plan layer passes the
+///   WCETs of the run's isolated trajectory
+///   ([`CompiledRun::walk`](crate::CompiledRun::walk)), which equal the
+///   pass bit for bit; stale values from any other request compute
+///   garbage budgets;
+/// - *the run itself*, when its co-runner mix is idle
+///   ([`InterferenceEngine::is_idle`]: no bus demand, no LLC polluter).
+///   The run is then its own isolated profiling pass: nothing consumes a
+///   budget before the loop ends, so each phase's per-interval maximum is
+///   its WCET and the budgets are derived after the loop;
+/// - *an isolated run first*, under any other mix: [`profile_phases`],
+///   which is this executor under [`Scenario::Isolation`].
 ///
-/// **Instrumentation.** The timed run (never the profiling pass) reports
-/// every LLC access outcome, co-runner pollution fill, interval boundary,
-/// phase transition and direct DRAM transfer to `sink`, with op-issue
-/// timestamps on the global schedule clock. With [`NullSink`] this
-/// monomorphizes to exactly [`run_prem`] — the contract the golden suite
-/// pins. Capture starts after the cold reset that precedes the timed run,
-/// so a recorded trace replayed against an equally cold cache (same
-/// geometry, policy and `cfg.seed`) reproduces the run's [`CacheStats`]
-/// field-for-field — the `prem-trace` replay engine's validation property.
+/// Every pass cold-resets and reseeds the platform, so the three sources
+/// give bit-identical runs.
+///
+/// **Instrumentation.** The timed run (never a separate profiling pass)
+/// reports every LLC access outcome, co-runner pollution fill, interval
+/// boundary, phase transition and direct DRAM transfer to `sink`, with
+/// op-issue timestamps on the global schedule clock. With [`NullSink`]
+/// this monomorphizes to exactly [`run_prem`] — the contract the golden
+/// suite pins. Capture starts after the cold reset that precedes the
+/// timed run, so a recorded trace replayed against an equally cold cache
+/// (same geometry, policy and `cfg.seed`) reproduces the run's
+/// [`CacheStats`] field-for-field — the `prem-trace` replay engine's
+/// validation property.
 ///
 /// # Errors
 ///
@@ -298,23 +292,11 @@ pub fn run_prem_traced<S: TraceSink>(
     let switch_cycles = platform.us_to_cycles(platform.cpu.sync.switch_cost_us());
 
     let mut engine = InterferenceEngine::new(platform.cpu.active_corunners(scenario), cfg.seed);
-    // Fused self-profiling eligibility: constant contention (so the live
-    // C-phase shares the profiling trajectory and a dual-cost walk can
-    // price both) and no polluters (pollution would perturb the LLC
-    // between phases, and its volume depends on the budgets themselves).
-    let fused_c_cont = match profiled {
-        None => engine
-            .static_contention()
-            .filter(|_| !engine.has_polluters()),
-        Some(_) => None,
-    };
-    // Profiling pass: isolated execution to obtain per-phase WCETs —
-    // skipped when the caller supplies the WCETs, fused into
-    // the timed run when eligible.
-    let profiled = match (profiled, fused_c_cont) {
-        (Some(wcets), _) => Some(wcets),
-        (None, Some(_)) => None,
-        (None, None) => Some(profile_phases(platform, intervals, cfg)?),
+    // An idle mix makes this run its own profiling pass; any other one
+    // needs an isolated run first.
+    let profiled = match profiled {
+        None if !engine.is_idle() => Some(profile_phases(platform, intervals, cfg)?),
+        given => given,
     };
     let known_budgets = profiled.map(|(m, c)| cfg.budget.compute(m, c, msg_cycles));
 
@@ -333,12 +315,10 @@ pub fn run_prem_traced<S: TraceSink>(
     let mut max_rounds_used = 0;
     let mut noise_counter = 0u64;
     // Per-interval (M work, C cycles, C DRAM fills): the run is folded
-    // from these after the loop, once budgets are known in both the
-    // given-WCET and the fused mode.
+    // from these after the loop, once budgets are known.
     let mut per_iv = Vec::with_capacity(intervals.len());
-    // Observed WCETs (the fused mode's profiling result): per-interval
-    // maxima accumulated in interval order, exactly as `profile_phases`
-    // folds them.
+    // Observed WCETs, what a run under an idle mix profiles: per-interval
+    // maxima accumulated in interval order.
     let mut m_wcet_obs = 0.0f64;
     let mut c_wcet_obs = 0.0f64;
     let mut rounds = Rounds::new(platform.mem.llc());
@@ -358,46 +338,32 @@ pub fn run_prem_traced<S: TraceSink>(
         prefetch_hits += m.hits;
         prefetch_misses += m.misses;
         max_rounds_used = max_rounds_used.max(m.rounds);
-        // The M-phase runs token-held, i.e. isolated — its work IS the
-        // profiling measurement (identical accumulation in both passes).
         m_wcet_obs = m_wcet_obs.max(m.work);
         now += PhaseTiming::in_slot(m.work, msg_cycles).elapsed() + switch_cycles;
 
         // --- C-phase (token released: co-runners contend on the bus and
         // thrashers pollute the LLC for the whole static C slot) ---
         sink.on_phase(Phase::CPhase, now);
-        // Fused mode has no polluters (eligibility), so the zero window is
-        // a no-op; otherwise the real C budget bounds the pollution slot.
+        // A self-profiling run has no polluters (its mix is idle), so the
+        // zero window is a no-op; otherwise the real C budget bounds the
+        // pollution slot.
         let pollute_window = known_budgets.as_ref().map_or(0.0, |b| b.c_cycles);
         engine.pollute_traced(platform.mem.llc_mut(), pollute_window, sink);
         let c_stream = demand_stream(Some(&cfg.store), iv, cfg.noise, &mut noise_counter);
-        let mut ex = SmExecutor::new(&mut platform.mem, &platform.cost);
-        let c_out = match fused_c_cont {
-            // Fused: one walk prices the live C-phase and, per op in issue
-            // order, the isolated C-phase the profiling pass would have
-            // measured.
-            Some(c_cont) => {
-                let (out, c_iso) = ex.run_dual_traced(
-                    &c_stream,
-                    Phase::CPhase,
-                    c_cont,
-                    Contention::Isolated,
-                    now,
-                    sink,
-                )?;
-                c_wcet_obs = c_wcet_obs.max(c_iso);
-                out
-            }
-            None => ex.run_under_traced(&c_stream, Phase::CPhase, &engine, now, sink)?,
-        };
+        let c_out = SmExecutor::new(&mut platform.mem, &platform.cost).run_under_traced(
+            &c_stream,
+            Phase::CPhase,
+            &engine,
+            now,
+            sink,
+        )?;
+        c_wcet_obs = c_wcet_obs.max(c_out.cycles);
         // Eager token release with the MSG floor: the slot ends at
         // max(work, MSG).
         now += PhaseTiming::in_slot(c_out.cycles, msg_cycles).elapsed();
         per_iv.push((m.work, c_out.cycles, c_out.levels.dram));
     }
 
-    // WCETs: given or inline-profiled values, or the fused walk's own
-    // observation — bit-identical by the trajectory-coincidence argument.
     let wcets = profiled.unwrap_or((m_wcet_obs, c_wcet_obs));
     let budgets = known_budgets.unwrap_or_else(|| cfg.budget.compute(wcets.0, wcets.1, msg_cycles));
     let counters = RunCounters {
@@ -513,20 +479,40 @@ pub fn run_baseline(
     // each interval runs, over the window that interval occupies —
     // thrash traffic concurrent with interval i must be visible to
     // interval i, not lag into i+1 (and a single-interval kernel must not
-    // escape pollution entirely). The window lengths come from an
-    // isolated dry pass on a scratch platform, playing the same role the
-    // static C budgets play on the PREM path.
+    // escape pollution entirely). The windows are the interval times of
+    // the baseline under an idle mix, playing the same role the static C
+    // budgets play on the PREM path.
     let mut engine = InterferenceEngine::new(platform.cpu.active_corunners(scenario), seed);
     let windows = if engine.has_polluters() {
-        baseline_windows(platform, intervals, seed, noise)?
+        let mut idle = InterferenceEngine::new(&[], seed);
+        baseline_intervals(platform, intervals, seed, noise, &mut idle, &[])?
     } else {
         Vec::new()
     };
+    let per_iv = baseline_intervals(platform, intervals, seed, noise, &mut engine, &windows)?;
+    Ok(BaselineRun {
+        cycles: per_iv.iter().fold(0.0, |total, cycles| total + cycles),
+        llc: platform.mem.llc().stats().clone(),
+    })
+}
 
+/// The baseline's interval loop: cold-resets and reseeds `platform`, then
+/// runs each interval's demand stream under `engine` from the running
+/// schedule time, polluting the LLC over `windows[i]` before interval `i`
+/// when a window is given. Returns each interval's cycles, in order.
+fn baseline_intervals(
+    platform: &mut Platform,
+    intervals: &[IntervalSpec],
+    seed: u64,
+    noise: NoiseModel,
+    engine: &mut InterferenceEngine,
+    windows: &[f64],
+) -> Result<Vec<f64>, ExecError> {
     platform.reset();
     platform.reseed(seed);
     let mut cycles = 0.0;
     let mut noise_counter = 0u64;
+    let mut per_iv = Vec::with_capacity(intervals.len());
     for (i, iv) in intervals.iter().enumerate() {
         if let Some(&window) = windows.get(i) {
             engine.pollute(platform.mem.llc_mut(), window);
@@ -535,54 +521,26 @@ pub fn run_baseline(
         let out = SmExecutor::new(&mut platform.mem, &platform.cost).run_under(
             &stream,
             Phase::Unphased,
-            &engine,
+            engine,
             cycles,
         )?;
         cycles += out.cycles;
+        per_iv.push(out.cycles);
     }
-    Ok(BaselineRun {
-        cycles,
-        llc: platform.mem.llc().stats().clone(),
-    })
+    Ok(per_iv)
 }
 
-/// Isolated per-interval durations of the unprotected baseline, measured
-/// on a scratch copy of `platform` — the pollution windows for thrashing
-/// co-runner mixes.
-fn baseline_windows(
-    platform: &Platform,
-    intervals: &[IntervalSpec],
-    seed: u64,
-    noise: NoiseModel,
-) -> Result<Vec<f64>, ExecError> {
-    let mut scratch = platform.clone();
-    scratch.reset();
-    scratch.reseed(seed);
-    let mut noise_counter = 0u64;
-    let mut windows = Vec::with_capacity(intervals.len());
-    for iv in intervals {
-        let stream = demand_stream(None, iv, noise, &mut noise_counter);
-        let out = SmExecutor::new(&mut scratch.mem, &scratch.cost).run(
-            &stream,
-            Phase::Unphased,
-            Contention::Isolated,
-        )?;
-        windows.push(out.cycles);
-    }
-    Ok(windows)
-}
-
-/// Isolated profiling pass returning worst-case observed (M, C) phase work.
+/// The isolated profiling pass: the worst-case (M, C) phase work of
+/// `intervals`, measured by running them under [`Scenario::Isolation`],
+/// the paper's profiling discipline.
 ///
-/// This is the pass every PREM run pays before its timed run. It is
+/// It is [`run_prem_traced`] under an idle mix, keeping only the WCETs:
 /// deterministic in (platform config, intervals, store/prefetch mode,
-/// `cfg.seed`, `cfg.noise`) and independent of the run scenario — it
-/// cold-resets and reseeds the platform on entry and measures in
-/// isolation, the paper's profiling discipline. Feed the result back
-/// through [`run_prem_traced`] for any scenario sibling of the profiled
-/// request and the output is bit-identical to profiling inline. It is the
-/// reference the WCETs of a compiled run's isolated walk are checked
-/// against.
+/// `cfg.seed`, `cfg.noise`), since the run cold-resets and reseeds the
+/// platform, and independent of any run's scenario. Feed the result back
+/// through [`run_prem_traced`] for any scenario sibling and the output is
+/// bit-identical to profiling inline. It is the reference the WCETs of a
+/// compiled run's isolated walk are checked against.
 ///
 /// # Errors
 ///
@@ -593,37 +551,15 @@ pub fn profile_phases(
     intervals: &[IntervalSpec],
     cfg: &PremConfig,
 ) -> Result<(f64, f64), ExecError> {
-    platform.reset();
-    platform.reseed(cfg.seed);
-    // Profiling is the paper's isolated measurement: no co-runner mix.
-    let m_cont = platform.cpu.m_phase_contention();
-    let c_cont = Contention::Isolated;
-    let mut m_wcet = 0.0f64;
-    let mut c_wcet = 0.0f64;
-    let mut noise_counter = 0u64;
-    let mut rounds = Rounds::new(platform.mem.llc());
-    for iv in intervals {
-        platform.mem.begin_interval();
-        let m = run_m_phase(
-            platform,
-            iv,
-            &cfg.store,
-            m_cont,
-            0.0,
-            &mut rounds,
-            &mut NullSink,
-        )?;
-        let m_work = m.work;
-        let c_stream = demand_stream(Some(&cfg.store), iv, cfg.noise, &mut noise_counter);
-        let c_out = SmExecutor::new(&mut platform.mem, &platform.cost).run(
-            &c_stream,
-            Phase::CPhase,
-            c_cont,
-        )?;
-        m_wcet = m_wcet.max(m_work);
-        c_wcet = c_wcet.max(c_out.cycles);
-    }
-    Ok((m_wcet, c_wcet))
+    run_prem_traced(
+        platform,
+        intervals,
+        cfg,
+        Scenario::Isolation,
+        None,
+        &mut NullSink,
+    )
+    .map(|(_, wcets)| wcets)
 }
 
 /// What one interval's M-phase did: its work (cycles), its prefetch
@@ -636,22 +572,6 @@ pub(crate) struct Staged {
     pub(crate) misses: u64,
     pub(crate) walked: u64,
     pub(crate) rounds: u32,
-}
-
-/// One interval's staging pass as [`prefetch_rounds`] takes it.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct Footprint<'a> {
-    pub(crate) lines: &'a [LineAddr],
-    /// Whether `lines` lists no line twice: decided once per compiled
-    /// stream ([`CompiledRun::compile`](crate::CompiledRun::compile)) or
-    /// live interval ([`repeats_no_line`]), never per walk.
-    pub(crate) distinct: bool,
-}
-
-/// Whether `lines` lists no line twice, with `seen` as reused scratch.
-pub(crate) fn repeats_no_line(lines: &[LineAddr], seen: &mut LineSet) -> bool {
-    seen.clear();
-    lines.iter().all(|&line| seen.insert(line))
 }
 
 /// Round bookkeeping for [`prefetch_rounds`], allocated once per run or
@@ -675,8 +595,6 @@ pub(crate) struct Rounds {
     /// next one, one bit each.
     now: Vec<u64>,
     next: Vec<u64>,
-    /// The live executor's repeat check ([`repeats_no_line`]).
-    seen: LineSet,
 }
 
 impl Rounds {
@@ -690,14 +608,13 @@ impl Rounds {
             served: vec![0; cfg.sets() * cfg.ways()],
             now: Vec::new(),
             next: Vec::new(),
-            seen: LineSet::default(),
         }
     }
 
-    /// Whether `footprint`'s rounds after the first run event-driven
-    /// under `strategy`.
-    pub(crate) fn events(&self, footprint: Footprint<'_>, strategy: PrefetchStrategy) -> bool {
-        self.oblivious && footprint.distinct && strategy.max_rounds() > 1
+    /// Whether the rounds after the first run event-driven under
+    /// `strategy`.
+    fn events(&self, strategy: PrefetchStrategy) -> bool {
+        self.oblivious && strategy.max_rounds() > 1
     }
 
     /// Position `p` was just served from LLC slot `slot`, and a miss there
@@ -739,20 +656,21 @@ impl Round {
     }
 }
 
-/// Stages `footprint` into `llc` by prefetch rounds per `strategy`,
-/// simulating only what a round can change — the one round loop of the
-/// timed run, the profiling pass and
+/// Stages footprint `lines` into `llc` by prefetch rounds per
+/// `strategy`, simulating only what a round can change — the one round
+/// loop of the live executor and
 /// [`CompiledRun::walk`](crate::CompiledRun::walk).
 ///
-/// Round 1 walks every line and reports it to `sink` (op-issue timestamps
-/// from `start`, as the executor emits them). Later rounds run unobserved
-/// and simulate only accesses that can miss; every other prefetch is
-/// credited as a hit. They take one of two loops.
+/// `lines` lists no line twice: every footprint is an
+/// [`IntervalSpec::footprint`], which keeps each line once by
+/// construction. Round 1 walks every line and reports it to `sink`
+/// (op-issue timestamps from `start`, as the executor emits them). Later
+/// rounds run unobserved and simulate only accesses that can miss; every
+/// other prefetch is credited as a hit. They take one of two loops.
 ///
 /// **Event loop** — when the policy ignores hits
 /// ([`Policy::hit_oblivious`](prem_memsim::Policy::hit_oblivious):
-/// random, biased-random, FIFO) and the
-/// footprint repeats no line. Each LLC slot records the footprint
+/// random, biased-random, FIFO). Each LLC slot records the footprint
 /// position it last served in this interval. A miss that displaces a
 /// recorded line makes that line's position due: later in the same round
 /// when it lies ahead, in the next round when it lies behind. Only due
@@ -763,7 +681,7 @@ impl Round {
 /// a hit of an oblivious policy changes no later fill, eviction or RNG
 /// draw, so the accesses that are made see today's cache.
 ///
-/// **Per-set loop** — every other policy or footprint. A line is walked
+/// **Per-set loop** — every other policy. A line is walked
 /// only when its LLC set missed in the round before. If set `s` had no
 /// miss in round `k`, nothing was filled into or evicted from it during
 /// that round, so it still holds every footprint line it maps, and round
@@ -774,9 +692,7 @@ impl Round {
 /// and SRRIP's RRPVs as the same sequence left them in round `k`; only
 /// the replacer's clock differs, and no victim choice reads an absolute
 /// stamp. Misses happen only in walked sets, in issue order, so victim
-/// draws consume the RNG in the same order. A footprint that lists a
-/// line twice stays here: its second position hits only while the first
-/// one keeps the line, which no slot record tracks.
+/// draws consume the RNG in the same order.
 ///
 /// Both loops add a credited line's hit cost in its issue position, so
 /// the round's cycle sum is the walked sum bit for bit, and settle its
@@ -788,15 +704,14 @@ impl Round {
 /// the miss count alone, which crediting preserves.
 pub(crate) fn prefetch_rounds<S: TraceSink>(
     llc: &mut Cache,
-    footprint: Footprint<'_>,
+    lines: &[LineAddr],
     strategy: PrefetchStrategy,
     costs: (f64, f64),
     start: f64,
     rounds: &mut Rounds,
     sink: &mut S,
 ) -> Staged {
-    let lines = footprint.lines;
-    let events = rounds.events(footprint, strategy);
+    let events = rounds.events(strategy);
     if events {
         let words = lines.len().div_ceil(64);
         if rounds.next.len() < words {
@@ -963,17 +878,15 @@ fn run_m_phase<S: TraceSink>(
             platform.cost.prefetch_cost(true, m_cont),
             platform.cost.prefetch_cost(false, m_cont),
         );
-        let mut footprint = Footprint {
-            lines: &iv.footprint,
-            distinct: true,
-        };
-        // Only an interval the event loop could take pays the check.
-        if rounds.events(footprint, strategy) {
-            footprint.distinct = repeats_no_line(footprint.lines, &mut rounds.seen);
-        }
         let llc = platform.mem.llc_mut();
         return Ok(prefetch_rounds(
-            llc, footprint, strategy, cost, start, rounds, sink,
+            llc,
+            iv.footprint(),
+            strategy,
+            cost,
+            start,
+            rounds,
+            sink,
         ));
     }
     let m_pass = store.m_phase_pass(iv);
@@ -1205,17 +1118,16 @@ mod tests {
         let mut llc = Cache::new(cfg);
         llc.reseed(seed);
         let mut rounds = Rounds::new(&llc);
+        // Every policy here ignores hits: clearing the flag leaves the
+        // per-set loop as the only one.
+        rounds.oblivious &= events;
         let mut walked = 0;
         let mut staged = Vec::new();
         for (i, iv) in ivs.iter().enumerate() {
             llc.begin_interval();
-            let footprint = Footprint {
-                lines: &iv.footprint,
-                distinct: events && repeats_no_line(&iv.footprint, &mut rounds.seen),
-            };
             let m = prefetch_rounds(
                 &mut llc,
-                footprint,
+                iv.footprint(),
                 strategy,
                 (3.0, 7.0),
                 0.0,
@@ -1243,12 +1155,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// Each round loop is the other's oracle: on repeat-free
-        /// footprints that overflow sets and carry lines from one interval
-        /// to the next, the event loop stages exactly what the per-set
-        /// loop stages — the same work bits, prefetch outcomes, rounds,
-        /// `CacheStats`, contents and RNG position — while simulating no
-        /// more prefetches.
+        /// Each round loop is the other's oracle: on footprints that
+        /// overflow sets and carry lines from one interval to the next,
+        /// the event loop stages exactly what the per-set loop stages —
+        /// the same work bits, prefetch outcomes, rounds, `CacheStats`,
+        /// contents and RNG position — while simulating no more
+        /// prefetches.
         #[test]
         fn the_event_loop_stages_like_the_per_set_loop(
             shape in proptest::collection::vec((0u64..600, 1u64..400, 0usize..3), 1..6),

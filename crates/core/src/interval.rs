@@ -33,12 +33,9 @@ impl CAccess {
 /// Store-agnostic description of one PREM interval.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntervalSpec {
-    /// Lines the M-phase stages (inputs and outputs), in issue order.
-    /// Tilings list each line once, but [`IntervalSpec::new`] accepts a
-    /// line listed twice: the scratchpad copies it again without using
-    /// more capacity, and the executor's LLC prefetch rounds then take
-    /// their per-set loop.
-    pub footprint: Vec<LineAddr>,
+    /// Lines the M-phase stages (inputs and outputs), in issue order, each
+    /// once ([`IntervalSpec::new`]).
+    footprint: Vec<LineAddr>,
     /// Ordered compute-phase line touches.
     pub c_accesses: Vec<CAccess>,
     /// Warp-level arithmetic instructions executed by the compute phase.
@@ -46,13 +43,23 @@ pub struct IntervalSpec {
 }
 
 impl IntervalSpec {
-    /// Creates an interval from its parts.
-    pub fn new(footprint: Vec<LineAddr>, c_accesses: Vec<CAccess>, alu: u64) -> Self {
+    /// Creates an interval from its parts, keeping the first touch of
+    /// each footprint line: staging a line twice would use no more
+    /// capacity, so a footprint is repeat-free by construction, and the
+    /// executor's LLC prefetch rounds rely on it.
+    pub fn new(mut footprint: Vec<LineAddr>, c_accesses: Vec<CAccess>, alu: u64) -> Self {
+        let mut staged = LineSet::with_capacity_and_hasher(footprint.len(), Default::default());
+        footprint.retain(|&line| staged.insert(line));
         IntervalSpec {
             footprint,
             c_accesses,
             alu,
         }
+    }
+
+    /// Lines the M-phase stages, in issue order, each once.
+    pub fn footprint(&self) -> &[LineAddr] {
+        &self.footprint
     }
 
     /// Data footprint in bytes for the given line size.

@@ -17,11 +17,12 @@
 //!   its minimum synchronization granularity (MSG), and WCET budgeting
 //!   (fair co-scheduling by default, as in the paper's evaluation).
 //! * [`run_prem`] / [`run_baseline`] — the executors producing
-//!   [`Breakdown`]s, makespans and the **CPMR** predictability metric.
-//!   Each has one general form: [`run_prem_traced`] takes a trace sink
-//!   and optional WCETs and returns the `(m_wcet, c_wcet)`
-//!   its budgets derive from.
-//!   [`profile_phases`] is the isolated profiling pass on its own.
+//!   [`Breakdown`]s, makespans and the **CPMR** predictability metric,
+//!   one interval loop per work kind. [`run_prem_traced`] is the PREM
+//!   loop's general form: it takes a trace sink and optional WCETs and
+//!   returns the `(m_wcet, c_wcet)` its budgets derive from.
+//!   [`profile_phases`] is that loop run in isolation, keeping only the
+//!   WCETs.
 //! * [`analytic`] — the paper's coin-toss and good-way-capacity models for
 //!   cross-checking the simulator.
 //! * [`plan`] — the `RunRequest → run_prem / run_baseline` bridge the

@@ -103,7 +103,7 @@ impl LocalStore {
     /// executor repeats it per the [`PrefetchStrategy`]); for the SPM it is
     /// the full copy-in loop plus copy-out of the interval's written lines.
     pub fn m_phase_pass(&self, interval: &IntervalSpec) -> OpStream {
-        let mut s = OpStream::with_capacity(interval.footprint.len() * 3);
+        let mut s = OpStream::with_capacity(interval.footprint().len() * 3);
         self.m_phase_ops(interval, |op| {
             s.push(op);
         });
@@ -116,7 +116,7 @@ impl LocalStore {
     pub(crate) fn m_phase_ops(&self, interval: &IntervalSpec, mut emit: impl FnMut(Op)) {
         match self {
             LocalStore::Llc { .. } => {
-                for &line in &interval.footprint {
+                for &line in interval.footprint() {
                     emit(Op::Prefetch(line));
                 }
             }
@@ -124,7 +124,7 @@ impl LocalStore {
                 transl_per_line_copy,
                 ..
             } => {
-                for &line in &interval.footprint {
+                for &line in interval.footprint() {
                     emit(Op::DramLoad(line));
                     emit(Op::SpmStore(line));
                     if *transl_per_line_copy > 0 {

@@ -141,9 +141,10 @@ pub struct Executed {
 /// this bridge only executes. `profiled` is the `(m_wcet, c_wcet)` that
 /// [`profile_run`] reports for this request or any scenario sibling — in
 /// the plan layer, the WCETs of the family's isolated walk of the
-/// request's trajectory class: `Some` skips the profiling pass, `None`
-/// profiles inline or fused into the timed run. The output is
-/// bit-identical either way; baseline work ignores it.
+/// request's trajectory class. `None` profiles: the run is its own
+/// isolated pass under an idle mix, and runs one first under any other
+/// ([`run_prem_traced`]). The output is bit-identical either way;
+/// baseline work ignores it.
 ///
 /// # Errors
 ///
@@ -342,10 +343,11 @@ mod tests {
 
     #[test]
     fn every_profile_source_and_derivation_is_the_same_run() {
-        use prem_gpusim::CorunnerProfile;
+        use prem_gpusim::{CorunnerProfile, InterferenceEngine};
         let ivs = toy_intervals();
         let noise = NoiseModel::tx1();
         let tx1 = PlatformConfig::tx1().llc_seed(7);
+        let idle = tx1.clone().with_corunners(vec![CorunnerProfile::Idle; 3]);
         let thrash = tx1
             .clone()
             .with_corunners(vec![CorunnerProfile::CacheThrash]);
@@ -353,11 +355,16 @@ mod tests {
             duty: 0.5,
             period_cycles: 10_000.0,
         }]);
-        // The two presets self-profile fused into the timed walk; the
-        // polluting and the time-varying mix pay a separate pass.
+        // A mix of actors that touch no memory is idle: like isolation,
+        // a run under it is its own profiling pass.
+        let actors = idle.cpu.active_corunners(Scenario::Corunners);
+        assert!(!actors.is_empty() && InterferenceEngine::new(actors, 7).is_idle());
+        // Whether each scenario derives: the presets and the idle mix do;
+        // the polluting and the time-varying mix run live.
         let scenarios = [
             (&tx1, Scenario::Isolation, true),
             (&tx1, Scenario::Interference, true),
+            (&idle, Scenario::Corunners, true),
             (&thrash, Scenario::Corunners, false),
             (&bursty, Scenario::Corunners, false),
         ];
@@ -368,7 +375,7 @@ mod tests {
             RunWork::PremSpm,
             RunWork::Baseline,
         ];
-        for (cfg, scenario, fusable) in scenarios {
+        for (cfg, scenario, eligible) in scenarios {
             for work in works {
                 let ctx = format!("{work:?}/{scenario:?}/{:?}", cfg.cpu);
                 let run =
@@ -382,13 +389,12 @@ mod tests {
                 assert_eq!(bits(memoized.wcets), bits(plain.wcets), "{ctx}");
 
                 // Every mode compiles, and its walk's WCETs are the
-                // profiling pass's; under a fusable mix it derives too: one
-                // compile, one walk and one price give the live run.
+                // profiling pass's; under an eligible mix it derives too:
+                // one compile, one walk and one price give the live run.
                 let compiled = CompiledRun::compile(cfg, &ivs, work, noise).unwrap();
                 let walked = compiled.walk(cfg, 7);
                 assert_eq!(bits(compiled.wcets(&walked)), bits(profiled), "{ctx}");
-                let eligible = crate::replay_eligible(cfg, scenario);
-                assert_eq!(eligible, fusable, "{ctx}");
+                assert_eq!(crate::replay_eligible(cfg, scenario), eligible, "{ctx}");
                 if eligible {
                     let derived = compiled.price(&walked, cfg, 7, scenario);
                     assert_eq!(derived.output.encode(), plain.output.encode(), "{ctx}");

@@ -83,14 +83,14 @@ use std::ops::Range;
 
 use prem_gpusim::{CostModel, ExecError, InterferenceEngine, Op, PlatformConfig, Scenario};
 use prem_memsim::{
-    AccessKind, Cache, CacheStats, Contention, HitLevel, LineAddr, LineSet, NullSink, Phase,
-    Policy, Spm, SpmError,
+    AccessKind, Cache, CacheStats, Contention, HitLevel, LineAddr, NullSink, Phase, Policy, Spm,
+    SpmError,
 };
 
 use crate::budget::BudgetPolicy;
 use crate::exec::{
-    noisy_demand_ops, prefetch_rounds, prem_run, repeats_no_line, BaselineRun, Footprint,
-    NoiseModel, Rounds, RunCounters, SlotCosts,
+    noisy_demand_ops, prefetch_rounds, prem_run, BaselineRun, NoiseModel, Rounds, RunCounters,
+    SlotCosts,
 };
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
@@ -346,10 +346,6 @@ pub struct CompiledRun {
     entries: Vec<Entry>,
     /// Per interval: its `footprints` range and its `entries` range.
     segments: Vec<(Range<usize>, Range<usize>)>,
-    /// Per interval: whether its footprint lists no line twice, which
-    /// lets hit-oblivious classes take the event loop (checked only for
-    /// LLC-PREM that may stage more than one round; `false` elsewhere).
-    distinct: Vec<bool>,
     /// Cache accesses among `entries`: the hit bits a walk records.
     accesses: usize,
     /// SPM-PREM: per-interval M-phase work. The token-held copy loop
@@ -404,7 +400,7 @@ impl CompiledRun {
         let mut spm = Spm::new(cfg.spm.clone());
         let mut footprints = Vec::new();
         if matches!(store, Some(LocalStore::Llc { .. })) {
-            footprints.reserve_exact(intervals.iter().map(|iv| iv.footprint.len()).sum());
+            footprints.reserve_exact(intervals.iter().map(|iv| iv.footprint().len()).sum());
         }
         // LLC and baseline streams hold one entry per op, so a counting
         // pass over the same ops sizes them exactly. Growing and trimming
@@ -426,8 +422,6 @@ impl CompiledRun {
             Some(LocalStore::Llc { prefetch }) => *prefetch,
             _ => PrefetchStrategy::Repeated { r: 1 },
         };
-        let mut distinct = Vec::with_capacity(intervals.len());
-        let mut seen = LineSet::default();
         let mut spm_m_work = Vec::new();
         let mut accesses = 0;
         let mut counter = 0u64;
@@ -471,9 +465,6 @@ impl CompiledRun {
             if let Some(e) = fault {
                 return Err(e.into());
             }
-            distinct.push(
-                prefetch.max_rounds() > 1 && repeats_no_line(&footprints[m_start..], &mut seen),
-            );
             segments.push((m_start..footprints.len(), c_start..entries.len()));
         }
         // The stream lives on through every walk: return an SPM stream's
@@ -485,7 +476,6 @@ impl CompiledRun {
             footprints,
             entries,
             segments,
-            distinct,
             accesses,
             spm_m_work,
             prefetch,
@@ -555,13 +545,9 @@ impl CompiledRun {
                 }
                 RunWork::PremLlc { .. } | RunWork::PremLlcUntilResident => {
                     llc.begin_interval();
-                    let footprint = Footprint {
-                        lines: &self.footprints[m_range.clone()],
-                        distinct: self.distinct[i],
-                    };
                     let m = prefetch_rounds(
                         &mut llc,
-                        footprint,
+                        &self.footprints[m_range.clone()],
                         self.prefetch,
                         pf_cost,
                         0.0,
@@ -589,10 +575,11 @@ impl CompiledRun {
     }
 
     /// The `(m_wcet, c_wcet)` of `trajectory`'s class — each phase's
-    /// largest isolated per-interval work, folded in interval order as
-    /// [`profile_phases`](crate::profile_phases) folds it, so bit-equal to
-    /// what [`profile_run`](crate::profile_run) reports for any member of
-    /// the class — or `None` for baseline work, which never profiles.
+    /// largest isolated per-interval work, folded in interval order as a
+    /// live run under an idle mix folds its own
+    /// ([`profile_phases`](crate::profile_phases)), so bit-equal to what
+    /// [`profile_run`](crate::profile_run) reports for any member of the
+    /// class — or `None` for baseline work, which never profiles.
     /// These are the WCETs a member's budgets derive from, priced or run
     /// live.
     pub fn wcets(&self, trajectory: &Trajectory) -> Option<(f64, f64)> {
@@ -788,15 +775,12 @@ mod tests {
             .collect()
     }
 
-    /// A toy kernel with what SPM staging reacts to: every footprint lists
-    /// some lines twice (restaged for free) and every third compute access
-    /// writes (each written line is copied out once per interval).
+    /// A toy kernel with what SPM staging reacts to: every third compute
+    /// access writes (each written line is copied out once per interval).
     fn writing_intervals() -> Vec<IntervalSpec> {
         (0..6)
             .map(|i| {
                 let lines: Vec<_> = (0..160).map(|j| LineAddr::new(i * 100 + j)).collect();
-                let mut footprint = lines.clone();
-                footprint.extend(lines.iter().step_by(16).copied());
                 let accesses = lines
                     .iter()
                     .chain(&lines)
@@ -809,7 +793,7 @@ mod tests {
                         }
                     })
                     .collect();
-                IntervalSpec::new(footprint, accesses, 300)
+                IntervalSpec::new(lines, accesses, 300)
             })
             .collect()
     }
@@ -860,7 +844,7 @@ mod tests {
         // Converging footprints take the zero-miss credit path (walk and
         // live both stop simulating rounds once one misses nothing);
         // overflowing ones simulate every round on both sides; the writing
-        // toy stages duplicate lines and copies written ones out.
+        // toy copies written lines out.
         let toys = [
             ("converging", converging_intervals()),
             ("overflowing", overflowing_intervals()),
@@ -879,7 +863,7 @@ mod tests {
         for (toy, ivs, noise) in toys.iter().flat_map(|(toy, ivs)| {
             [NoiseModel::tx1(), NoiseModel::off()].map(|noise| (toy, ivs, noise))
         }) {
-            let staged: u64 = ivs.iter().map(|iv| iv.footprint.len() as u64).sum();
+            let staged: u64 = ivs.iter().map(|iv| iv.footprint().len() as u64).sum();
             for work in works {
                 // One compile per family, from any member's config.
                 let compiled = CompiledRun::compile(
@@ -939,17 +923,15 @@ mod tests {
     #[test]
     fn crediting_rounds_is_invisible_to_the_run() {
         // `run_prem` simulates only the prefetches that can miss (the
-        // event loop for hit-oblivious policies and repeat-free
-        // footprints, the per-set loop otherwise); a recording run walks
-        // every round of every interval. The toys repeat lines (writing),
-        // overflow sets (overflowing) and carry lines from one interval to
-        // the next (converging), with writes and unmanaged reads in their
-        // compute phases.
-        let mut seen = LineSet::default();
+        // event loop for hit-oblivious policies, the per-set loop
+        // otherwise); a recording run walks every round of every interval.
+        // The toys overflow sets (overflowing) and carry lines from one
+        // interval to the next (converging), with writes (writing) and
+        // unmanaged reads in their compute phases.
         let toys = [
-            ("converging", converging_intervals(), true),
-            ("overflowing", overflowing_intervals(), true),
-            ("writing", writing_intervals(), false),
+            ("converging", converging_intervals()),
+            ("overflowing", overflowing_intervals()),
+            ("writing", writing_intervals()),
         ];
         let policies = [
             Policy::Random,
@@ -966,11 +948,7 @@ mod tests {
             PrefetchStrategy::Repeated { r: 8 },
             PrefetchStrategy::UntilResident { max_rounds: 16 },
         ];
-        for (toy, ivs, distinct) in &toys {
-            let repeat_free = ivs
-                .iter()
-                .all(|iv| repeats_no_line(&iv.footprint, &mut seen));
-            assert_eq!(repeat_free, *distinct, "{toy}");
+        for (toy, ivs) in &toys {
             for policy in &policies {
                 for seed in [11u64, 23] {
                     let mut platform = small_platform(policy.clone(), seed).build();
@@ -1121,7 +1099,7 @@ mod tests {
                                 noise_line(counter - 1)
                             ]
                         );
-                        assert_eq!(compiled.footprints[m_range.clone()], iv.footprint[..]);
+                        assert_eq!(compiled.footprints[m_range.clone()], *iv.footprint());
                     }
                     // No phases: no staging at all.
                     _ => {

@@ -165,45 +165,6 @@ impl Coster for ConstCoster {
     }
 }
 
-/// Dual coster: charges the live-contention cost while accumulating, per
-/// op in issue order, the cost the same op would have under a second
-/// contention level. The secondary accumulator reproduces — bit-exactly —
-/// the `cycles` a separate run of the same stream under the secondary
-/// contention would report, because the trajectory (and hence the level
-/// sequence) is contention-independent and both sides add the same
-/// per-level constants in the same order from 0.0.
-struct DualCoster {
-    live: ConstCoster,
-    second: ConstCoster,
-    second_cycles: f64,
-}
-
-impl Coster for DualCoster {
-    #[inline]
-    fn access(&mut self, level: HitLevel, elapsed: f64) -> f64 {
-        self.second_cycles += self.second.access(level, elapsed);
-        self.live.access(level, elapsed)
-    }
-
-    #[inline]
-    fn prefetch(&mut self, hit: bool, elapsed: f64) -> f64 {
-        self.second_cycles += self.second.prefetch(hit, elapsed);
-        self.live.prefetch(hit, elapsed)
-    }
-
-    #[inline]
-    fn copy(&mut self, elapsed: f64) -> f64 {
-        self.second_cycles += self.second.copy(elapsed);
-        self.live.copy(elapsed)
-    }
-
-    #[inline]
-    fn alu(&mut self, n: u64) -> f64 {
-        self.second_cycles += self.second.alu(n);
-        self.live.alu(n)
-    }
-}
-
 /// Time-varying coster: charges each memory op the contention the
 /// interference engine reports at the op's issue time, read through
 /// windows. [`InterferenceEngine::contention_until`] names a cycle before
@@ -326,40 +287,6 @@ impl<'a> SmExecutor<'a> {
             t: CostTable::new(self.cost, contention),
         };
         self.run_inner(stream, phase, &mut coster, start_cycle, sink)
-    }
-
-    /// [`SmExecutor::run_traced`] under `contention`, additionally
-    /// returning the cycles the same stream would have cost under
-    /// `second` — accumulated per op in issue order, so the returned
-    /// value is bit-identical to a separate [`SmExecutor::run`] of the
-    /// stream under `second` (the trajectory does not depend on
-    /// contention). This is how a timed run self-profiles: one walk
-    /// yields both the live cycles and the isolated cycles a profiling
-    /// pass would have measured.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Spm`] exactly as for [`SmExecutor::run`].
-    pub fn run_dual_traced<S: TraceSink>(
-        &mut self,
-        stream: &OpStream,
-        phase: Phase,
-        contention: Contention,
-        second: Contention,
-        start_cycle: f64,
-        sink: &mut S,
-    ) -> Result<(RunOutcome, f64), ExecError> {
-        let mut coster = DualCoster {
-            live: ConstCoster {
-                t: CostTable::new(self.cost, contention),
-            },
-            second: ConstCoster {
-                t: CostTable::new(self.cost, second),
-            },
-            second_cycles: 0.0,
-        };
-        let out = self.run_inner(stream, phase, &mut coster, start_cycle, sink)?;
-        Ok((out, coster.second_cycles))
     }
 
     /// Runs `stream` under the time-varying contention of `engine`,

@@ -307,9 +307,9 @@ impl RunRequest<'_> {
 
     /// [`RunRequest::execute`] additionally reporting the
     /// `(m_wcet, c_wcet)` the run's budgets derive from (`None` for
-    /// baseline work). For constant-contention unpolluted mixes the
-    /// profiling pass is fused into the timed run, so self-profiling costs
-    /// one walk, not two.
+    /// baseline work). Under an idle mix the run is its own isolated
+    /// profiling pass, so self-profiling costs one walk; any other mix
+    /// runs an isolated pass first, two walks in all.
     ///
     /// # Panics
     ///

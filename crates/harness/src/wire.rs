@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 use prem_core::codec::{bad_data, read_f64, read_u8, read_varint, write_f64, write_varint};
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
-use prem_kernels::{Kernel, KernelId};
+use prem_kernels::{Kernel, KernelError, KernelId};
 use prem_memsim::KIB;
 
 use crate::plan::{PlatformSpec, RunRequest};
@@ -248,8 +248,13 @@ impl OwnedRunRequest {
 
     /// Instantiates the kernel and builds the platform template (a
     /// preset's shared one), pairing both with this request in a holder
-    /// that can lend out the borrowed form. Hard error when the kernel
-    /// identity is not registered.
+    /// that can lend out the borrowed form.
+    ///
+    /// Hard error when the kernel identity is not registered, or when the
+    /// request breaks a kernel or platform limit that would stop its run:
+    /// an interval size below the kernel's minimum (the one way a tiling
+    /// fails), or SPM work whose interval size exceeds the template's
+    /// scratchpad (a tiling may fill a footprint up to `T`).
     ///
     /// # Panics
     ///
@@ -260,9 +265,30 @@ impl OwnedRunRequest {
             .kernel
             .instantiate()
             .ok_or_else(|| bad_data(&format!("kernel `{}` is not registered", self.kernel)))?;
+        let min_bytes = kernel.min_interval_bytes();
+        if self.t_bytes < min_bytes {
+            return Err(bad_data(
+                &KernelError::IntervalTooSmall {
+                    kernel: kernel.name(),
+                    t_bytes: self.t_bytes,
+                    min_bytes,
+                }
+                .to_string(),
+            ));
+        }
+        let platform = self.platform.spec(self.policy);
+        let capacity = platform.config().spm.capacity_bytes();
+        if self.work == RunWork::PremSpm && self.t_bytes > capacity {
+            return Err(bad_data(&format!(
+                "{}: spm interval size {} B exceeds the {} scratchpad's {capacity} B",
+                kernel.name(),
+                self.t_bytes,
+                self.platform
+            )));
+        }
         Ok(ResolvedRunRequest {
             kernel,
-            platform: self.platform.spec(self.policy),
+            platform,
             owned: self,
         })
     }

@@ -218,7 +218,7 @@ mod tests {
         let a_first = k.a.line(0, 0).raw();
         let a_last = k.a.line(127, 127).raw();
         for iv in &ivs {
-            for l in &iv.footprint {
+            for l in iv.footprint() {
                 if (a_first..=a_last).contains(&l.raw()) {
                     *a_lines.entry(l.raw()).or_insert(0u32) += 1;
                 }

@@ -158,9 +158,9 @@ mod tests {
         // The last input row of interval 0 reappears in interval 1's
         // footprint (halo).
         let shared: Vec<_> = ivs[0]
-            .footprint
+            .footprint()
             .iter()
-            .filter(|l| ivs[1].footprint.contains(l))
+            .filter(|l| ivs[1].footprint().contains(l))
             .collect();
         assert!(!shared.is_empty(), "no halo overlap");
     }

@@ -1,16 +1,16 @@
 //! Builder for one PREM interval's footprint and compute-access stream.
 
 use prem_core::{CAccess, IntervalSpec};
-use prem_memsim::{LineAddr, LineSet};
+use prem_memsim::LineAddr;
 
 use crate::data::ArrayDesc;
 
-/// Accumulates the staged footprint (deduplicated, first-touch order) and
-/// the ordered compute accesses of one interval.
+/// Accumulates the staged footprint and the ordered compute accesses of
+/// one interval. [`IntervalSpec::new`] keeps each staged line's first
+/// touch, so staging a line again is a no-op.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalBuilder {
     footprint: Vec<LineAddr>,
-    staged: LineSet,
     c_accesses: Vec<CAccess>,
     alu: u64,
 }
@@ -23,9 +23,7 @@ impl IntervalBuilder {
 
     /// Stages one line (idempotent).
     pub fn stage(&mut self, line: LineAddr) -> &mut Self {
-        if self.staged.insert(line) {
-            self.footprint.push(line);
-        }
+        self.footprint.push(line);
         self
     }
 
@@ -45,11 +43,6 @@ impl IntervalBuilder {
     /// Stages the lines of flat range `a[i0..i1]`.
     pub fn stage_flat(&mut self, a: &ArrayDesc, i0: usize, i1: usize) -> &mut Self {
         self.stage_all(a.flat_slice_lines(i0, i1))
-    }
-
-    /// Current footprint size in lines.
-    pub fn footprint_lines(&self) -> usize {
-        self.footprint.len()
     }
 
     /// Emits a compute-phase read of one line.
@@ -105,7 +98,7 @@ mod tests {
             .stage(LineAddr::new(1))
             .stage(LineAddr::new(2));
         let iv = b.build();
-        assert_eq!(iv.footprint, vec![LineAddr::new(2), LineAddr::new(1)]);
+        assert_eq!(iv.footprint(), [LineAddr::new(2), LineAddr::new(1)]);
     }
 
     #[test]

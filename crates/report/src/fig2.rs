@@ -93,7 +93,7 @@ pub fn fig2(kernel: &dyn Kernel, t_bytes: usize) -> Fig2 {
         .collect();
     Fig2 {
         kernel: kernel.name().to_string(),
-        footprint_lines: iv.footprint.len(),
+        footprint_lines: iv.footprint().len(),
         rows,
     }
 }

@@ -5,19 +5,23 @@
 //!       [executor flags: --cache/--no-cache/--cache-dir/--no-replay]
 //! ```
 //!
-//! Reads protocol lines on stdin (see `prem_serve`), streams `out …`
-//! responses on stdout, and heartbeats `[serve] tick=… key=value` metric
-//! lines on stderr. `stats` replies with the classic counters line plus
-//! the full registry snapshot (`metrics <json>`); under `--metrics` the
-//! snapshot is also written to `<metrics-dir>/metrics.json` at exit.
+//! Reads protocol lines on stdin (see `prem_serve`), streams `out …` and
+//! `err …` responses on stdout, and heartbeats `[serve] tick=…
+//! key=value` metric lines on stderr. `stats` replies with the classic
+//! counters line plus the full registry snapshot (`metrics <json>`);
+//! under `--metrics` the snapshot is also written to
+//! `<metrics-dir>/metrics.json` at exit.
 //! The executor defaults to the shared persistent cache at
 //! `results/.runcache`, so a served sweep deduplicates against every
 //! artifact the `figures` binary ever generated — and a second identical
 //! batch is pure disk hits, zero live simulation.
 //!
-//! Malformed input is a hard error: the process prints the offending
-//! line and exits nonzero rather than guessing (the codec and store
-//! contract). EOF and `quit` both drain the queue before exiting.
+//! A well-formed request that does not resolve — an unregistered
+//! kernel, or one that breaks a kernel or platform limit — is answered
+//! `err <tag> <reason>` on stdout, and the session goes on. A line that
+//! does not parse is a hard error: the process prints it and exits
+//! nonzero rather than guessing (the codec and store contract). EOF and
+//! `quit` both drain the queue before exiting.
 
 use std::io::{self, BufRead, Write};
 use std::process::ExitCode;
@@ -30,6 +34,7 @@ fn usage() -> String {
     format!(
         "serve — budgeted sweep service on stdin (see ARCHITECTURE.md)\n\
          protocol: `req <tag> <request-line>` | flush | stats | quit\n\
+         replies: `out <tag> …`, or `err <tag> <reason>` for a refused request\n\
          flags:\n\
            --budget <n>        pool units dispatched per tick (default 4)\n\
            --tick-ms <ms>      warn when a tick's wall time exceeds this\n\
@@ -138,9 +143,9 @@ fn main() -> ExitCode {
         };
         match command {
             Command::Request { tag, request } => {
-                if let Err(e) = service.submit(tag, request) {
-                    eprintln!("serve: {e}\n  in line: {line}");
-                    return ExitCode::from(2);
+                // A refused request fails alone.
+                if let Err(e) = service.submit(&tag, request) {
+                    println!("err {tag} {e}");
                 }
             }
             Command::Flush => {

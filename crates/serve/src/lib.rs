@@ -44,9 +44,12 @@
 //!
 //! Responses stream back on stdout as `out <tag> fp=<hex> …` summaries
 //! ([`Response::line`]), optionally carrying the full codec-encoded
-//! [`RunOutput`] as hex. Malformed input is a hard error — the service
-//! refuses the whole session rather than guessing, the same contract as
-//! the store and codec layers.
+//! [`RunOutput`] as hex. A request [`SweepService::submit`] refuses — an
+//! unregistered kernel, or a kernel or platform limit it breaks
+//! ([`OwnedRunRequest::resolve`]) — is answered `err <tag> <reason>` on
+//! the spot, and the requests around it are served. A line that does not
+//! parse is a hard error — the service refuses the whole session rather
+//! than guessing, the same contract as the store and codec layers.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -278,9 +281,14 @@ impl SweepService {
         }
     }
 
-    /// Queues one request under `tag`. Resolves the kernel through the
-    /// registry — an unknown kernel identity is rejected here, before it
-    /// can queue.
+    /// Queues one request under `tag`. Resolves it first
+    /// ([`OwnedRunRequest::resolve`]): an unknown kernel identity, an
+    /// interval size below the kernel's minimum or an SPM interval larger
+    /// than the scratchpad is rejected here, before it can queue.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the request does not resolve.
     pub fn submit(&mut self, tag: impl Into<String>, request: OwnedRunRequest) -> io::Result<()> {
         let resolved = request.resolve()?;
         let (key, base_key, replay_eligible) = {

@@ -199,9 +199,6 @@ fn malformed_lines_are_session_fatal() {
         "req only-a-tag\n",
         "req t v1 kernel=bicg:128x64 platform=pluto work=spm t=16384 seed=1 \
          scenario=isolation noise=0x0\n",
-        // Well-formed line, unregistered kernel: rejected at submit.
-        "req t v1 kernel=nope:128 platform=tx1 work=spm t=16384 seed=1 \
-         scenario=isolation noise=0x0\n",
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
             .arg("--cache-dir")
@@ -223,5 +220,56 @@ fn malformed_lines_are_session_fatal() {
             "serve accepted malformed input: {bad:?}"
         );
     }
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+#[test]
+fn refused_requests_get_err_replies_and_the_rest_are_served() {
+    let scratch: PathBuf =
+        std::env::temp_dir().join(format!("prem-serve-err-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+
+    // Well-formed lines that break a limit, between valid requests: an
+    // SPM interval larger than the TX1 scratchpad (the tiling would fill
+    // 98432 of its 98304 bytes), an interval size below bicg's minimum,
+    // and a kernel the registry does not know.
+    let input = "req a v1 kernel=bicg:128x64 platform=tx1 work=llc-r8 t=16384 seed=1 \
+                 scenario=isolation noise=0x0\n\
+                 req bad v1 kernel=bicg:1024x1024 platform=tx1 work=spm t=8388608 seed=1 \
+                 scenario=isolation noise=0x0\n\
+                 req b v1 kernel=mvt:128 platform=tx1 work=spm t=16384 seed=5 \
+                 scenario=isolation noise=0x0\n\
+                 req z v1 kernel=bicg:128x128 platform=tx1 work=llc-r8 t=0 seed=1 \
+                 scenario=isolation noise=0x0\n\
+                 req nope v1 kernel=nope:128 platform=tx1 work=spm t=16384 seed=1 \
+                 scenario=isolation noise=0x0\n\
+                 req c v1 kernel=bicg:128x64 platform=tx1 work=base t=16384 seed=2 \
+                 scenario=isolation noise=0x0\n";
+    let out = run_serve(&scratch.join(".runcache"), &["--no-cache"], input);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let tags = |kind: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| l.split_whitespace().next() == Some(kind))
+            .map(|l| l.split_whitespace().nth(1).expect("reply tag").to_string())
+            .collect()
+    };
+    assert_eq!(tags("err"), ["bad", "z", "nope"], "replies:\n{stdout}");
+    let mut served = tags("out");
+    served.sort();
+    assert_eq!(served, ["a", "b", "c"], "replies:\n{stdout}");
+    for (tag, reason) in [
+        ("bad", "exceeds the tx1 scratchpad's 98304 B"),
+        ("z", "interval size 0 B below minimum"),
+        ("nope", "not registered"),
+    ] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.starts_with(&format!("err {tag} ")) && l.contains(reason)),
+            "no `{reason}` reply for {tag}:\n{stdout}"
+        );
+    }
+
     std::fs::remove_dir_all(&scratch).ok();
 }
